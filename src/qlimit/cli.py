@@ -138,8 +138,11 @@ def _default_outdir(out: str | None) -> Path:
 
 def cmd_gaussian(q: int, kappa: float, out: str | Path) -> Path:
     """Write the discrete Gaussian table (n, gamma, upsilon, prob) as CSV."""
-    lattice = new_lattice(q)
-    params = GaussianParams(kappa)
+    try:
+        lattice = new_lattice(q)
+        params = GaussianParams(kappa)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     g = gamma_kappa(lattice, params).amplitudes.real
     u = upsilon_kappa(lattice, params).amplitudes.real
     path = Path(out)

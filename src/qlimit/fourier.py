@@ -10,7 +10,8 @@ exact signed-index phases matter more than FFT speed here. Phases are
 reduced with exact integer arithmetic, exp(-2*pi*1j * ((k*n) mod d) / d),
 which keeps the trig arguments small.
 
-One matrix pair is cached per lattice and reused by the propagator.
+One matrix pair is cached per lattice (a bounded cache) and reused by
+the propagator.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class DftMatrices:
     adjoint: np.ndarray = field(repr=False)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _cached_dft(q: int) -> DftMatrices:
     lattice = Lattice(q)
     d = lattice.d
@@ -48,6 +49,21 @@ def _cached_dft(q: int) -> DftMatrices:
 def dft_matrices(lattice: Lattice) -> DftMatrices:
     """The centered DFT matrix pair for a lattice (cached per q)."""
     return _cached_dft(lattice.q)
+
+
+def even_dual_matrix(lattice: Lattice, weights: np.ndarray) -> np.ndarray:
+    """F+ diag(weights) F for dual weights w(k) = w(-k), as a d x d array.
+
+    For even weights the sine parts of the conjugation cancel, so entry
+    (a, b) is (1/d) * sum_k w(k) cos(2 pi k (a - b) / d): a circulant with
+    one value per distance |a - b|, exactly symmetric (real for real
+    weights), built in O(d^2) time and memory.
+    """
+    d = lattice.d
+    pts = lattice.points()
+    angles = 2.0 * np.pi / d * (np.outer(np.arange(d), pts) % d)
+    row = np.cos(angles) @ weights / d
+    return row[np.abs(pts[:, None] - pts[None, :])]
 
 
 def apply_dft(psi: StateVector) -> StateVector:

@@ -38,8 +38,8 @@ class GaussianParams:
     kappa: float
 
     def __post_init__(self) -> None:
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be strictly positive, got {self.kappa}")
+        if not (self.kappa > 0 and math.isfinite(self.kappa)):
+            raise ValueError(f"kappa must be strictly positive and finite, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,12 @@ def theta3(args: ThetaArgs, tol: float = 1e-12) -> complex:
         a += 1
 
 
+@np.errstate(over="ignore")  # exponents beyond the float range give exp(-inf) = 0
 def gamma_kappa(lattice: Lattice, params: GaussianParams) -> StateVector:
     """Wrapped Gaussian gamma(n) = sum_m exp(-(kappa*pi/d)(m*d+n)^2); real, even, positive."""
     d = lattice.d
     n = lattice.points().astype(float)
-    c = params.kappa * math.pi / d
+    c = params.kappa * (math.pi / d)  # finite for every finite kappa: no NaN from inf * 0
     total = np.exp(-c * n * n)
     m = 1
     while True:

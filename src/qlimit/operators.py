@@ -11,11 +11,12 @@ periodic information potential beta*cos(omega*t)*R. hbar = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError
-from .fourier import dft_matrices
+from .fourier import dft_matrices, even_dual_matrix
 from .lattice import NORM_TOLERANCE, Lattice, StateVector
 
 HERMITICITY_TOL = 1e-12
@@ -104,17 +105,40 @@ def diagonal_potential(lattice: Lattice, values) -> HermitianOperator:
     return HermitianOperator(lattice, np.diag(v.astype(complex)))
 
 
+@lru_cache(maxsize=16)
+def _kinetic_matrix(q: int, mu: float) -> np.ndarray:
+    lattice = Lattice(q)
+    kin = even_dual_matrix(lattice, lattice.points().astype(float) ** 2 / (2.0 * mu))
+    kin.flags.writeable = False
+    return kin
+
+
+def hamiltonians(lattice: Lattice, mu: float, coupling) -> np.ndarray:
+    """Real symmetric matrices T^2/(2 mu) + c*R, one per coupling value c.
+
+    Returns an (m, d, d) float array for a sequence of m coupling values.
+    The kinetic part is the real circulant of the dual weights n^2/(2 mu),
+    cached per (q, mu), so every slice is exactly symmetric and costs
+    O(d^2) to build.
+    """
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    coupling = np.asarray(coupling, dtype=float)
+    m, d = len(coupling), lattice.d
+    h = np.empty((m, d, d))
+    h[:] = _kinetic_matrix(lattice.q, float(mu))
+    h.reshape(m, d * d)[:, :: d + 1] += coupling[:, None] * lattice.points()
+    return h
+
+
 def hamiltonian_at(
     lattice: Lattice, t: float, mu: float, beta: float, omega: float
 ) -> HermitianOperator:
     """Market Hamiltonian H(t) = T^2/(2 mu) + beta*cos(omega*t)*R at time t.
 
-    Allocates a fresh operator per call; tight propagation loops should
-    use the propagator module, which factors the time-independent part.
+    One slice of :func:`hamiltonians`, the builder the propagator uses.
     """
-    kin = kinetic_operator(lattice, mu).matrix
-    pot = beta * np.cos(omega * t) * lattice.points().astype(float)
-    return HermitianOperator(lattice, kin + np.diag(pot))
+    return HermitianOperator(lattice, hamiltonians(lattice, mu, [beta * np.cos(omega * t)])[0])
 
 
 def expectation(op: HermitianOperator, psi: StateVector) -> float:

@@ -4,26 +4,31 @@ Integrates i dPsi/dt = H(t) Psi with H(t) = T^2/(2 mu) + beta*cos(omega*t)*R,
 hbar = 1, time in seconds, starting from the discrete Gaussian of width
 kappa at market opening (t = 0).
 
-Two second-order unitary schemes are provided, plus an in-repo ground
-truth:
+Every method is a product of per-step unitaries U_j, and one loop in
+``evolve`` runs all three: it builds the (m, d, d) stack of the next
+chunk of step unitaries, applies psi <- U_j psi step by step, and checks
+the chunk's states with one vectorized norm. The single-step functions
+build a one-step stack with the same builder and apply it.
 
 strang
-    Split step: half potential phase in the return basis, full kinetic
-    phase in the dual basis (two centered DFTs per step), half potential
-    phase again. The two potential half-steps sample cos at their own
-    midpoints, t + dt/4 and t + 3dt/4, which keeps the scheme second
-    order in the time-dependent coefficient and exactly time reversible.
+    Split step: half potential phase in the return basis, the free step
+    exp(-1j*dt*T^2/(2 mu)) (a circulant matrix, cached per (q, mu, dt)),
+    half potential phase again. The two potential half-steps sample cos
+    at their own midpoints, t + dt/4 and t + 3dt/4, which keeps the
+    scheme second order in the time-dependent coefficient and exactly
+    time reversible.
 
 magnus2
-    Exponential midpoint: Psi <- exp(-1j*H(t + dt/2)*dt) Psi with the
-    exponential taken through an eigendecomposition of the (real
-    symmetric) Hamiltonian matrix.
+    Exponential midpoint: U = exp(-1j*H(t + dt/2)*dt) through an
+    eigendecomposition of the real symmetric Hamiltonian matrices, which
+    come from the one builder ``operators.hamiltonians``.
 
 reference
     magnus2 run at dt/8, used as the convergence yardstick.
 
-Both steps are products of unitaries, so norms are conserved up to
-roundoff; the trajectory records the worst per-step norm defect.
+The step unitaries are unitary up to roundoff, so norms are conserved;
+``norm_drift`` is the worst per-step defect |1 - ||psi|||, and the first
+step whose state is non-finite raises ``PropagationError``.
 A single run is strictly sequential; distinct runs share nothing and may
 execute in parallel.
 """
@@ -37,15 +42,34 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PropagationError
-from .fourier import dft_matrices
+from .fourier import dft_matrices, even_dual_matrix
 from .gaussian import GaussianParams, upsilon_kappa
 from .lattice import Lattice, StateVector
-from .operators import expectation, rate_operator, trend_operator
+from .operators import expectation, hamiltonians, rate_operator, trend_operator
 
 METHODS = ("strang", "magnus2", "reference")
 
-#: Steps per chunk for the batched magnus2 eigendecompositions.
-_MAGNUS_CHUNK = 4096
+#: Steps per chunk: evolve builds the step unitaries and checks the
+#: states of this many steps at a time.
+_CHUNK = 32
+
+
+def _finite(key: str, value) -> float:
+    """A config number as a finite float; ConfigError otherwise (bools included)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _step_index(t: float, dt: float) -> int:
+    steps = t / dt
+    if not math.isfinite(steps):
+        raise ConfigError(f"time {t!r} is more steps of dt={dt!r} than a float holds")
+    return round(steps)
 
 
 @dataclass(frozen=True)
@@ -71,31 +95,26 @@ class SimulationConfig:
         if not isinstance(self.q, (int, np.integer)) or isinstance(self.q, bool) or self.q < 1:
             raise ConfigError(f"q must be a positive integer, got {self.q!r}")
         object.__setattr__(self, "q", int(self.q))
+        for key in ("kappa", "mu", "dt", "beta", "omega", "t_end"):
+            object.__setattr__(self, key, _finite(key, getattr(self, key)))
         for key in ("kappa", "mu", "dt"):
-            value = getattr(self, key)
-            if not isinstance(value, (int, float)) or not value > 0:
-                raise ConfigError(f"{key} must be positive, got {value!r}")
-            object.__setattr__(self, key, float(value))
-        for key in ("beta", "omega", "t_end"):
-            value = getattr(self, key)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
-            object.__setattr__(self, key, float(value))
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)!r}")
         if self.t_end < 0:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
 
-        n_steps = round(self.t_end / self.dt)
+        n_steps = _step_index(self.t_end, self.dt)
         object.__setattr__(self, "t_end", n_steps * self.dt)
 
         raw = self.snapshots
         if raw is None:
             raw = (0.0, self.t_end)
-        raw = tuple(float(s) for s in raw)
+        raw = tuple(_finite("snapshots", s) for s in raw)
         if any(raw[i] >= raw[i + 1] for i in range(len(raw) - 1)):
             raise ConfigError(f"snapshots must be strictly ascending, got {list(raw)}")
-        steps = [round(s / self.dt) for s in raw]
+        steps = [_step_index(s, self.dt) for s in raw]
         if any(k < 0 or k > n_steps for k in steps):
             raise ConfigError(
                 f"snapshots must lie in [0, t_end={self.t_end}], got {list(raw)}"
@@ -134,90 +153,53 @@ def initial_state(config: SimulationConfig) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# step kernels (shared by the public single-step functions and evolve)
+# step unitaries (one builder per method, shared by the single steps and evolve)
 
 def _kinetic_phase(lattice: Lattice, dt: float, mu: float) -> np.ndarray:
     n = lattice.points().astype(float)
     return np.exp(-0.5j * n * n * dt / mu)
 
 
-def _strang_amplitudes(
-    amps: np.ndarray,
-    t: float,
-    dt: float,
-    kin_phase: np.ndarray,
-    n: np.ndarray,
-    beta: float,
-    omega: float,
-    forward: np.ndarray,
-    adjoint: np.ndarray,
-) -> np.ndarray:
-    half = -0.5j * beta * dt
-    out = np.exp(half * math.cos(omega * (t + 0.25 * dt)) * n) * amps
-    out = adjoint @ (kin_phase * (forward @ out))
-    out *= np.exp(half * math.cos(omega * (t + 0.75 * dt)) * n)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _kinetic_matrix_real(q: int, mu: float) -> np.ndarray:
-    """T^2/(2 mu) in the return basis, built directly as a real matrix.
-
-    Entry (k, n) is (1/d) * sum_j (j^2 / 2 mu) cos(2 pi j (k - n) / d):
-    the sine parts of the DFT conjugation cancel because the dual weights
-    j^2 are even, so the kinetic matrix is real symmetric and the magnus
-    exponential can use the cheaper real eigensolver.
-    """
+@lru_cache(maxsize=16)
+def _free_step(q: int, mu: float, dt: float) -> np.ndarray:
+    """exp(-1j*dt*T^2/(2 mu)) in the return basis (complex symmetric)."""
     lattice = Lattice(q)
-    d = lattice.d
-    pts = lattice.points().astype(np.int64)
-    diff = (pts[:, None] - pts[None, :]) % d
-    angles = 2.0 * math.pi / d * (diff[:, :, None] * pts[None, None, :])
-    weights = pts.astype(float) ** 2 / (2.0 * mu)
-    kin = np.cos(angles) @ weights / d
-    kin.flags.writeable = False
-    return kin
+    u = even_dual_matrix(lattice, _kinetic_phase(lattice, dt, mu))
+    u.flags.writeable = False
+    return u
 
 
-def _hamiltonian_real(config: SimulationConfig, t: float) -> np.ndarray:
-    h = _kinetic_matrix_real(config.q, config.mu).copy()
-    coef = config.beta * math.cos(config.omega * t)
-    idx = np.arange(config.lattice.d)
-    h[idx, idx] += coef * config.lattice.points()
-    return h
+def _strang_steps(config: SimulationConfig, t: np.ndarray, dt: float) -> np.ndarray:
+    """(m, d, d) split-step unitaries for the steps starting at the times t."""
+    n = config.lattice.points()
+    cos = np.cos(config.omega * (t[:, None] + [0.25 * dt, 0.75 * dt]))
+    phase = np.exp(-0.5j * config.beta * dt * cos[:, :, None] * n)  # (m, 2, d)
+    u = phase[:, 1, :, None] * _free_step(config.q, config.mu, dt)
+    u *= phase[:, 0, None, :]
+    return u
 
 
-def _magnus_amplitudes(amps: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
+def _magnus_steps(config: SimulationConfig, t: np.ndarray, dt: float) -> np.ndarray:
+    """(m, d, d) exponential-midpoint unitaries for the steps starting at the times t."""
+    coupling = config.beta * np.cos(config.omega * (t + 0.5 * dt))
+    h = hamiltonians(config.lattice, config.mu, coupling)
     try:
         w, vec = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hamiltonian eigendecomposition failed: {exc}") from exc
-    vec = vec.astype(complex)
-    return vec @ (np.exp(-1j * w * dt) * (vec.conj().T @ amps))
+    return (vec * np.exp(w * (-1j * dt))[:, None, :]) @ vec.transpose(0, 2, 1)
 
 
 def step_strang(psi: StateVector, t: float, dt: float, config: SimulationConfig) -> StateVector:
     """One split step from t to t + dt (dt may be negative for reversal)."""
-    lattice = config.lattice
-    mats = dft_matrices(lattice)
-    out = _strang_amplitudes(
-        psi.amplitudes,
-        t,
-        dt,
-        _kinetic_phase(lattice, dt, config.mu),
-        lattice.points().astype(float),
-        config.beta,
-        config.omega,
-        mats.forward,
-        mats.adjoint,
-    )
-    return StateVector(lattice, out)
+    u = _strang_steps(config, np.array([t]), dt)[0]
+    return StateVector(config.lattice, u @ psi.amplitudes)
 
 
 def step_magnus2(psi: StateVector, t: float, dt: float, config: SimulationConfig) -> StateVector:
     """One exponential midpoint step from t to t + dt."""
-    h = _hamiltonian_real(config, t + 0.5 * dt)
-    return StateVector(config.lattice, _magnus_amplitudes(psi.amplitudes, h, dt))
+    u = _magnus_steps(config, np.array([t]), dt)[0]
+    return StateVector(config.lattice, u @ psi.amplitudes)
 
 
 def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
@@ -236,89 +218,33 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 # ---------------------------------------------------------------------------
 # full runs
 
-def _check_step(amps: np.ndarray, step: int, drift: float) -> float:
-    nrm = float(np.linalg.norm(amps))
-    if not math.isfinite(nrm):
-        raise PropagationError(step, "state became non-finite")
-    return max(drift, abs(1.0 - nrm))
-
-
-def _evolve_strang(config: SimulationConfig, psi: np.ndarray):
-    lattice = config.lattice
-    mats = dft_matrices(lattice)
-    n = lattice.points().astype(float)
-    dt = config.dt
-    kin_phase = _kinetic_phase(lattice, dt, config.mu)
-    snap_at = config.snapshot_steps()
-
-    recorded = {}
-    if 0 in snap_at:
-        recorded[0] = psi.copy()
-    drift = 0.0
-    for i in range(config.n_steps):
-        psi = _strang_amplitudes(
-            psi, i * dt, dt, kin_phase, n, config.beta, config.omega,
-            mats.forward, mats.adjoint,
-        )
-        drift = _check_step(psi, i, drift)
-        if i + 1 in snap_at:
-            recorded[i + 1] = psi.copy()
-    return recorded, drift, snap_at
-
-
-def _evolve_magnus(config: SimulationConfig, psi: np.ndarray, dt: float):
-    """magnus2 at step size dt; eigendecompositions are batched per chunk."""
-    lattice = config.lattice
-    d = lattice.d
-    n = lattice.points().astype(float)
-    n_steps = round(config.t_end / dt)
-    refine = round(config.dt / dt)  # sub-steps per configured step (1 or 8)
-    snap_at = {k * refine: t for k, t in config.snapshot_steps().items()}
-
-    kin = _kinetic_matrix_real(config.q, config.mu)
-    idx = np.arange(d)
-
-    recorded = {}
-    if 0 in snap_at:
-        recorded[0] = psi.copy()
-    drift = 0.0
-    step = 0
-    while step < n_steps:
-        m = min(_MAGNUS_CHUNK, n_steps - step)
-        t_mid = (step + np.arange(m) + 0.5) * dt
-        coef = config.beta * np.cos(config.omega * t_mid)
-        h = np.broadcast_to(kin, (m, d, d)).copy()
-        h[:, idx, idx] += coef[:, None] * n[None, :]
-        try:
-            w, vec = np.linalg.eigh(h)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Hamiltonian eigendecomposition failed: {exc}") from exc
-        phase = np.exp(-1j * w * dt)
-        vec = vec.astype(complex)
-        vec_h = np.ascontiguousarray(vec.transpose(0, 2, 1))
-        for j in range(m):
-            psi = vec[j] @ (phase[j] * (vec_h[j] @ psi))
-            drift = _check_step(psi, step + j, drift)
-            if step + j + 1 in snap_at:
-                recorded[step + j + 1] = psi.copy()
-        step += m
-    return recorded, drift, snap_at
-
-
 def evolve(config: SimulationConfig) -> Trajectory:
     """Run the configured method from t = 0 to t_end, recording snapshots."""
-    psi = initial_state(config).amplitudes.copy()
-    if config.method == "strang":
-        recorded, drift, snap_at = _evolve_strang(config, psi)
-    elif config.method == "magnus2":
-        recorded, drift, snap_at = _evolve_magnus(config, psi, config.dt)
-    else:  # reference
-        recorded, drift, snap_at = _evolve_magnus(config, psi, config.dt / 8.0)
+    refine = 8 if config.method == "reference" else 1
+    dt = config.dt / refine
+    build = _strang_steps if config.method == "strang" else _magnus_steps
+    n_steps = config.n_steps * refine
+    snap_at = {k * refine: t for k, t in config.snapshot_steps().items()}
+
+    psi = initial_state(config).amplitudes
+    recorded = {0: psi} if 0 in snap_at else {}
+    drift = 0.0
+    chunk = np.empty((_CHUNK, config.lattice.d), dtype=complex)
+    for start in range(0, n_steps, _CHUNK):
+        m = min(_CHUNK, n_steps - start)
+        unitaries = build(config, (start + np.arange(m)) * dt, dt)
+        for j in range(m):
+            psi = np.matmul(unitaries[j], psi, out=chunk[j])
+        norms = np.linalg.norm(chunk[:m], axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise PropagationError(start + int(bad[0]), "state became non-finite")
+        drift = max(drift, float(np.abs(1.0 - norms).max()))
+        for step in snap_at.keys() & range(start + 1, start + m + 1):
+            recorded[step] = chunk[step - start - 1].copy()
+
     lattice = config.lattice
-    states = tuple(
-        (snap_at[step], StateVector(lattice, amps))
-        for step, amps in sorted(recorded.items())
-    )
+    states = tuple((snap_at[k], StateVector(lattice, recorded[k])) for k in sorted(recorded))
     return Trajectory(config, states, drift)
 
 

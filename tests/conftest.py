@@ -1,3 +1,5 @@
+import contextlib
+import signal
 import time
 
 import pytest
@@ -27,3 +29,24 @@ def fig2_reference(fig2_config) -> tuple[Trajectory, float]:
     t0 = time.perf_counter()
     traj = evolve(SimulationConfig(**{**FIG2_KWARGS, "method": "reference"}))
     return traj, time.perf_counter() - t0
+
+
+@pytest.fixture
+def time_limit():
+    """Context manager factory that fails a block running longer than `seconds`."""
+
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            # pytest.fail raises a BaseException, which no handler in the code under test catches
+            pytest.fail(f"did not finish within {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

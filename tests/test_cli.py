@@ -119,8 +119,10 @@ def test_gaussian_preset_writes_three_files(tmp_path):
     ]
 
 
-def test_gaussian_requires_parameters():
+def test_gaussian_requires_parameters(tmp_path, time_limit):
     assert main(["gaussian"]) == 2
+    with time_limit(10):
+        assert main(["gaussian", "--q", "4", "--kappa", "inf", "--out", str(tmp_path / "g.csv")]) == 2
 
 
 def test_gaussian_unwritable_path_is_io_error():
@@ -216,9 +218,18 @@ def test_evolve_requires_exactly_one_source(tmp_path):
     assert main(["evolve", "--config", str(config_path), "--preset", "fig2"]) == 2
 
 
-def test_evolve_bad_config_exits_2(tmp_path):
-    config_path = _write_config(tmp_path / "run.json", q=0)
-    assert main(["evolve", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+def test_evolve_bad_config_exits_2(tmp_path, time_limit):
+    cases = [dict(q=0), dict(snapshots=[0.0, float("nan")]), dict(snapshots=[0.0, float("inf")]),
+             dict(snapshots=[0.0, "a"]), dict(t_end=1e300, dt=1e-300), dict(dt=float("inf")),
+             dict(kappa=float("inf")), dict(kappa=True), dict(beta=True)]
+    paths = [_write_config(tmp_path / f"run{i}.json", **c) for i, c in enumerate(cases)]
+    # json reads 1e400 as inf; Python writes no such literal, so patch the text
+    big = _write_config(tmp_path / "big.json", snapshots=[0.0, float("inf")])
+    big.write_text(big.read_text().replace("Infinity", "1e400"))
+    for path in paths + [big]:
+        with time_limit(10):
+            rc = main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2, path.read_text()
 
 
 def test_evolve_numerical_blowup_exits_3_naming_step(tmp_path, capsys):

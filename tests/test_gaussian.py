@@ -7,6 +7,7 @@ from qlimit import (
     GaussianParams,
     ThetaArgs,
     apply_dft,
+    delta_state,
     gamma_kappa,
     new_lattice,
     theta3,
@@ -107,6 +108,15 @@ def test_gaussian_params_require_positive_kappa():
         GaussianParams(0.0)
     with pytest.raises(ValueError, match="kappa"):
         GaussianParams(-1.0)
+    for kappa in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="kappa"):
+            GaussianParams(kappa)
+
+
+def test_gamma_at_huge_kappa_is_the_point_mass(time_limit):
+    with time_limit(10):
+        g = gamma_kappa(new_lattice(10), GaussianParams(1e308))
+    np.testing.assert_array_equal(g.amplitudes, delta_state(new_lattice(10), 0).amplitudes)
 
 
 def test_gamma_center_value_narrow_width():

@@ -1,3 +1,6 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from qlimit import (
     tilde_delta,
     upsilon_kappa,
 )
-from qlimit.operators import hamiltonian_at
+from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
 
 
 def _config(**overrides):
@@ -39,7 +42,13 @@ def test_config_defaults():
 
 @pytest.mark.parametrize("bad", [dict(q=0), dict(q=-1), dict(q=2.5), dict(kappa=0.0),
                                  dict(mu=-1.0), dict(dt=0.0), dict(t_end=-5.0),
-                                 dict(method="rk4"), dict(beta=float("nan"))])
+                                 dict(method="rk4"), dict(beta=float("nan")),
+                                 dict(kappa=float("inf")), dict(mu=float("inf")),
+                                 dict(dt=float("inf")), dict(kappa=True), dict(beta=True),
+                                 dict(snapshots=(0.0, float("nan"))),
+                                 dict(snapshots=(0.0, float("inf"))),
+                                 dict(snapshots=(0.0, "a")), dict(snapshots=(0.0, 10**400)),
+                                 dict(t_end=1e300, dt=1e-300)])
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(ConfigError):
         _config(**bad)
@@ -126,15 +135,18 @@ def _taylor_expm_apply(h: np.ndarray, dt: float, amps: np.ndarray, order: int = 
     return result
 
 
-def test_internal_hamiltonian_matches_operator_module():
-    from qlimit.propagator import _hamiltonian_real
-
+def test_hamiltonian_stack_is_symmetric_and_matches_operator_module():
     cfg = _config()
-    for t in (0.0, 1234.5, 20000.0):
-        fast = _hamiltonian_real(cfg, t)
-        assert fast.dtype == np.float64
+    times = np.array([0.0, 1234.5, 20000.0])
+    stack = hamiltonians(cfg.lattice, cfg.mu, cfg.beta * np.cos(cfg.omega * times))
+    assert stack.dtype == np.float64
+    kin = kinetic_operator(cfg.lattice, cfg.mu).matrix
+    for t, h in zip(times, stack):
+        np.testing.assert_array_equal(h, h.T)
         full = hamiltonian_at(cfg.lattice, t, cfg.mu, cfg.beta, cfg.omega).matrix
-        assert np.abs(fast - full).max() < 1e-12
+        assert np.abs(h - full).max() < 1e-12
+        potential = np.diag(cfg.beta * np.cos(cfg.omega * t) * cfg.lattice.points())
+        assert np.abs(h - (kin + potential)).max() < 1e-12
 
 
 def test_magnus_step_matches_taylor_exponential():
@@ -267,6 +279,16 @@ def test_evolve_magnus_equals_repeated_steps():
     assert np.abs(final.amplitudes - psi.amplitudes).max() < 1e-12
 
 
+def test_magnus_evolve_at_large_q_matches_single_steps():
+    cfg = _config(q=150, method="magnus2", t_end=4.0, snapshots=(4.0,))
+    traj = evolve(cfg)
+    assert traj.norm_drift <= 1e-10
+    psi = initial_state(cfg)
+    for i in range(4):
+        psi = step_magnus2(psi, float(i), 1.0, cfg)
+    assert np.abs(traj.states[-1][1].amplitudes - psi.amplitudes).max() < 1e-12
+
+
 def test_reference_method_is_magnus_at_eighth_step():
     kwargs = dict(q=6, kappa=0.5, mu=1.0, beta=0.1, omega=0.0002,
                   t_end=16.0, snapshots=(8.0, 16.0))
@@ -303,6 +325,22 @@ def test_evolve_reports_step_of_numerical_blowup():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PropagationError, match="step 0"):
             evolve(cfg)
+
+
+def test_package_caches_stay_bounded_in_parameter_sweeps():
+    caches = {id(fn): fn for name, module in sys.modules.items() if name.startswith("qlimit")
+              for fn in vars(module).values() if hasattr(fn, "cache_info")}
+    assert caches
+    for fn in caches.values():
+        fn.cache_clear()
+    for i in range(40):
+        cfg = _config(q=1 + i, mu=0.5 + 0.01 * i, dt=0.5 + 0.01 * i, t_end=2.0, snapshots=None)
+        for method in ("strang", "magnus2"):
+            observables_series(evolve(replace(cfg, method=method)))
+    for fn in caches.values():
+        info = fn.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, (fn, info)
+        assert info.misses > info.maxsize, (fn, info)
 
 
 # ---------------------------------------------------------------------------
