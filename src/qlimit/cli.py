@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,8 +35,8 @@ from .operators import (
 )
 from .propagator import METHODS, SimulationConfig, evolve, observables_series
 
-CONFIG_KEYS = ("q", "kappa", "mu", "beta", "omega", "t_end", "dt", "method", "snapshots")
-REQUIRED_KEYS = ("q", "kappa", "mu", "beta", "omega", "t_end")
+CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig))
+REQUIRED_KEYS = tuple(f.name for f in fields(SimulationConfig) if f.default is MISSING)
 
 FIG1_PRESET = {"q": 10, "kappas": (0.2, 1.0, 2.0)}
 
@@ -70,8 +71,7 @@ FIG2_PEAK_TOL = 0.02
 
 def parse_config(path: str | Path) -> SimulationConfig:
     """Load and validate a JSON run configuration."""
-    raw = _load_config_dict(path)
-    return _config_from_dict(raw)
+    return _config_from_dict(_load_config_dict(path))
 
 
 def _load_config_dict(path: str | Path) -> dict:
@@ -106,17 +106,7 @@ def _config_from_dict(raw: dict) -> SimulationConfig:
 
 def emit_config(config: SimulationConfig) -> dict:
     """Config as the flat JSON object parse_config accepts (round-trips)."""
-    return {
-        "q": config.q,
-        "kappa": config.kappa,
-        "mu": config.mu,
-        "beta": config.beta,
-        "omega": config.omega,
-        "t_end": config.t_end,
-        "dt": config.dt,
-        "method": config.method,
-        "snapshots": list(config.snapshots),
-    }
+    return {**asdict(config), "snapshots": list(config.snapshots)}
 
 
 def _fmt17(x: float) -> str:

@@ -24,11 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .lattice import Lattice, StateVector
 
 #: gamma_kappa truncation: stop adding wrap terms once they fall below
 #: this fraction of the largest amplitude so far.
 _GAMMA_RELATIVE_TAIL = 1e-18
+
+#: Most wrap terms gamma_kappa sums; it needs about sqrt(ln(1/tail) / (pi kappa d)),
+#: so this bounds its run time and sets the smallest kappa it accepts.
+_GAMMA_MAX_WRAPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,10 @@ def theta3(args: ThetaArgs, tol: float = 1e-12) -> complex:
 def gamma_kappa(lattice: Lattice, params: GaussianParams) -> StateVector:
     """Wrapped Gaussian gamma(n) = sum_m exp(-(kappa*pi/d)(m*d+n)^2); real, even, positive."""
     d = lattice.d
+    smallest = -math.log(_GAMMA_RELATIVE_TAIL) / (math.pi * d * _GAMMA_MAX_WRAPS**2)
+    if params.kappa < smallest:
+        raise ConfigError(f"kappa={params.kappa!r} at q={lattice.q} needs over {_GAMMA_MAX_WRAPS} "
+                          f"wrap terms; the smallest accepted kappa is {smallest:.3g}")
     n = lattice.points().astype(float)
     c = params.kappa * (math.pi / d)  # finite for every finite kappa: no NaN from inf * 0
     total = np.exp(-c * n * n)

@@ -47,11 +47,16 @@ from .gaussian import GaussianParams, upsilon_kappa
 from .lattice import Lattice, StateVector
 from .operators import expectation, hamiltonians, rate_operator, trend_operator
 
-METHODS = ("strang", "magnus2", "reference")
+#: Integration steps each method takes per dt.
+_REFINE = {"strang": 1, "magnus2": 1, "reference": 8}
+METHODS = tuple(_REFINE)
 
 #: Steps per chunk: evolve builds the step unitaries and checks the
 #: states of this many steps at a time.
 _CHUNK = 32
+
+#: Most integration steps one run may take: bounds the run time of any config.
+_MAX_STEPS = 10**7
 
 
 def _finite(key: str, value) -> float:
@@ -106,6 +111,9 @@ class SimulationConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
 
         n_steps = _step_index(self.t_end, self.dt)
+        steps_run = float(n_steps) * _REFINE[self.method]
+        if steps_run > _MAX_STEPS:
+            raise ConfigError(f"{steps_run:.8g} integration steps exceed the limit of {_MAX_STEPS}")
         object.__setattr__(self, "t_end", n_steps * self.dt)
 
         raw = self.snapshots
@@ -220,7 +228,7 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 
 def evolve(config: SimulationConfig) -> Trajectory:
     """Run the configured method from t = 0 to t_end, recording snapshots."""
-    refine = 8 if config.method == "reference" else 1
+    refine = _REFINE[config.method]
     dt = config.dt / refine
     build = _strang_steps if config.method == "strang" else _magnus_steps
     n_steps = config.n_steps * refine

@@ -31,6 +31,17 @@ def fig2_reference(fig2_config) -> tuple[Trajectory, float]:
     return traj, time.perf_counter() - t0
 
 
+def assert_passes(result) -> None:
+    """Fail a test with the detail line of the check result it got.
+
+    The tests that call it keep ids older than the check registry
+    (tests/test_checks.py). Each runs its check over the check's whole
+    grid, which holds the inputs the id names, so a parametrized id's
+    parameter labels the id and selects nothing.
+    """
+    assert result.passed, result.detail
+
+
 @pytest.fixture
 def time_limit():
     """Context manager factory that fails a block running longer than `seconds`."""

@@ -7,39 +7,19 @@ published bar charts, falling back (when the converged run itself
 disagrees with those charts) to requiring the deviation to be reported in
 the run manifest; 4 is a qualitative late-time property of the converged
 run; 5 checks both integrators against the closed-form free propagator;
-6 and 7 are the structure and theta-identity suites; 8 is the
+6 and 7 run the structure and theta-identity checks of ``qlimit check``
+(each check's bound is the criterion's or tighter); 8 is the
 second-order convergence-ratio gate.
 """
 
-import math
 import time
 
 import numpy as np
 
-from qlimit import (
-    GaussianParams,
-    SimulationConfig,
-    ThetaArgs,
-    apply_dft,
-    delta_state,
-    dft_matrices,
-    evolve,
-    exact_free_evolution,
-    gamma_kappa,
-    initial_state,
-    new_lattice,
-    rate_operator,
-    theta3,
-    tilde_delta,
-    trend_operator,
-    upsilon_kappa,
-)
+from qlimit import SimulationConfig, checks, evolve, exact_free_evolution, initial_state
 from qlimit.cli import cmd_evolve, cmd_gaussian
 
 from conftest import FIG2_KWARGS
-
-KAPPA_GRID = (0.2, 0.5, 1.0, 2.0, 5.0)
-Q_GRID = (1, 5, 10)
 
 FIG1_TARGETS = {0.2: 0.3716, 1.0: 0.5555, 2.0: 0.6606}
 FIG2_PEAK_TARGETS = {1800.0: (-2, 6.13188 / 44.8), 3600.0: (-5, 6.21882 / 44.8)}
@@ -173,75 +153,34 @@ def test_criterion_5_free_oracle_equivalence(fig2_config):
             f"magnus2={errs['magnus2']:.2e} (bound 1e-9), {elapsed:.2f} s")
 
 
-def test_criterion_6_structure_suite():
+def _check_suite(num: int, name: str, suite) -> None:
     start = time.perf_counter()
-    err = 0.0
-    for q in range(1, 11):
-        lattice = new_lattice(q)
-        d = lattice.d
-        mats = dft_matrices(lattice)
-        eye = np.eye(d)
-        err = max(err, np.abs(mats.forward @ mats.adjoint - eye).max())
-        f2 = mats.forward @ mats.forward
-        err = max(err, np.abs(f2 @ f2 - eye).max())
-        rate = rate_operator(lattice)
-        trend = trend_operator(lattice)
-        err = max(err, np.abs(
-            trend.matrix - mats.adjoint @ rate.matrix @ mats.forward
-        ).max())
-        dual_sum = np.zeros((d, d), dtype=complex)
-        for n in range(-q, q + 1):
-            dn = delta_state(lattice, n)
-            err = max(err, np.abs(rate.apply(dn).amplitudes - n * dn.amplitudes).max())
-            tn = tilde_delta(lattice, n)
-            err = max(err, np.abs(trend.apply(tn).amplitudes - n * tn.amplitudes).max())
-            dual_sum += np.outer(tn.amplitudes, tn.amplitudes.conj())
-        err = max(err, np.abs(dual_sum - eye).max())
+    results = [check() for check in suite]
     elapsed = time.perf_counter() - start
-    passed = err <= 1e-12 and elapsed < 1.0
-    _finish(6, "transform and operator structure", passed,
-            f"max defect {err:.2e} (bound 1e-12) over q=1..10, {elapsed * 1e3:.0f} ms")
+    failed = [f"{r.name}: {r.detail}" for r in results if not r.passed]
+    detail = "; ".join(failed) or f"all {len(results)} checks pass"
+    _finish(num, name, not failed and elapsed < 1.0, f"{detail}, {elapsed * 1e3:.0f} ms")
+
+
+def test_criterion_6_structure_suite():
+    _check_suite(6, "transform and operator structure", (
+        checks.check_dft_unitarity,
+        checks.check_dft_fourth_power,
+        checks.check_trend_similarity,
+        checks.check_eigen_relations,
+        checks.check_dual_basis_resolution,
+    ))
 
 
 def test_criterion_7_theta_identity_suite():
-    start = time.perf_counter()
-    rng = np.random.default_rng(71)
-    err = 0.0
-    # translation invariance and the modular identity, randomized
-    for _ in range(20):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2))
-        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.1, 2.0))
-        err = max(err, abs(theta3(ThetaArgs(z + 1, tau), 1e-12)
-                           - theta3(ThetaArgs(z, tau), 1e-12)))
-        x, s = rng.uniform(-1.5, 1.5), rng.uniform(0.2, 3.0)
-        lhs = theta3(ThetaArgs(x, 1j * s), 1e-13)
-        rhs = s ** -0.5 * np.exp(-np.pi * x * x / s) * theta3(ThetaArgs(x / (1j * s), 1j / s), 1e-13)
-        err = max(err, abs(lhs - rhs))
-    # lattice identities on the full grid
-    for q in Q_GRID:
-        lattice = new_lattice(q)
-        d = lattice.d
-        n = lattice.points()
-        for kappa in KAPPA_GRID:
-            g = gamma_kappa(lattice, GaussianParams(kappa))
-            dual = np.array([theta3(ThetaArgs(j / d, 1j / (kappa * d)), 1e-13) for j in n])
-            err = max(err, np.abs(g.amplitudes - dual / math.sqrt(kappa * d)).max())
-            for k in n:
-                lhs = theta3(ThetaArgs(k / d, 1j * kappa / d), 1e-13)
-                rhs = np.sum(np.exp(-2j * np.pi * k * n / d) * dual) / math.sqrt(kappa * d)
-                err = max(err, abs(lhs - rhs))
-            err = max(err, np.abs(
-                apply_dft(g).amplitudes
-                - gamma_kappa(lattice, GaussianParams(1 / kappa)).amplitudes / math.sqrt(kappa)
-            ).max())
-            err = max(err, np.abs(
-                apply_dft(upsilon_kappa(lattice, GaussianParams(kappa))).amplitudes
-                - upsilon_kappa(lattice, GaussianParams(1 / kappa)).amplitudes
-            ).max())
-    elapsed = time.perf_counter() - start
-    passed = err <= 1e-10 and elapsed < 1.0
-    _finish(7, "theta and Gaussian identity suite", passed,
-            f"max defect {err:.2e} (bound 1e-10), {elapsed * 1e3:.0f} ms")
+    _check_suite(7, "theta and Gaussian identity suite", (
+        checks.check_theta_periodicity,
+        checks.check_theta_modular,
+        checks.check_theta_poisson_dft,
+        checks.check_gamma_theta_closed_form,
+        checks.check_gaussian_dft_covariance,
+        checks.check_gaussian_self_duality,
+    ))
 
 
 def test_criterion_8_second_order_convergence(fig2_reference):

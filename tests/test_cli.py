@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qlimit import ConfigError, SimulationConfig, dft_matrices, new_lattice, rate_operator
-from qlimit.checks import ALL_CHECKS
+from qlimit import ConfigError, SimulationConfig, checks, new_lattice, trend_operator
+from qlimit.checks import ALL_CHECKS, CheckResult
 from qlimit.cli import (
     cmd_evolve,
     cmd_gaussian,
@@ -121,8 +121,10 @@ def test_gaussian_preset_writes_three_files(tmp_path):
 
 def test_gaussian_requires_parameters(tmp_path, time_limit):
     assert main(["gaussian"]) == 2
-    with time_limit(10):
-        assert main(["gaussian", "--q", "4", "--kappa", "inf", "--out", str(tmp_path / "g.csv")]) == 2
+    for kappa in ("inf", "1e-20"):
+        with time_limit(10):
+            assert main(["gaussian", "--q", "4", "--kappa", kappa,
+                         "--out", str(tmp_path / "g.csv")]) == 2
 
 
 def test_gaussian_unwritable_path_is_io_error():
@@ -221,7 +223,8 @@ def test_evolve_requires_exactly_one_source(tmp_path):
 def test_evolve_bad_config_exits_2(tmp_path, time_limit):
     cases = [dict(q=0), dict(snapshots=[0.0, float("nan")]), dict(snapshots=[0.0, float("inf")]),
              dict(snapshots=[0.0, "a"]), dict(t_end=1e300, dt=1e-300), dict(dt=float("inf")),
-             dict(kappa=float("inf")), dict(kappa=True), dict(beta=True)]
+             dict(kappa=float("inf")), dict(kappa=True), dict(beta=True), dict(kappa=1e-20),
+             dict(t_end=1e300)]
     paths = [_write_config(tmp_path / f"run{i}.json", **c) for i, c in enumerate(cases)]
     # json reads 1e400 as inf; Python writes no such literal, so patch the text
     big = _write_config(tmp_path / "big.json", snapshots=[0.0, float("inf")])
@@ -294,11 +297,7 @@ def _read_matrix_csv(path, d):
 def test_operators_trend_dump_matches_similarity_form(tmp_path):
     out = tmp_path / "trend.csv"
     cmd_operators(2, "trend", out)
-    dumped = _read_matrix_csv(out, 5)
-    lattice = new_lattice(2)
-    mats = dft_matrices(lattice)
-    explicit = mats.adjoint @ rate_operator(lattice).matrix @ mats.forward
-    assert np.abs(dumped - explicit).max() < 1e-12
+    np.testing.assert_array_equal(_read_matrix_csv(out, 5), trend_operator(new_lattice(2)).matrix)
 
 
 def test_operators_price_dump(tmp_path):
@@ -348,3 +347,17 @@ def test_check_command_passes(capsys):
     assert "[FAIL]" not in out
     assert "gaussian_dft_covariance" in out
     assert "dft_fourth_power_identity" in out
+
+
+def test_check_command_reports_failing_check(monkeypatch, capsys):
+    def check_good():
+        return CheckResult("good", True, "ok")
+
+    def check_bad():
+        return CheckResult("bad", False, "max defect 1.00e+00 (bound 1e-12)")
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (check_good, check_bad))
+    assert main(["check"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("[FAIL] bad") for line in lines)
+    assert lines[-1] == "1 check(s) failed: bad"

@@ -8,13 +8,21 @@ from qlimit import (
     apply_inverse_dft,
     delta_state,
     dft_matrices,
-    gamma_kappa,
     inner_product,
     new_lattice,
     normalize,
     tilde_delta,
     upsilon_kappa,
 )
+from qlimit.checks import (
+    check_dft_fourth_power,
+    check_dft_unitarity,
+    check_dual_basis_resolution,
+    check_gaussian_dft_covariance,
+    check_gaussian_self_duality,
+)
+
+from conftest import assert_passes
 
 
 def test_zero_row_is_constant_at_q1():
@@ -42,17 +50,12 @@ def test_adjoint_is_conjugate_transpose_exactly():
 
 @pytest.mark.parametrize("q", range(1, 11))
 def test_unitarity(q):
-    mats = dft_matrices(new_lattice(q))
-    eye = np.eye(2 * q + 1)
-    assert np.abs(mats.forward @ mats.adjoint - eye).max() < 1e-13
-    assert np.abs(mats.adjoint @ mats.forward - eye).max() < 1e-13
+    assert_passes(check_dft_unitarity())
 
 
 @pytest.mark.parametrize("q", range(1, 11))
 def test_fourth_power_is_identity(q):
-    f = dft_matrices(new_lattice(q)).forward
-    f4 = f @ f @ f @ f
-    assert np.abs(f4 - np.eye(2 * q + 1)).max() < 1e-12
+    assert_passes(check_dft_fourth_power())
 
 
 def test_double_transform_is_parity():
@@ -83,16 +86,11 @@ def test_transform_preserves_norm():
 
 
 def test_transform_maps_gaussian_to_reciprocal_width():
-    lattice = new_lattice(10)
-    lhs = apply_dft(gamma_kappa(lattice, GaussianParams(0.2)))
-    rhs = gamma_kappa(lattice, GaussianParams(5.0)).amplitudes / np.sqrt(0.2)
-    assert np.abs(lhs.amplitudes - rhs).max() < 1e-12
+    assert_passes(check_gaussian_dft_covariance())
 
 
 def test_unit_width_gaussian_is_fixed_point():
-    lattice = new_lattice(10)
-    ups1 = upsilon_kappa(lattice, GaussianParams(1.0))
-    assert np.abs(apply_dft(ups1).amplitudes - ups1.amplitudes).max() < 1e-12
+    assert_passes(check_gaussian_self_duality())
 
 
 def test_inverse_round_trip():
@@ -162,12 +160,7 @@ def test_transform_preserves_inner_products():
 
 
 def test_dual_resolution_of_identity():
-    lattice = new_lattice(8)
-    acc = np.zeros((17, 17), dtype=complex)
-    for n in range(-8, 9):
-        v = tilde_delta(lattice, n).amplitudes
-        acc += np.outer(v, v.conj())
-    assert np.abs(acc - np.eye(17)).max() < 1e-13
+    assert_passes(check_dual_basis_resolution())
 
 
 def test_adjoint_relation():

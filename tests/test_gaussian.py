@@ -6,15 +6,21 @@ import pytest
 from qlimit import (
     GaussianParams,
     ThetaArgs,
-    apply_dft,
     delta_state,
     gamma_kappa,
     new_lattice,
     theta3,
     upsilon_kappa,
 )
+from qlimit.checks import (
+    KAPPA_GRID,
+    Q_GRID,
+    check_gamma_theta_closed_form,
+    check_gaussian_dft_covariance,
+    check_gaussian_self_duality,
+)
 
-KAPPA_GRID = (0.2, 0.5, 1.0, 2.0, 5.0)
+from conftest import assert_passes
 
 
 def _oracle_theta3(z, tau, terms=60):
@@ -49,44 +55,6 @@ def test_theta_matches_oracle_for_complex_arguments():
         assert theta3(ThetaArgs(z, tau), tol=1e-12) == pytest.approx(
             _oracle_theta3(z, tau), rel=1e-11, abs=1e-12
         )
-
-
-def test_theta_periodicity_in_z():
-    rng = np.random.default_rng(32)
-    for _ in range(25):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-0.2, 0.2))
-        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.0))
-        lhs = theta3(ThetaArgs(z + 1, tau), tol=1e-12)
-        rhs = theta3(ThetaArgs(z, tau), tol=1e-12)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_theta_modular_identity():
-    rng = np.random.default_rng(33)
-    for _ in range(25):
-        z = rng.uniform(-1.5, 1.5)
-        tau = rng.uniform(0.2, 3.0)
-        lhs = theta3(ThetaArgs(z, 1j * tau), tol=1e-13)
-        rhs = (
-            tau ** -0.5
-            * np.exp(-np.pi * z * z / tau)
-            * theta3(ThetaArgs(z / (1j * tau), 1j / tau), tol=1e-13)
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_theta_discrete_poisson_identity():
-    for q in (1, 5, 10):
-        d = 2 * q + 1
-        for kappa in KAPPA_GRID:
-            n = np.arange(-q, q + 1)
-            dual = np.array(
-                [theta3(ThetaArgs(j / d, 1j / (kappa * d)), tol=1e-13) for j in n]
-            )
-            for k in n:
-                lhs = theta3(ThetaArgs(k / d, 1j * kappa / d), tol=1e-13)
-                rhs = np.sum(np.exp(-2j * np.pi * k * n / d) * dual) / math.sqrt(kappa * d)
-                assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_theta_args_require_upper_half_plane():
@@ -138,7 +106,7 @@ def test_gamma_edge_value_wide_width():
     assert edge == pytest.approx(two_terms, rel=1e-6)
 
 
-@pytest.mark.parametrize("q", (1, 5, 10))
+@pytest.mark.parametrize("q", Q_GRID)
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
 def test_gamma_matches_oracle_and_shape(q, kappa):
     lattice = new_lattice(q)
@@ -149,15 +117,10 @@ def test_gamma_matches_oracle_and_shape(q, kappa):
     np.testing.assert_array_equal(g.amplitudes, g.amplitudes[::-1])
 
 
-@pytest.mark.parametrize("q", (1, 5, 10))
+@pytest.mark.parametrize("q", Q_GRID)
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
 def test_gamma_equals_scaled_theta(q, kappa):
-    lattice = new_lattice(q)
-    d = lattice.d
-    g = gamma_kappa(lattice, GaussianParams(kappa))
-    for n in range(-q, q + 1):
-        via_theta = theta3(ThetaArgs(n / d, 1j / (kappa * d)), tol=1e-13) / math.sqrt(kappa * d)
-        assert g.amplitude(n) == pytest.approx(via_theta, abs=1e-12)
+    assert_passes(check_gamma_theta_closed_form())
 
 
 def test_upsilon_is_normalized_and_positive():
@@ -181,19 +144,13 @@ def test_upsilon_center_values_match_published_bars():
     )
 
 
-@pytest.mark.parametrize("q", (1, 5, 10))
+@pytest.mark.parametrize("q", Q_GRID)
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
 def test_transform_covariance_of_gamma(q, kappa):
-    lattice = new_lattice(q)
-    lhs = apply_dft(gamma_kappa(lattice, GaussianParams(kappa)))
-    rhs = gamma_kappa(lattice, GaussianParams(1.0 / kappa)).amplitudes / math.sqrt(kappa)
-    assert np.abs(lhs.amplitudes - rhs).max() < 1e-12
+    assert_passes(check_gaussian_dft_covariance())
 
 
-@pytest.mark.parametrize("q", (1, 5, 10))
+@pytest.mark.parametrize("q", Q_GRID)
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
 def test_transform_self_duality_of_upsilon(q, kappa):
-    lattice = new_lattice(q)
-    lhs = apply_dft(upsilon_kappa(lattice, GaussianParams(kappa)))
-    rhs = upsilon_kappa(lattice, GaussianParams(1.0 / kappa))
-    assert np.abs(lhs.amplitudes - rhs.amplitudes).max() < 1e-12
+    assert_passes(check_gaussian_self_duality())

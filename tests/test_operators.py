@@ -4,9 +4,7 @@ import pytest
 from qlimit import (
     HermitianOperator,
     StateVector,
-    apply_dft,
     delta_state,
-    dft_matrices,
     expectation,
     hamiltonian_at,
     kinetic_operator,
@@ -17,6 +15,14 @@ from qlimit import (
     tilde_delta,
     trend_operator,
 )
+from qlimit.checks import (
+    check_eigen_relations,
+    check_trend_mean_parseval,
+    check_trend_similarity,
+    check_trend_spectrum,
+)
+
+from conftest import assert_passes
 
 
 def test_constructor_rejects_non_hermitian():
@@ -43,33 +49,20 @@ def test_rate_operator_eigenstates():
 
 @pytest.mark.parametrize("q", range(1, 11))
 def test_trend_is_transform_conjugate_of_rate(q):
-    lattice = new_lattice(q)
-    mats = dft_matrices(lattice)
-    explicit = mats.adjoint @ rate_operator(lattice).matrix @ mats.forward
-    assert np.abs(trend_operator(lattice).matrix - explicit).max() < 1e-12
+    assert_passes(check_trend_similarity())
 
 
 def test_trend_eigenstates():
-    lattice = new_lattice(10)
-    trend = trend_operator(lattice)
-    t4 = tilde_delta(lattice, 4)
-    assert np.abs(trend.apply(t4).amplitudes - 4 * t4.amplitudes).max() < 1e-12
-    assert np.abs(trend.apply(tilde_delta(lattice, 0)).amplitudes).max() < 1e-12
+    assert_passes(check_eigen_relations())
 
 
 def test_trend_spectrum_is_integer_band():
-    # forced by unitary similarity to the rate operator
-    for q in (1, 4, 10):
-        lattice = new_lattice(q)
-        eigs = np.linalg.eigvalsh(trend_operator(lattice).matrix)
-        np.testing.assert_allclose(eigs, np.arange(-q, q + 1), atol=1e-10)
+    assert_passes(check_trend_spectrum())
 
 
 def test_trend_and_rate_spectra_match_as_multisets():
-    lattice = new_lattice(7)
-    rate_eigs = np.sort(np.linalg.eigvalsh(rate_operator(lattice).matrix))
-    trend_eigs = np.sort(np.linalg.eigvalsh(trend_operator(lattice).matrix))
-    np.testing.assert_allclose(trend_eigs, rate_eigs, atol=1e-10)
+    # the rate spectrum is the integer band -q..q (test_rate_operator_eigenstates)
+    assert_passes(check_trend_spectrum())
 
 
 def test_price_operator_conventions():
@@ -145,16 +138,7 @@ def test_expectation_is_real_for_hermitian_operators():
 
 
 def test_trend_mean_equals_dual_weighted_sum():
-    rng = np.random.default_rng(22)
-    lattice = new_lattice(10)
-    trend = trend_operator(lattice)
-    n = lattice.points()
-    for _ in range(20):
-        psi = normalize(
-            StateVector(lattice, rng.standard_normal(21) + 1j * rng.standard_normal(21))
-        )
-        dual_form = np.sum(n * np.abs(apply_dft(psi).amplitudes) ** 2)
-        assert expectation(trend, psi) == pytest.approx(dual_form, abs=1e-11)
+    assert_passes(check_trend_mean_parseval())
 
 
 def test_kinetic_operator_eigenstates():
