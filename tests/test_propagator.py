@@ -19,10 +19,8 @@ from qlimit import (
     tilde_delta,
     upsilon_kappa,
 )
-from qlimit.checks import check_norm_conservation, check_time_reversibility
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
-
-from conftest import assert_passes
+from qlimit.propagator import _magnus_steps, _magnus_table, _magnus_unitaries
 
 
 def _config(**overrides):
@@ -225,11 +223,6 @@ def test_evolve_records_snapshots_in_order():
 
 
 @pytest.mark.parametrize("method", ["strang", "magnus2"])
-def test_evolve_conserves_norm(method):
-    assert_passes(check_norm_conservation())
-
-
-@pytest.mark.parametrize("method", ["strang", "magnus2"])
 def test_evolve_free_case_matches_closed_form(method):
     cfg = _config(beta=0.0, t_end=2000.0, snapshots=(2000.0,), method=method)
     final = evolve(cfg).states[-1][1]
@@ -272,6 +265,33 @@ def test_magnus_evolve_at_large_q_matches_single_steps():
     assert np.abs(traj.states[-1][1].amplitudes - psi.amplitudes).max() < 1e-12
 
 
+@pytest.mark.parametrize("q", [1, 10, 30])
+def test_magnus_table_matches_eigh_unitaries(q):
+    t = np.linspace(0.0, 2 * np.pi, 49)  # omega = 1: the coupling sweeps [-beta, beta]
+    for beta in (0.0, 0.1, -0.1, 0.2):
+        cfg = _config(q=q, beta=beta, omega=1.0)
+        for dt in (1.0, 0.125, -1.0):
+            assert _magnus_table(q, cfg.mu, beta, dt) is not None
+            direct = _magnus_unitaries(cfg.lattice, cfg.mu, beta * np.cos(t + 0.5 * dt), dt)
+            assert np.abs(_magnus_steps(cfg, t, dt) - direct).max() <= 1e-13, (beta, dt)
+
+
+def test_magnus_steps_above_chunk_nodes_use_eigh():
+    cfg = _config(q=150, omega=1.0)
+    assert _magnus_table(150, cfg.mu, cfg.beta, 1.0) is None
+    t = np.array([0.0, 1.0, 2.5])
+    direct = _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(t + 0.5), 1.0)
+    np.testing.assert_array_equal(_magnus_steps(cfg, t, 1.0), direct)
+
+
+def test_reference_run_conserves_norm(fig2_reference):
+    # 230 400 steps: a unitarity defect that repeated from step to step would
+    # add up linearly, to 2.6e-11 here and past 1e-10 after about a million
+    # steps; rounding that changes from step to step stays near 1e-12.
+    traj, _ = fig2_reference
+    assert traj.norm_drift <= 1e-11
+
+
 def test_reference_method_is_magnus_at_eighth_step():
     kwargs = dict(q=6, kappa=0.5, mu=1.0, beta=0.1, omega=0.0002,
                   t_end=16.0, snapshots=(8.0, 16.0))
@@ -283,11 +303,6 @@ def test_reference_method_is_magnus_at_eighth_step():
 
 
 @pytest.mark.parametrize("method", ["strang", "magnus2"])
-def test_stepping_backwards_recovers_initial_state(method):
-    assert_passes(check_time_reversibility())
-
-
-@pytest.mark.parametrize("method", ["strang", "magnus2"])
 def test_evolve_is_deterministic(method):
     cfg = _config(method=method, t_end=100.0, snapshots=(100.0,))
     a = evolve(cfg).states[-1][1].amplitudes
@@ -295,9 +310,10 @@ def test_evolve_is_deterministic(method):
     np.testing.assert_array_equal(a, b)
 
 
-def test_evolve_reports_step_of_numerical_blowup():
-    cfg = _config(beta=1e308, t_end=5.0, snapshots=(5.0,))
-    with np.errstate(over="ignore", invalid="ignore"):
+@pytest.mark.parametrize("method", ["strang", "magnus2"])
+def test_evolve_reports_step_of_numerical_blowup(method, time_limit):
+    cfg = _config(beta=1e308, t_end=5.0, snapshots=(5.0,), method=method)
+    with time_limit(10), np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PropagationError, match="step 0"):
             evolve(cfg)
 
