@@ -33,7 +33,7 @@ from .operators import (
     rate_operator,
     trend_operator,
 )
-from .propagator import METHODS, SimulationConfig, evolve, observables_series
+from .propagator import METHODS, SimulationConfig, checked_q, evolve, observables_series
 
 CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig))
 REQUIRED_KEYS = tuple(f.name for f in fields(SimulationConfig) if f.default is MISSING)
@@ -267,7 +267,7 @@ def cmd_operators(
     t: float = 0.0,
 ) -> Path:
     """Dump one operator matrix as CSV, rows/columns labelled by lattice n."""
-    lattice = new_lattice(q)
+    lattice = new_lattice(checked_q(q))
     if which == "rate":
         op = rate_operator(lattice)
     elif which == "trend":

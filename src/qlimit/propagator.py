@@ -7,16 +7,28 @@ kappa at market opening (t = 0).
 Every method is a product of per-step unitaries U_j, and one loop in
 ``evolve`` runs all three: it builds the (m, d, d) stack of the next
 chunk of step unitaries, applies psi <- U_j psi step by step, and checks
-the chunk's states with one vectorized norm. The single-step functions
-build a one-step stack with the same builder and apply it.
+the chunk's states with one vectorized norm. The stacks are written into
+one workspace that ``evolve`` allocates per run, sized to the method and
+to at most one chunk, and each step writes its state into a preallocated
+row, so the loop allocates no large temporaries. The single-step
+functions build a one-step stack with the same builders and apply it.
 
 strang
-    Split step: half potential phase in the return basis, the free step
-    exp(-1j*dt*T^2/(2 mu)) (a circulant matrix, cached per (q, mu, dt)),
-    half potential phase again. The two potential half-steps sample cos
-    at their own midpoints, t + dt/4 and t + 3dt/4, which keeps the
-    scheme second order in the time-dependent coefficient and exactly
-    time reversible.
+    Split step p1 F p0: half potential phase p0 in the return basis, the
+    free step F = exp(-1j*dt*T^2/(2 mu)) (a circulant matrix, cached per
+    (q, mu, dt)), half potential phase p1 again. The two potential
+    half-steps sample cos at their own midpoints, t + dt/4 and
+    t + 3dt/4, which keeps the scheme second order in the time-dependent
+    coefficient and exactly time reversible. ``evolve`` merges the
+    closing half kick of each step with the opening one of the next
+    (first same as last), so each of its steps is F diag(k_j) with one
+    diagonal kick k_j; the run's first step has only its opening half.
+    The carried state then lacks its last closing half kick,
+    exp(-1j*beta*dt/2*cos(omega*(t_k - dt/4))*n), which depends on t_k
+    alone and is applied only to the recorded snapshots. ``norm_drift``
+    and the ``PropagationError`` step index are taken on the carried
+    states, whose norm equals psi's up to one rounding.
+    ``step_strang`` takes the full p1 F p0 step.
 
 magnus2
     Exponential midpoint: U = exp(-1j*H(t + dt/2)*dt). Only the coupling
@@ -36,6 +48,8 @@ reference
 The step unitaries are unitary up to roundoff, so norms are conserved;
 ``norm_drift`` is the worst per-step defect |1 - ||psi|||, and the first
 step whose state is non-finite raises ``PropagationError``.
+``observables_series`` raises ``NumericalError`` for a recorded state
+further from unit norm than ``NORM_TOLERANCE``.
 A single run is strictly sequential; distinct runs share nothing and may
 execute in parallel.
 """
@@ -51,7 +65,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, PropagationError
 from .fourier import dft_matrices, even_dual_matrix
 from .gaussian import GaussianParams, upsilon_kappa
-from .lattice import Lattice, StateVector
+from .lattice import NORM_TOLERANCE, Lattice, StateVector
 from .operators import expectation, hamiltonians, rate_operator, trend_operator
 
 #: Integration steps each method takes per dt.
@@ -65,6 +79,12 @@ _CHUNK = 32
 #: Most integration steps one run may take: bounds the run time of any config.
 _MAX_STEPS = 10**7
 
+#: Largest price limit q. The biggest allocation grows as d^2, d = 2q + 1:
+#: evolve's step workspace of _CHUNK complex d x d matrices, 16 _CHUNK d^2
+#: bytes, stays within 1 GiB (d <= 1448, q <= 723). Dense operator dumps
+#: are one such matrix, 33 MB at the limit.
+MAX_Q = (math.isqrt(2**30 // (16 * _CHUNK)) - 1) // 2
+
 
 def _finite(key: str, value) -> float:
     """A config number as a finite float; ConfigError otherwise (bools included)."""
@@ -75,6 +95,15 @@ def _finite(key: str, value) -> float:
         except OverflowError:  # an int beyond the float range
             pass
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def checked_q(q) -> int:
+    """q as an int in [1, MAX_Q]; ConfigError otherwise (bools included)."""
+    if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 1:
+        raise ConfigError(f"q must be a positive integer, got {q!r}")
+    if q > MAX_Q:
+        raise ConfigError(f"q = {q} exceeds the limit of {MAX_Q} (d x d complex workspaces)")
+    return int(q)
 
 
 def _step_index(t: float, dt: float) -> int:
@@ -104,9 +133,7 @@ class SimulationConfig:
     method: str = "strang"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q, (int, np.integer)) or isinstance(self.q, bool) or self.q < 1:
-            raise ConfigError(f"q must be a positive integer, got {self.q!r}")
-        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "q", checked_q(self.q))
         for key in ("kappa", "mu", "dt", "beta", "omega", "t_end"):
             object.__setattr__(self, key, _finite(key, getattr(self, key)))
         for key in ("kappa", "mu", "dt"):
@@ -184,14 +211,32 @@ def _free_step(q: int, mu: float, dt: float) -> np.ndarray:
     return u
 
 
+def _half_kicks(config: SimulationConfig, cos: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-1j*beta*dt/2*cos*n): the diagonal potential phases for the sampled cos values."""
+    return np.exp(-0.5j * config.beta * dt * cos[..., None] * config.lattice.points())
+
+
 def _strang_steps(config: SimulationConfig, t: np.ndarray, dt: float) -> np.ndarray:
     """(m, d, d) split-step unitaries for the steps starting at the times t."""
-    n = config.lattice.points()
-    cos = np.cos(config.omega * (t[:, None] + [0.25 * dt, 0.75 * dt]))
-    phase = np.exp(-0.5j * config.beta * dt * cos[:, :, None] * n)  # (m, 2, d)
+    phase = _half_kicks(config, np.cos(config.omega * (t[:, None] + [0.25 * dt, 0.75 * dt])), dt)
     u = phase[:, 1, :, None] * _free_step(config.q, config.mu, dt)
     u *= phase[:, 0, None, :]
     return u
+
+
+def _strang_kicked_steps(config: SimulationConfig, t: np.ndarray, dt: float,
+                         out: np.ndarray) -> np.ndarray:
+    """(m, d, d) F diag(k_j) for the forward steps starting at the times t.
+
+    Written into out[0], a (>= m, d, d) complex buffer. k_j joins the
+    closing half kick of step j - 1 with the opening half kick of step j;
+    the run's first step (t = 0) has only its opening one.
+    """
+    closing = np.cos(config.omega * (t - 0.25 * dt))
+    closing[t == 0.0] = 0.0
+    kicks = _half_kicks(config, np.cos(config.omega * (t + 0.25 * dt)) + closing, dt)
+    return np.multiply(_free_step(config.q, config.mu, dt), kicks[:, None, :],
+                       out=out[0, :len(t)])
 
 
 def _magnus_unitaries(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float) -> np.ndarray:
@@ -241,16 +286,26 @@ def _magnus_table(q: int, mu: float, beta: float, dt: float) -> np.ndarray | Non
     return coef
 
 
-def _magnus_steps(config: SimulationConfig, t: np.ndarray, dt: float) -> np.ndarray:
-    """(m, d, d) exponential-midpoint unitaries for the steps starting at the times t."""
+def _magnus_steps(config: SimulationConfig, t: np.ndarray, dt: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """(m, d, d) exponential-midpoint unitaries for the steps starting at the times t.
+
+    The tabled path writes into out, three (>= m, d, d) complex buffers
+    (allocated when None), and returns a view of out[1]; the per-step
+    eigh fallback allocates its own result.
+    """
     theta = config.omega * (t + 0.5 * dt)
     lattice = config.lattice
     coef = _magnus_table(config.q, config.mu, config.beta, dt)
     if coef is None:
         return _magnus_unitaries(lattice, config.mu, config.beta * np.cos(theta), dt)
-    d = lattice.d
+    m, d = len(t), lattice.d
+    if out is None:
+        out = np.empty((3, m, d, d), dtype=complex)
+    u, g, f = out[:, :m]
     # A real product on the interleaved (re, im) pairs, 3x faster than a complex one.
-    u = (_chebyshev_basis(theta, len(coef)) @ coef.view(float)).view(complex).reshape(-1, d, d)
+    basis = _chebyshev_basis(theta, len(coef))
+    np.matmul(basis, coef.view(float), out=u.reshape(m, -1).view(float))
     # The interpolant's unitarity defect is a few ulp, set by the node
     # unitaries' own errors, so it is nearly the same from one step to the
     # next and the norm drift of a run would grow linearly with its steps,
@@ -258,10 +313,11 @@ def _magnus_steps(config: SimulationConfig, t: np.ndarray, dt: float) -> np.ndar
     # One Newton-Schulz step, U <- U (3 - U^H U) / 2, leaves only rounding
     # that changes from step to step, so the drift grows as a random walk,
     # as it does with one eigh per step.
-    f = u.conj().transpose(0, 2, 1) @ u
+    np.conjugate(u.transpose(0, 2, 1), out=g)
+    np.matmul(g, u, out=f)
     f *= -0.5
-    f += 1.5 * np.eye(d)
-    return u @ f
+    f.reshape(m, -1)[:, :: d + 1] += 1.5  # the diagonal
+    return np.matmul(u, f, out=g)
 
 
 def step_strang(psi: StateVector, t: float, dt: float, config: SimulationConfig) -> StateVector:
@@ -296,28 +352,40 @@ def evolve(config: SimulationConfig) -> Trajectory:
     """Run the configured method from t = 0 to t_end, recording snapshots."""
     refine = _REFINE[config.method]
     dt = config.dt / refine
-    build = _strang_steps if config.method == "strang" else _magnus_steps
     n_steps = config.n_steps * refine
     snap_at = {k * refine: t for k, t in config.snapshot_steps().items()}
+    strang = config.method == "strang"
+    if strang:
+        build, buffers = _strang_kicked_steps, 1
+    else:
+        build = _magnus_steps
+        # the per-step eigh fallback allocates its own stacks
+        buffers = 0 if _magnus_table(config.q, config.mu, config.beta, dt) is None else 3
+    lattice = config.lattice
+    size = min(_CHUNK, n_steps)
+    work = np.empty((buffers, size, lattice.d, lattice.d), dtype=complex)
 
     psi = initial_state(config).amplitudes
     recorded = {0: psi} if 0 in snap_at else {}
     drift = 0.0
-    chunk = np.empty((_CHUNK, config.lattice.d), dtype=complex)
+    chunk = np.empty((size, lattice.d), dtype=complex)
+    rows = list(chunk)
     for start in range(0, n_steps, _CHUNK):
         m = min(_CHUNK, n_steps - start)
-        unitaries = build(config, (start + np.arange(m)) * dt, dt)
-        for j in range(m):
-            psi = np.matmul(unitaries[j], psi, out=chunk[j])
+        stack = build(config, (start + np.arange(m)) * dt, dt, work)
+        for u, row in zip(stack, rows):
+            psi = u.dot(psi, out=row)
         norms = np.linalg.norm(chunk[:m], axis=1)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             raise PropagationError(start + int(bad[0]), "state became non-finite")
         drift = max(drift, float(np.abs(1.0 - norms).max()))
         for step in snap_at.keys() & range(start + 1, start + m + 1):
-            recorded[step] = chunk[step - start - 1].copy()
+            state = chunk[step - start - 1].copy()
+            if strang:  # the closing half kick the carried state still lacks
+                state *= _half_kicks(config, np.cos(config.omega * (step * dt - 0.25 * dt)), dt)
+            recorded[step] = state
 
-    lattice = config.lattice
     states = tuple((snap_at[k], StateVector(lattice, recorded[k])) for k in sorted(recorded))
     return Trajectory(config, states, drift)
 
@@ -329,5 +397,11 @@ def observables_series(traj: Trajectory) -> list[tuple[float, float, float, floa
     trend = trend_operator(lattice)
     out = []
     for t, psi in traj.states:
+        defect = psi.norm() - 1.0
+        if abs(defect) > NORM_TOLERANCE:
+            raise NumericalError(
+                f"state at t={t:g} has left unit norm by {defect:.3e} (tolerance "
+                f"{NORM_TOLERANCE:g}); the run's norm_drift is {traj.norm_drift:.3e}"
+            )
         out.append((t, expectation(rate, psi), expectation(trend, psi), psi.norm()))
     return out

@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from qlimit import ConfigError, SimulationConfig, checks, new_lattice, trend_operator
+from qlimit import (
+    ConfigError,
+    SimulationConfig,
+    StateVector,
+    Trajectory,
+    checks,
+    cli,
+    initial_state,
+    new_lattice,
+    trend_operator,
+)
 from qlimit.checks import ALL_CHECKS, CheckResult
 from qlimit.cli import (
     cmd_evolve,
@@ -224,7 +234,7 @@ def test_evolve_bad_config_exits_2(tmp_path, time_limit):
     cases = [dict(q=0), dict(snapshots=[0.0, float("nan")]), dict(snapshots=[0.0, float("inf")]),
              dict(snapshots=[0.0, "a"]), dict(t_end=1e300, dt=1e-300), dict(dt=float("inf")),
              dict(kappa=float("inf")), dict(kappa=True), dict(beta=True), dict(kappa=1e-20),
-             dict(t_end=1e300)]
+             dict(t_end=1e300), dict(q=10**6)]
     paths = [_write_config(tmp_path / f"run{i}.json", **c) for i, c in enumerate(cases)]
     # json reads 1e400 as inf; Python writes no such literal, so patch the text
     big = _write_config(tmp_path / "big.json", snapshots=[0.0, float("inf")])
@@ -241,6 +251,17 @@ def test_evolve_numerical_blowup_exits_3_naming_step(tmp_path, capsys):
         rc = main(["evolve", "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "step 0" in capsys.readouterr().err
+
+
+def test_evolve_state_off_unit_norm_exits_3(tmp_path, capsys, monkeypatch):
+    config_path = _write_config(tmp_path / "run.json", snapshots=[0.0])
+    config = parse_config(config_path)
+    amps = initial_state(config).amplitudes * (1.0 + 1e-9)
+    traj = Trajectory(config, ((0.0, StateVector(config.lattice, amps)),), norm_drift=1e-9)
+    monkeypatch.setattr(cli, "evolve", lambda cfg: traj)
+    rc = main(["evolve", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "norm_drift is 1.000e-09" in capsys.readouterr().err
 
 
 def test_evolve_api_cleans_partial_outputs_on_write_failure(tmp_path, monkeypatch):
@@ -327,6 +348,14 @@ def test_operators_unknown_name_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["operators", "--q", "2", "--which", "momentum", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+def test_operators_q_outside_limits_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for q in ("0", "1000000"):
+        assert main(["operators", "--q", q, "--which", "rate", "--out", out]) == 2
+    assert "exceeds the limit of 723" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_operators_via_main(tmp_path):

@@ -1,14 +1,21 @@
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlimit
 from qlimit import (
     ConfigError,
     GaussianParams,
+    NumericalError,
     PropagationError,
     SimulationConfig,
+    StateVector,
+    Trajectory,
     evolve,
     exact_free_evolution,
     initial_state,
@@ -20,7 +27,15 @@ from qlimit import (
     upsilon_kappa,
 )
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
-from qlimit.propagator import _magnus_steps, _magnus_table, _magnus_unitaries
+from qlimit.propagator import (
+    _CHUNK,
+    _REFINE,
+    MAX_Q,
+    _magnus_steps,
+    _magnus_table,
+    _magnus_unitaries,
+    _strang_kicked_steps,
+)
 
 
 def _config(**overrides):
@@ -49,7 +64,8 @@ def test_config_defaults():
                                  dict(snapshots=(0.0, float("nan"))),
                                  dict(snapshots=(0.0, float("inf"))),
                                  dict(snapshots=(0.0, "a")), dict(snapshots=(0.0, 10**400)),
-                                 dict(t_end=1e300, dt=1e-300), dict(t_end=1e300)])
+                                 dict(t_end=1e300, dt=1e-300), dict(t_end=1e300),
+                                 dict(q=MAX_Q + 1), dict(q=10**6)])
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(ConfigError):
         _config(**bad)
@@ -255,6 +271,80 @@ def test_evolve_magnus_equals_repeated_steps():
     assert np.abs(final.amplitudes - psi.amplitudes).max() < 1e-12
 
 
+@pytest.mark.parametrize("method", ["magnus2", "reference"])
+def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
+    # the in-place loop (workspace builders, u.dot(psi, out=row)) against
+    # fresh stacks of the same chunks applied by plain matmul: bit for bit
+    cfg = _config(method=method, t_end=100.0, snapshots=(0.0, 17.0, 32.0, 64.0, 97.0, 100.0))
+    dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
+    psi = initial_state(cfg).amplitudes
+    expected = {0: psi}
+    for start in range(0, n_steps, _CHUNK):
+        t = (start + np.arange(min(_CHUNK, n_steps - start))) * dt
+        for j, u in enumerate(_magnus_steps(cfg, t, dt)):
+            psi = np.matmul(u, psi)
+            expected[start + j + 1] = psi
+    states = evolve(cfg).states
+    assert [t for t, _ in states] == list(cfg.snapshots)
+    for t, state in states:
+        np.testing.assert_array_equal(state.amplitudes, expected[round(t / dt)])
+
+
+def test_evolve_strang_snapshots_across_chunks_match_single_steps():
+    # merged half kicks: the recorded states get their closing half kick back,
+    # at a chunk boundary (32, 64), inside a chunk (17) and in the last,
+    # partial chunk (97, 100)
+    snaps = (0.0, 17.0, 32.0, 64.0, 97.0, 100.0)
+    cfg = _config(t_end=100.0, snapshots=snaps)
+    recorded = dict(evolve(cfg).states)
+    assert list(recorded) == list(snaps)
+    psi = initial_state(cfg)
+    for i in range(101):
+        if float(i) in recorded:
+            assert np.abs(recorded[float(i)].amplitudes - psi.amplitudes).max() < 1e-13, i
+        psi = step_strang(psi, float(i), 1.0, cfg)
+
+
+def test_step_builders_write_into_the_given_workspace():
+    cfg = _config()
+    d = cfg.lattice.d
+    t = np.arange(5.0)
+    work = np.empty((3, _CHUNK, d, d), dtype=complex)
+    assert np.shares_memory(_strang_kicked_steps(cfg, t, 1.0, work[:1]), work[0])
+    assert np.shares_memory(_magnus_steps(cfg, t, 1.0, work), work)
+    assert _magnus_steps(cfg, t, 1.0, work).shape == (5, d, d)
+
+
+_FAULT_PROBE = """
+import resource
+from qlimit import SimulationConfig, evolve
+from qlimit.cli import FIG2_PRESET
+for method in ("strang", "magnus2"):
+    cfg = SimulationConfig(**FIG2_PRESET, method=method)
+    evolve(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evolve(cfg)
+    print(method, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_fig2_day_is_allocation_free_after_first_run():
+    # Minor page faults of a second fig2 day, once caches are filled. Fresh
+    # (32, 21, 21) complex temporaries per chunk cost 35 000 to 38 000 of
+    # them a day when the allocator hands freed memory back and maps it again;
+    # whether it does depends on the heap's history, so the probe runs in a
+    # fresh interpreter, where that history is fixed. One workspace per run
+    # costs a few dozen.
+    pytest.importorskip("resource")
+    src = str(Path(qlimit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
+                           text=True, timeout=60, check=True)
+    faults = {method: int(n) for method, n in map(str.split, probe.stdout.splitlines())}
+    assert faults.keys() == {"strang", "magnus2"}
+    assert max(faults.values()) < 2000, faults
+
+
 def test_magnus_evolve_at_large_q_matches_single_steps():
     cfg = _config(q=150, method="magnus2", t_end=4.0, snapshots=(4.0,))
     traj = evolve(cfg)
@@ -345,6 +435,14 @@ def test_observables_at_opening_time():
     assert mean_r == pytest.approx(0.0, abs=1e-12)
     assert mean_t == pytest.approx(0.0, abs=1e-11)
     assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_observables_reject_state_off_unit_norm():
+    cfg = _config(snapshots=(0.0,))
+    amps = initial_state(cfg).amplitudes * (1.0 + 1e-9)
+    traj = Trajectory(cfg, ((0.0, StateVector(cfg.lattice, amps)),), norm_drift=1e-9)
+    with pytest.raises(NumericalError, match=r"unit norm by 1\.000e-09.*norm_drift is 1\.000e-09"):
+        observables_series(traj)
 
 
 def test_observables_norm_column_stays_unit():
