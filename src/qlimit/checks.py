@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -21,9 +22,9 @@ from .gaussian import GaussianParams, ThetaArgs, gamma_kappa, theta3, upsilon_ka
 from .lattice import StateVector, delta_state, inner_product, new_lattice, normalize
 from .operators import expectation, rate_operator, trend_operator
 from .propagator import (
-    _CHUNK,
     SimulationConfig,
     _magnus_steps,
+    _step_stacks,
     _strang_steps,
     evolve,
     exact_free_evolution,
@@ -307,15 +308,12 @@ def check_time_reversibility() -> CheckResult:
     err = 0.0
     config = _market_config(t_end=200.0, snapshots=(200.0,))
     start = initial_state(config).amplitudes
-    times = np.arange(200.0)
     for steps in (_strang_steps, _magnus_steps):
         psi = start
-        # 200 steps forward from t = 0, then 200 back from t = 200, built a
-        # chunk of steps at a time, so the stacks take no more memory than
-        # evolve's workspace
-        for t, dt in ((times, 1.0), (200.0 - times, -1.0)):
-            for chunk in np.split(t, range(_CHUNK, t.size, _CHUNK)):
-                for u in steps(config, chunk, dt):
+        # 200 steps forward from t = 0, then 200 back from t = 200
+        for t0, dt in ((0.0, 1.0), (200.0, -1.0)):
+            for _, stack in _step_stacks(partial(steps, config, dt=dt), t0, dt, 200):
+                for u in stack:
                     psi = u @ psi
         err = max(err, float(np.abs(psi - start).max()))
     return _bounded("time_reversibility", err, 1e-8)

@@ -6,12 +6,13 @@ kappa at market opening (t = 0).
 
 Every method is a product of per-step unitaries U_j, and one loop in
 ``evolve`` runs all three: it builds the (m, d, d) stack of the next
-chunk of step unitaries, applies psi <- U_j psi step by step, and checks
-the chunk's states with one vectorized norm. The stacks are written into
-one workspace that ``evolve`` allocates per run, sized to the method and
-to at most one chunk, and each step writes its state into a preallocated
-row, so the loop allocates no large temporaries. The single-step
-functions build a one-step stack with the same builders and apply it.
+chunk of step unitaries, applies psi <- U_j psi step by step, each into
+a preallocated row, and checks the chunk's states with one vectorized
+norm. Its step builders write every stack into buffers they allocate
+once per run: fresh per-chunk temporaries cost tens of thousands of
+minor page faults a day whenever the allocator hands them back to the
+system between chunks. The single-step functions build a one-step stack
+with the same code and apply it.
 
 strang
     Split step p1 F p0: half potential phase p0 in the return basis, the
@@ -59,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -79,11 +81,18 @@ _CHUNK = 32
 #: Most integration steps one run may take: bounds the run time of any config.
 _MAX_STEPS = 10**7
 
-#: Largest price limit q. The biggest allocation grows as d^2, d = 2q + 1:
-#: evolve's step workspace of _CHUNK complex d x d matrices, 16 _CHUNK d^2
-#: bytes, stays within 1 GiB (d <= 1448, q <= 723). Dense operator dumps
-#: are one such matrix, 33 MB at the limit.
-MAX_Q = (math.isqrt(2**30 // (16 * _CHUNK)) - 1) // 2
+#: Most memory evolve holds at once in (_CHUNK, d, d) complex stacks, besides
+#: vectors: magnus2's per-step eigh fallback keeps the previous chunk's
+#: stack, the real eigenvectors (half a stack), their complex cast and two
+#: complex products, 4.5 in all. Tabled magnus2 takes 4 (its table and three
+#: buffers), strang 1.
+_PEAK_STACKS = 5
+
+#: Largest price limit q. evolve's memory grows as d^2, d = 2q + 1: its
+#: _PEAK_STACKS stacks of 16 _CHUNK d^2 bytes each stay within 1 GiB
+#: (d <= 647, q <= 323). A cached magnus2 table (at most _CHUNK matrices)
+#: and a dense operator dump are each one stack or less.
+MAX_Q = (math.isqrt(2**30 // (16 * _CHUNK * _PEAK_STACKS)) - 1) // 2
 
 
 def _finite(key: str, value) -> float:
@@ -102,7 +111,7 @@ def checked_q(q) -> int:
     if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 1:
         raise ConfigError(f"q must be a positive integer, got {q!r}")
     if q > MAX_Q:
-        raise ConfigError(f"q = {q} exceeds the limit of {MAX_Q} (d x d complex workspaces)")
+        raise ConfigError(f"q = {q} exceeds the limit of {MAX_Q} (memory of d x d step stacks)")
     return int(q)
 
 
@@ -224,26 +233,39 @@ def _strang_steps(config: SimulationConfig, t: np.ndarray, dt: float) -> np.ndar
     return u
 
 
-def _strang_kicked_steps(config: SimulationConfig, t: np.ndarray, dt: float,
-                         out: np.ndarray) -> np.ndarray:
-    """(m, d, d) F diag(k_j) for the forward steps starting at the times t.
+#: A step builder: the (m, d, d) step stack for the steps starting at the times t.
+_StepBuilder = Callable[[np.ndarray], np.ndarray]
 
-    Written into out[0], a (>= m, d, d) complex buffer. k_j joins the
-    closing half kick of step j - 1 with the opening half kick of step j;
-    the run's first step (t = 0) has only its opening one.
+
+def _strang_kicked_builder(config: SimulationConfig, dt: float, size: int) -> _StepBuilder:
+    """t -> (m, d, d) F diag(k_j) for up to size forward steps starting at the times t.
+
+    k_j joins the closing half kick of step j - 1 with the opening half
+    kick of step j; the run's first step (t = 0) has only its opening one.
+    Every stack is written into one buffer, valid until the next call.
     """
-    closing = np.cos(config.omega * (t - 0.25 * dt))
-    closing[t == 0.0] = 0.0
-    kicks = _half_kicks(config, np.cos(config.omega * (t + 0.25 * dt)) + closing, dt)
-    return np.multiply(_free_step(config.q, config.mu, dt), kicks[:, None, :],
-                       out=out[0, :len(t)])
+    free = _free_step(config.q, config.mu, dt)
+    work = np.empty((size, *free.shape), dtype=complex)
+
+    def build(t: np.ndarray) -> np.ndarray:
+        closing = np.cos(config.omega * (t - 0.25 * dt))
+        closing[t == 0.0] = 0.0
+        kicks = _half_kicks(config, np.cos(config.omega * (t + 0.25 * dt)) + closing, dt)
+        return np.multiply(free, kicks[:, None, :], out=work[:len(t)])
+
+    return build
+
+
+def _strang_closing_kick(config: SimulationConfig, psi: np.ndarray, t: float,
+                         dt: float) -> np.ndarray:
+    """The state at t from evolve's carried strang state, which lacks its closing half kick."""
+    return psi * _half_kicks(config, np.cos(config.omega * (t - 0.25 * dt)), dt)
 
 
 def _magnus_unitaries(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float) -> np.ndarray:
     """(m, d, d) exp(-1j*dt*(K + c*R)) for the couplings c, by one batched eigh."""
-    h = hamiltonians(lattice, mu, coupling)
     try:
-        w, vec = np.linalg.eigh(h)
+        w, vec = np.linalg.eigh(hamiltonians(lattice, mu, coupling))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hamiltonian eigendecomposition failed: {exc}") from exc
     return (vec * np.exp(w * (-1j * dt))[:, None, :]) @ vec.transpose(0, 2, 1)
@@ -286,38 +308,46 @@ def _magnus_table(q: int, mu: float, beta: float, dt: float) -> np.ndarray | Non
     return coef
 
 
-def _magnus_steps(config: SimulationConfig, t: np.ndarray, dt: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """(m, d, d) exponential-midpoint unitaries for the steps starting at the times t.
+def _magnus_builder(config: SimulationConfig, dt: float, size: int) -> _StepBuilder:
+    """t -> (m, d, d) exponential-midpoint unitaries for up to size steps starting at the times t.
 
-    The tabled path writes into out, three (>= m, d, d) complex buffers
-    (allocated when None), and returns a view of out[1]; the per-step
-    eigh fallback allocates its own result.
+    Tabled stacks are written into three buffers allocated here, once, and
+    are valid until the next call; above _CHUNK nodes each call runs its
+    own eigh and allocates its result.
     """
-    theta = config.omega * (t + 0.5 * dt)
     lattice = config.lattice
     coef = _magnus_table(config.q, config.mu, config.beta, dt)
     if coef is None:
-        return _magnus_unitaries(lattice, config.mu, config.beta * np.cos(theta), dt)
-    m, d = len(t), lattice.d
-    if out is None:
-        out = np.empty((3, m, d, d), dtype=complex)
-    u, g, f = out[:, :m]
-    # A real product on the interleaved (re, im) pairs, 3x faster than a complex one.
-    basis = _chebyshev_basis(theta, len(coef))
-    np.matmul(basis, coef.view(float), out=u.reshape(m, -1).view(float))
-    # The interpolant's unitarity defect is a few ulp, set by the node
-    # unitaries' own errors, so it is nearly the same from one step to the
-    # next and the norm drift of a run would grow linearly with its steps,
-    # past the 1e-10 that expectation() accepts after about a million.
-    # One Newton-Schulz step, U <- U (3 - U^H U) / 2, leaves only rounding
-    # that changes from step to step, so the drift grows as a random walk,
-    # as it does with one eigh per step.
-    np.conjugate(u.transpose(0, 2, 1), out=g)
-    np.matmul(g, u, out=f)
-    f *= -0.5
-    f.reshape(m, -1)[:, :: d + 1] += 1.5  # the diagonal
-    return np.matmul(u, f, out=g)
+        return lambda t: _magnus_unitaries(lattice, config.mu,
+                                           config.beta * np.cos(config.omega * (t + 0.5 * dt)), dt)
+    d = lattice.d
+    work = np.empty((3, size, d, d), dtype=complex)
+
+    def build(t: np.ndarray) -> np.ndarray:
+        m = len(t)
+        u, g, f = work[:, :m]
+        # A real product on the interleaved (re, im) pairs, 3x faster than a complex one.
+        basis = _chebyshev_basis(config.omega * (t + 0.5 * dt), len(coef))
+        np.matmul(basis, coef.view(float), out=u.reshape(m, -1).view(float))
+        # The interpolant's unitarity defect is a few ulp, set by the node
+        # unitaries' own errors, so it is nearly the same from one step to
+        # the next and the norm drift of a run would grow linearly with its
+        # steps, past the 1e-10 that expectation() accepts after about a
+        # million. One Newton-Schulz step, U <- U (3 - U^H U) / 2, leaves
+        # only rounding that changes from step to step, so the drift grows
+        # as a random walk, as it does with one eigh per step.
+        np.conjugate(u, out=g)
+        np.matmul(g.transpose(0, 2, 1), u, out=f)
+        f *= -0.5
+        f.reshape(m, -1)[:, :: d + 1] += 1.5  # the diagonal
+        return np.matmul(u, f, out=g)
+
+    return build
+
+
+def _magnus_steps(config: SimulationConfig, t: np.ndarray, dt: float) -> np.ndarray:
+    """(m, d, d) exponential-midpoint unitaries for the steps starting at the times t."""
+    return _magnus_builder(config, dt, len(t))(t)
 
 
 def step_strang(psi: StateVector, t: float, dt: float, config: SimulationConfig) -> StateVector:
@@ -348,31 +378,49 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 # ---------------------------------------------------------------------------
 # full runs
 
+def _step_stacks(build: _StepBuilder, t0: float, dt: float,
+                 n_steps: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first step, build(t)) for the steps from t = t0 + k dt, k < n_steps, a chunk at a time.
+
+    dt may be negative, to run backward in time.
+    """
+    for start in range(0, n_steps, _CHUNK):
+        k = start + np.arange(min(_CHUNK, n_steps - start))
+        yield start, build(t0 + k * dt)
+
+
+def _copied_state(config: SimulationConfig, psi: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """The state at t: magnus2 carries the state itself."""
+    return psi.copy()
+
+
+#: Per method: the maker of evolve's step builder, called with
+#: (config, dt, most steps per stack), and the map from a carried state at
+#: time t to the state recorded there.
+_LOOP = {
+    "strang": (_strang_kicked_builder, _strang_closing_kick),
+    "magnus2": (_magnus_builder, _copied_state),
+    "reference": (_magnus_builder, _copied_state),
+}
+
+
 def evolve(config: SimulationConfig) -> Trajectory:
     """Run the configured method from t = 0 to t_end, recording snapshots."""
     refine = _REFINE[config.method]
     dt = config.dt / refine
     n_steps = config.n_steps * refine
     snap_at = {k * refine: t for k, t in config.snapshot_steps().items()}
-    strang = config.method == "strang"
-    if strang:
-        build, buffers = _strang_kicked_steps, 1
-    else:
-        build = _magnus_steps
-        # the per-step eigh fallback allocates its own stacks
-        buffers = 0 if _magnus_table(config.q, config.mu, config.beta, dt) is None else 3
-    lattice = config.lattice
+    make_builder, record = _LOOP[config.method]
     size = min(_CHUNK, n_steps)
-    work = np.empty((buffers, size, lattice.d, lattice.d), dtype=complex)
+    lattice = config.lattice
 
     psi = initial_state(config).amplitudes
     recorded = {0: psi} if 0 in snap_at else {}
     drift = 0.0
     chunk = np.empty((size, lattice.d), dtype=complex)
     rows = list(chunk)
-    for start in range(0, n_steps, _CHUNK):
-        m = min(_CHUNK, n_steps - start)
-        stack = build(config, (start + np.arange(m)) * dt, dt, work)
+    for start, stack in _step_stacks(make_builder(config, dt, size), 0.0, dt, n_steps):
+        m = len(stack)
         for u, row in zip(stack, rows):
             psi = u.dot(psi, out=row)
         norms = np.linalg.norm(chunk[:m], axis=1)
@@ -381,10 +429,7 @@ def evolve(config: SimulationConfig) -> Trajectory:
             raise PropagationError(start + int(bad[0]), "state became non-finite")
         drift = max(drift, float(np.abs(1.0 - norms).max()))
         for step in snap_at.keys() & range(start + 1, start + m + 1):
-            state = chunk[step - start - 1].copy()
-            if strang:  # the closing half kick the carried state still lacks
-                state *= _half_kicks(config, np.cos(config.omega * (step * dt - 0.25 * dt)), dt)
-            recorded[step] = state
+            recorded[step] = record(config, chunk[step - start - 1], step * dt, dt)
 
     states = tuple((snap_at[k], StateVector(lattice, recorded[k])) for k in sorted(recorded))
     return Trajectory(config, states, drift)

@@ -23,6 +23,7 @@ from qlimit.cli import (
     main,
     parse_config,
 )
+from qlimit.propagator import MAX_Q
 
 
 def _write_config(path, **overrides):
@@ -354,7 +355,7 @@ def test_operators_q_outside_limits_exits_2(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     for q in ("0", "1000000"):
         assert main(["operators", "--q", q, "--which", "rate", "--out", out]) == 2
-    assert "exceeds the limit of 723" in capsys.readouterr().err
+    assert f"exceeds the limit of {MAX_Q}" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

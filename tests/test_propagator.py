@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,12 +30,15 @@ from qlimit import (
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
 from qlimit.propagator import (
     _CHUNK,
+    _PEAK_STACKS,
     _REFINE,
     MAX_Q,
+    _free_step,
+    _magnus_builder,
     _magnus_steps,
     _magnus_table,
     _magnus_unitaries,
-    _strang_kicked_steps,
+    _strang_kicked_builder,
 )
 
 
@@ -273,8 +277,8 @@ def test_evolve_magnus_equals_repeated_steps():
 
 @pytest.mark.parametrize("method", ["magnus2", "reference"])
 def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
-    # the in-place loop (workspace builders, u.dot(psi, out=row)) against
-    # fresh stacks of the same chunks applied by plain matmul: bit for bit
+    # the loop (u.dot(psi, out=row) into preallocated rows) against fresh
+    # stacks of the same chunks applied by plain matmul: bit for bit
     cfg = _config(method=method, t_end=100.0, snapshots=(0.0, 17.0, 32.0, 64.0, 97.0, 100.0))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
     psi = initial_state(cfg).amplitudes
@@ -305,14 +309,13 @@ def test_evolve_strang_snapshots_across_chunks_match_single_steps():
         psi = step_strang(psi, float(i), 1.0, cfg)
 
 
-def test_step_builders_write_into_the_given_workspace():
-    cfg = _config()
-    d = cfg.lattice.d
-    t = np.arange(5.0)
-    work = np.empty((3, _CHUNK, d, d), dtype=complex)
-    assert np.shares_memory(_strang_kicked_steps(cfg, t, 1.0, work[:1]), work[0])
-    assert np.shares_memory(_magnus_steps(cfg, t, 1.0, work), work)
-    assert _magnus_steps(cfg, t, 1.0, work).shape == (5, d, d)
+@pytest.mark.parametrize("make_builder", [_strang_kicked_builder, _magnus_builder])
+def test_evolve_builders_reuse_one_workspace_across_chunks(make_builder):
+    build = make_builder(_config(), 1.0, _CHUNK)
+    first = build(np.arange(float(_CHUNK)))
+    second = build(_CHUNK + np.arange(5.0))
+    assert second.shape == (5, 21, 21)
+    assert np.shares_memory(first, second)
 
 
 _FAULT_PROBE = """
@@ -328,21 +331,53 @@ for method in ("strang", "magnus2"):
 """
 
 
-def test_fig2_day_is_allocation_free_after_first_run():
-    # Minor page faults of a second fig2 day, once caches are filled. Fresh
-    # (32, 21, 21) complex temporaries per chunk cost 35 000 to 38 000 of
-    # them a day when the allocator hands freed memory back and maps it again;
-    # whether it does depends on the heap's history, so the probe runs in a
-    # fresh interpreter, where that history is fixed. One workspace per run
-    # costs a few dozen.
+def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
+    # Minor page faults of a second fig2 day per method, once the caches
+    # are filled. Fresh (32, 21, 21) complex temporaries per chunk cost
+    # 35 000 to 40 000 of them a day when the allocator hands the freed
+    # memory back to the system and maps it again; whether it does depends
+    # on the heap's history, so the probe runs in a fresh interpreter. This
+    # does not catch every reallocation: memory the heap keeps is reused
+    # without faults. test_evolve_builders_reuse_one_workspace_across_chunks
+    # checks the reuse itself.
     pytest.importorskip("resource")
     src = str(Path(qlimit.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
     probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
                            text=True, timeout=60, check=True)
     faults = {method: int(n) for method, n in map(str.split, probe.stdout.splitlines())}
     assert faults.keys() == {"strang", "magnus2"}
     assert max(faults.values()) < 2000, faults
+
+
+@pytest.mark.parametrize("method, beta, t_end, nodes, stacks", [
+    ("strang", 0.1, 64.0, None, 1),
+    ("magnus2", 0.1875, 64.0, _CHUNK, 4),  # the largest table
+    ("magnus2", 0.25, 64.0, None, 4.5),    # one eigh per step
+    ("reference", 1.5, 8.0, _CHUNK, 4),
+])
+def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, t_end, nodes, stacks):
+    # MAX_Q keeps _PEAK_STACKS (_CHUNK, d, d) complex stacks within 1 GiB;
+    # a run that held more would break that bound. The allowance on top of
+    # each path's stacks is a few (_CHUNK, d) blocks of vectors: states,
+    # kicks, eigenvalues.
+    assert stacks <= _PEAK_STACKS
+    cfg = _config(q=40, beta=beta, method=method, t_end=t_end, snapshots=None)
+    d = cfg.lattice.d
+    _free_step.cache_clear()
+    _magnus_table.cache_clear()
+    tracemalloc.start()
+    try:
+        evolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = 16 * _CHUNK * d * d
+    assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
+    if method != "strang":
+        table = _magnus_table(cfg.q, cfg.mu, beta, cfg.dt / _REFINE[method])
+        assert (None if table is None else len(table)) == nodes
 
 
 def test_magnus_evolve_at_large_q_matches_single_steps():
