@@ -37,8 +37,6 @@ from .propagator import (
     exact_free_evolution,
     initial_state,
     observables_series,
-    step_magnus2,
-    step_strang,
 )
 
 __version__ = "0.1.0"
@@ -76,8 +74,6 @@ __all__ = [
     "price_operator",
     "probabilities",
     "rate_operator",
-    "step_magnus2",
-    "step_strang",
     "theta3",
     "tilde_delta",
     "trend_operator",

@@ -33,7 +33,7 @@ from .operators import (
     rate_operator,
     trend_operator,
 )
-from .propagator import METHODS, SimulationConfig, checked_q, evolve, observables_series
+from .propagator import METHODS, SimulationConfig, _finite, checked_q, evolve, observables_series
 
 CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig))
 REQUIRED_KEYS = tuple(f.name for f in fields(SimulationConfig) if f.default is MISSING)
@@ -268,6 +268,12 @@ def cmd_operators(
 ) -> Path:
     """Dump one operator matrix as CSV, rows/columns labelled by lattice n."""
     lattice = new_lattice(checked_q(q))
+    numbers = dict(p0=p0, scale=scale, mu=mu, beta=beta, omega=omega, t=t)
+    for key, value in numbers.items():
+        _finite(key, value)
+    for key in ("p0", "mu"):
+        if not numbers[key] > 0:
+            raise ConfigError(f"{key} must be positive, got {numbers[key]!r}")
     if which == "rate":
         op = rate_operator(lattice)
     elif which == "trend":

@@ -44,7 +44,7 @@ class HermitianOperator:
         if m.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}, got {m.shape}")
         defect = np.abs(m - m.conj().T).max()
-        if defect > HERMITICITY_TOL:
+        if not defect <= HERMITICITY_TOL:  # NaN included
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

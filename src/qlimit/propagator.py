@@ -4,15 +4,16 @@ Integrates i dPsi/dt = H(t) Psi with H(t) = T^2/(2 mu) + beta*cos(omega*t)*R,
 hbar = 1, time in seconds, starting from the discrete Gaussian of width
 kappa at market opening (t = 0).
 
-Every method is a product of per-step unitaries U_j, and one loop in
-``evolve`` runs all three: it builds the (m, d, d) stack of the next
+Every method is a product of per-step unitaries U_j, and one loop,
+``_propagate``, runs all three: it builds the (m, d, d) stack of the next
 chunk of step unitaries, applies psi <- U_j psi step by step, each into
 a preallocated row, and checks the chunk's states with one vectorized
-norm. Its step builders write every stack into buffers they allocate
-once per run: fresh per-chunk temporaries cost tens of thousands of
-minor page faults a day whenever the allocator hands them back to the
-system between chunks. The single-step functions build a one-step stack
-with the same code and apply it.
+norm. It starts at any time and runs backward for a negative dt;
+``evolve`` and the time-reversibility check both call it. Its step
+builders write every stack into buffers they allocate once per run:
+fresh per-chunk temporaries cost tens of thousands of minor page faults
+a day whenever the allocator hands them back to the system between
+chunks.
 
 strang
     Split step p1 F p0: half potential phase p0 in the return basis, the
@@ -20,7 +21,7 @@ strang
     (q, mu, dt)), half potential phase p1 again. The two potential
     half-steps sample cos at their own midpoints, t + dt/4 and
     t + 3dt/4, which keeps the scheme second order in the time-dependent
-    coefficient and exactly time reversible. ``evolve`` merges the
+    coefficient and exactly time reversible. The loop merges the
     closing half kick of each step with the opening one of the next
     (first same as last), so each of its steps is F diag(k_j) with one
     diagonal kick k_j; the run's first step has only its opening half.
@@ -29,7 +30,6 @@ strang
     alone and is applied only to the recorded snapshots. ``norm_drift``
     and the ``PropagationError`` step index are taken on the carried
     states, whose norm equals psi's up to one rounding.
-    ``step_strang`` takes the full p1 F p0 step.
 
 magnus2
     Exponential midpoint: U = exp(-1j*H(t + dt/2)*dt). Only the coupling
@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -204,7 +204,7 @@ def initial_state(config: SimulationConfig) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# step unitaries (one builder per method, shared by the single steps and evolve)
+# step unitaries (one builder per method)
 
 def _kinetic_phase(lattice: Lattice, dt: float, mu: float) -> np.ndarray:
     n = lattice.points().astype(float)
@@ -225,23 +225,16 @@ def _half_kicks(config: SimulationConfig, cos: np.ndarray, dt: float) -> np.ndar
     return np.exp(-0.5j * config.beta * dt * cos[..., None] * config.lattice.points())
 
 
-def _strang_steps(config: SimulationConfig, t: np.ndarray, dt: float) -> np.ndarray:
-    """(m, d, d) split-step unitaries for the steps starting at the times t."""
-    phase = _half_kicks(config, np.cos(config.omega * (t[:, None] + [0.25 * dt, 0.75 * dt])), dt)
-    u = phase[:, 1, :, None] * _free_step(config.q, config.mu, dt)
-    u *= phase[:, 0, None, :]
-    return u
-
-
 #: A step builder: the (m, d, d) step stack for the steps starting at the times t.
 _StepBuilder = Callable[[np.ndarray], np.ndarray]
 
 
-def _strang_kicked_builder(config: SimulationConfig, dt: float, size: int) -> _StepBuilder:
-    """t -> (m, d, d) F diag(k_j) for up to size forward steps starting at the times t.
+def _strang_kicked_builder(config: SimulationConfig, t0: float, dt: float,
+                           size: int) -> _StepBuilder:
+    """t -> (m, d, d) F diag(k_j) for up to size steps of a run from t0 starting at the times t.
 
     k_j joins the closing half kick of step j - 1 with the opening half
-    kick of step j; the run's first step (t = 0) has only its opening one.
+    kick of step j; the run's first step (t = t0) has only its opening one.
     Every stack is written into one buffer, valid until the next call.
     """
     free = _free_step(config.q, config.mu, dt)
@@ -249,7 +242,7 @@ def _strang_kicked_builder(config: SimulationConfig, dt: float, size: int) -> _S
 
     def build(t: np.ndarray) -> np.ndarray:
         closing = np.cos(config.omega * (t - 0.25 * dt))
-        closing[t == 0.0] = 0.0
+        closing[t == t0] = 0.0
         kicks = _half_kicks(config, np.cos(config.omega * (t + 0.25 * dt)) + closing, dt)
         return np.multiply(free, kicks[:, None, :], out=work[:len(t)])
 
@@ -258,7 +251,7 @@ def _strang_kicked_builder(config: SimulationConfig, dt: float, size: int) -> _S
 
 def _strang_closing_kick(config: SimulationConfig, psi: np.ndarray, t: float,
                          dt: float) -> np.ndarray:
-    """The state at t from evolve's carried strang state, which lacks its closing half kick."""
+    """The state at t from the loop's carried strang state, which lacks its closing half kick."""
     return psi * _half_kicks(config, np.cos(config.omega * (t - 0.25 * dt)), dt)
 
 
@@ -308,9 +301,10 @@ def _magnus_table(q: int, mu: float, beta: float, dt: float) -> np.ndarray | Non
     return coef
 
 
-def _magnus_builder(config: SimulationConfig, dt: float, size: int) -> _StepBuilder:
+def _magnus_builder(config: SimulationConfig, t0: float, dt: float, size: int) -> _StepBuilder:
     """t -> (m, d, d) exponential-midpoint unitaries for up to size steps starting at the times t.
 
+    Each step depends on its own start time alone, so t0 is unused.
     Tabled stacks are written into three buffers allocated here, once, and
     are valid until the next call; above _CHUNK nodes each call runs its
     own eigh and allocates its result.
@@ -345,23 +339,6 @@ def _magnus_builder(config: SimulationConfig, dt: float, size: int) -> _StepBuil
     return build
 
 
-def _magnus_steps(config: SimulationConfig, t: np.ndarray, dt: float) -> np.ndarray:
-    """(m, d, d) exponential-midpoint unitaries for the steps starting at the times t."""
-    return _magnus_builder(config, dt, len(t))(t)
-
-
-def step_strang(psi: StateVector, t: float, dt: float, config: SimulationConfig) -> StateVector:
-    """One split step from t to t + dt (dt may be negative for reversal)."""
-    u = _strang_steps(config, np.array([t]), dt)[0]
-    return StateVector(config.lattice, u @ psi.amplitudes)
-
-
-def step_magnus2(psi: StateVector, t: float, dt: float, config: SimulationConfig) -> StateVector:
-    """One exponential midpoint step from t to t + dt."""
-    u = _magnus_steps(config, np.array([t]), dt)[0]
-    return StateVector(config.lattice, u @ psi.amplitudes)
-
-
 def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
     """Closed-form propagator for beta = 0: phases n^2 t/(2 mu) in the dual basis.
 
@@ -378,59 +355,55 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 # ---------------------------------------------------------------------------
 # full runs
 
-def _step_stacks(build: _StepBuilder, t0: float, dt: float,
-                 n_steps: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first step, build(t)) for the steps from t = t0 + k dt, k < n_steps, a chunk at a time.
-
-    dt may be negative, to run backward in time.
-    """
-    for start in range(0, n_steps, _CHUNK):
-        k = start + np.arange(min(_CHUNK, n_steps - start))
-        yield start, build(t0 + k * dt)
-
-
-def _copied_state(config: SimulationConfig, psi: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """The state at t: magnus2 carries the state itself."""
-    return psi.copy()
-
-
-#: Per method: the maker of evolve's step builder, called with
-#: (config, dt, most steps per stack), and the map from a carried state at
-#: time t to the state recorded there.
+#: Per method: the maker of the step builder, called with (config, t0, dt,
+#: most steps per stack), and the map from a carried state at time t to the
+#: state recorded there (None: the carried state is the state).
 _LOOP = {
     "strang": (_strang_kicked_builder, _strang_closing_kick),
-    "magnus2": (_magnus_builder, _copied_state),
-    "reference": (_magnus_builder, _copied_state),
+    "magnus2": (_magnus_builder, None),
+    "reference": (_magnus_builder, None),
 }
 
 
-def evolve(config: SimulationConfig) -> Trajectory:
-    """Run the configured method from t = 0 to t_end, recording snapshots."""
-    refine = _REFINE[config.method]
-    dt = config.dt / refine
-    n_steps = config.n_steps * refine
-    snap_at = {k * refine: t for k, t in config.snapshot_steps().items()}
+def _propagate(config: SimulationConfig, psi: np.ndarray, t0: float, dt: float, n_steps: int,
+               record_at: Collection[int]) -> tuple[dict[int, np.ndarray], float]:
+    """Run config.method for n_steps steps of dt from the state psi at t0.
+
+    dt may be negative, to run backward in time. Returns the states after
+    the steps k in record_at (k = 0 is psi itself), keyed by k, and the
+    worst per-step norm defect.
+    """
     make_builder, record = _LOOP[config.method]
     size = min(_CHUNK, n_steps)
-    lattice = config.lattice
-
-    psi = initial_state(config).amplitudes
-    recorded = {0: psi} if 0 in snap_at else {}
+    build = make_builder(config, t0, dt, size)
+    record_at = set(record_at)
+    recorded = {0: psi} if 0 in record_at else {}
     drift = 0.0
-    chunk = np.empty((size, lattice.d), dtype=complex)
+    chunk = np.empty((size, config.lattice.d), dtype=complex)
     rows = list(chunk)
-    for start, stack in _step_stacks(make_builder(config, dt, size), 0.0, dt, n_steps):
-        m = len(stack)
-        for u, row in zip(stack, rows):
+    for start in range(0, n_steps, _CHUNK):
+        m = min(_CHUNK, n_steps - start)
+        for u, row in zip(build(t0 + (start + np.arange(m)) * dt), rows):
             psi = u.dot(psi, out=row)
         norms = np.linalg.norm(chunk[:m], axis=1)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             raise PropagationError(start + int(bad[0]), "state became non-finite")
         drift = max(drift, float(np.abs(1.0 - norms).max()))
-        for step in snap_at.keys() & range(start + 1, start + m + 1):
-            recorded[step] = record(config, chunk[step - start - 1], step * dt, dt)
+        for step in record_at.intersection(range(start + 1, start + m + 1)):
+            state = chunk[step - start - 1]
+            recorded[step] = (state.copy() if record is None
+                              else record(config, state, t0 + step * dt, dt))
+    return recorded, drift
 
+
+def evolve(config: SimulationConfig) -> Trajectory:
+    """Run the configured method from t = 0 to t_end, recording snapshots."""
+    refine = _REFINE[config.method]
+    snap_at = {k * refine: t for k, t in config.snapshot_steps().items()}
+    recorded, drift = _propagate(config, initial_state(config).amplitudes, 0.0,
+                                 config.dt / refine, config.n_steps * refine, snap_at)
+    lattice = config.lattice
     states = tuple((snap_at[k], StateVector(lattice, recorded[k])) for k in sorted(recorded))
     return Trajectory(config, states, drift)
 

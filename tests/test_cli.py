@@ -359,6 +359,16 @@ def test_operators_q_outside_limits_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [("kinetic", "--mu", "0"), ("price", "--p0", "-1"),
+                                   ("hamiltonian", "--beta", "nan"),
+                                   ("hamiltonian", "--t", "inf"), ("price", "--scale", "nan")])
+def test_operators_bad_numbers_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    assert main(["operators", "--q", "3", "--which", *flags, "--out", str(out)]) == 2
+    assert flags[1][2:] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_operators_via_main(tmp_path):
     out = tmp_path / "kin.csv"
     rc = main(["operators", "--q", "2", "--which", "kinetic", "--out", str(out), "--mu", "1.0"])

@@ -22,8 +22,6 @@ from qlimit import (
     initial_state,
     new_lattice,
     observables_series,
-    step_magnus2,
-    step_strang,
     tilde_delta,
     upsilon_kappa,
 )
@@ -35,9 +33,9 @@ from qlimit.propagator import (
     MAX_Q,
     _free_step,
     _magnus_builder,
-    _magnus_steps,
     _magnus_table,
     _magnus_unitaries,
+    _strang_closing_kick,
     _strang_kicked_builder,
 )
 
@@ -122,27 +120,51 @@ def test_initial_state_is_discrete_gaussian():
 # ---------------------------------------------------------------------------
 # single steps
 
+def _unmerged_strang_step(cfg, psi, t, dt):
+    """One split step by hand: half kick at t + dt/4, exact free step, half kick at t + 3dt/4."""
+    def kick(s, amps):
+        return np.exp(-0.5j * cfg.beta * dt * np.cos(cfg.omega * s) * cfg.lattice.points()) * amps
+
+    free = exact_free_evolution(StateVector(cfg.lattice, kick(t + 0.25 * dt, psi.amplitudes)),
+                                dt, cfg.mu)
+    return StateVector(cfg.lattice, kick(t + 0.75 * dt, free.amplitudes))
+
+
+def _one_step(make_builder, cfg, psi, t, dt):
+    return make_builder(cfg, t, dt, 1)(np.array([t]))[0] @ psi.amplitudes
+
+
+def _strang_step(cfg, psi, t, dt):
+    """One whole strang step: the builder's opening stack, then the closing half kick."""
+    opened = _one_step(_strang_kicked_builder, cfg, psi, t, dt)
+    return StateVector(cfg.lattice, _strang_closing_kick(cfg, opened, t + dt, dt))
+
+
+def _magnus_step(cfg, psi, t, dt):
+    return StateVector(cfg.lattice, _one_step(_magnus_builder, cfg, psi, t, dt))
+
+
 def test_strang_step_is_exact_for_free_evolution():
     cfg = _config(beta=0.0)
     psi = initial_state(cfg)
     for dt in (0.5, 1.0, 7.3):
-        stepped = step_strang(psi, 0.0, dt, cfg)
+        stepped = _one_step(_strang_kicked_builder, cfg, psi, 0.0, dt)
         exact = exact_free_evolution(psi, dt, cfg.mu)
-        assert np.abs(stepped.amplitudes - exact.amplitudes).max() < 1e-14
+        assert np.abs(stepped - exact.amplitudes).max() < 1e-14
 
 
 def test_strang_step_with_zero_dt_is_identity():
     cfg = _config()
     psi = initial_state(cfg)
-    stepped = step_strang(psi, 100.0, 0.0, cfg)
-    assert np.abs(stepped.amplitudes - psi.amplitudes).max() < 1e-14
+    stepped = _one_step(_strang_kicked_builder, cfg, psi, 100.0, 0.0)
+    assert np.abs(stepped - psi.amplitudes).max() < 1e-14
 
 
 def test_strang_step_preserves_norm():
     cfg = _config()
     psi = initial_state(cfg)
     for i in range(50):
-        psi = step_strang(psi, float(i), 1.0, cfg)
+        psi = _strang_step(cfg, psi, float(i), 1.0)
         assert abs(psi.norm() - 1.0) < 1e-14
 
 
@@ -177,24 +199,24 @@ def test_magnus_step_matches_taylor_exponential():
     for t in (0.0, 250.0):
         h = hamiltonian_at(cfg.lattice, t + dt / 2, cfg.mu, cfg.beta, cfg.omega).matrix
         oracle = _taylor_expm_apply(h, dt, psi.amplitudes)
-        stepped = step_magnus2(psi, t, dt, cfg)
-        assert np.abs(stepped.amplitudes - oracle).max() < 1e-13
+        stepped = _one_step(_magnus_builder, cfg, psi, t, dt)
+        assert np.abs(stepped - oracle).max() < 1e-13
 
 
 def test_magnus_step_is_exact_for_time_independent_hamiltonian():
     cfg = _config(beta=0.0)
     psi = initial_state(cfg)
     for dt in (1.0, 13.7):
-        stepped = step_magnus2(psi, 5.0, dt, cfg)
+        stepped = _one_step(_magnus_builder, cfg, psi, 5.0, dt)
         exact = exact_free_evolution(psi, dt, cfg.mu)
-        assert np.abs(stepped.amplitudes - exact.amplitudes).max() < 1e-12
+        assert np.abs(stepped - exact.amplitudes).max() < 1e-12
 
 
 def test_magnus_step_preserves_norm():
     cfg = _config()
     psi = initial_state(cfg)
     for i in range(50):
-        psi = step_magnus2(psi, float(i), 1.0, cfg)
+        psi = _magnus_step(cfg, psi, float(i), 1.0)
         assert abs(psi.norm() - 1.0) < 1e-13
 
 
@@ -262,7 +284,7 @@ def test_evolve_strang_equals_repeated_steps():
     final = evolve(cfg).states[-1][1]
     psi = initial_state(cfg)
     for i in range(300):
-        psi = step_strang(psi, float(i), 1.0, cfg)
+        psi = _unmerged_strang_step(cfg, psi, float(i), 1.0)
     assert np.abs(final.amplitudes - psi.amplitudes).max() < 1e-12
 
 
@@ -271,21 +293,22 @@ def test_evolve_magnus_equals_repeated_steps():
     final = evolve(cfg).states[-1][1]
     psi = initial_state(cfg)
     for i in range(300):
-        psi = step_magnus2(psi, float(i), 1.0, cfg)
+        psi = _magnus_step(cfg, psi, float(i), 1.0)
     assert np.abs(final.amplitudes - psi.amplitudes).max() < 1e-12
 
 
 @pytest.mark.parametrize("method", ["magnus2", "reference"])
 def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
-    # the loop (u.dot(psi, out=row) into preallocated rows) against fresh
+    # the loop (u.dot(psi, out=row) into preallocated rows) against the
     # stacks of the same chunks applied by plain matmul: bit for bit
     cfg = _config(method=method, t_end=100.0, snapshots=(0.0, 17.0, 32.0, 64.0, 97.0, 100.0))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
+    build = _magnus_builder(cfg, 0.0, dt, _CHUNK)
     psi = initial_state(cfg).amplitudes
     expected = {0: psi}
     for start in range(0, n_steps, _CHUNK):
         t = (start + np.arange(min(_CHUNK, n_steps - start))) * dt
-        for j, u in enumerate(_magnus_steps(cfg, t, dt)):
+        for j, u in enumerate(build(t)):
             psi = np.matmul(u, psi)
             expected[start + j + 1] = psi
     states = evolve(cfg).states
@@ -306,12 +329,12 @@ def test_evolve_strang_snapshots_across_chunks_match_single_steps():
     for i in range(101):
         if float(i) in recorded:
             assert np.abs(recorded[float(i)].amplitudes - psi.amplitudes).max() < 1e-13, i
-        psi = step_strang(psi, float(i), 1.0, cfg)
+        psi = _unmerged_strang_step(cfg, psi, float(i), 1.0)
 
 
 @pytest.mark.parametrize("make_builder", [_strang_kicked_builder, _magnus_builder])
 def test_evolve_builders_reuse_one_workspace_across_chunks(make_builder):
-    build = make_builder(_config(), 1.0, _CHUNK)
+    build = make_builder(_config(), 0.0, 1.0, _CHUNK)
     first = build(np.arange(float(_CHUNK)))
     second = build(_CHUNK + np.arange(5.0))
     assert second.shape == (5, 21, 21)
@@ -384,10 +407,11 @@ def test_magnus_evolve_at_large_q_matches_single_steps():
     cfg = _config(q=150, method="magnus2", t_end=4.0, snapshots=(4.0,))
     traj = evolve(cfg)
     assert traj.norm_drift <= 1e-10
-    psi = initial_state(cfg)
-    for i in range(4):
-        psi = step_magnus2(psi, float(i), 1.0, cfg)
-    assert np.abs(traj.states[-1][1].amplitudes - psi.amplitudes).max() < 1e-12
+    psi = initial_state(cfg).amplitudes
+    coupling = cfg.beta * np.cos(cfg.omega * (np.arange(4.0) + 0.5))
+    for u in _magnus_unitaries(cfg.lattice, cfg.mu, coupling, 1.0):
+        psi = u @ psi
+    assert np.abs(traj.states[-1][1].amplitudes - psi).max() < 1e-12
 
 
 @pytest.mark.parametrize("q", [1, 10, 30])
@@ -398,7 +422,8 @@ def test_magnus_table_matches_eigh_unitaries(q):
         for dt in (1.0, 0.125, -1.0):
             assert _magnus_table(q, cfg.mu, beta, dt) is not None
             direct = _magnus_unitaries(cfg.lattice, cfg.mu, beta * np.cos(t + 0.5 * dt), dt)
-            assert np.abs(_magnus_steps(cfg, t, dt) - direct).max() <= 1e-13, (beta, dt)
+            stacks = _magnus_builder(cfg, 0.0, dt, len(t))(t)
+            assert np.abs(stacks - direct).max() <= 1e-13, (beta, dt)
 
 
 def test_magnus_steps_above_chunk_nodes_use_eigh():
@@ -406,7 +431,7 @@ def test_magnus_steps_above_chunk_nodes_use_eigh():
     assert _magnus_table(150, cfg.mu, cfg.beta, 1.0) is None
     t = np.array([0.0, 1.0, 2.5])
     direct = _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(t + 0.5), 1.0)
-    np.testing.assert_array_equal(_magnus_steps(cfg, t, 1.0), direct)
+    np.testing.assert_array_equal(_magnus_builder(cfg, 0.0, 1.0, len(t))(t), direct)
 
 
 def test_reference_run_conserves_norm(fig2_reference):
