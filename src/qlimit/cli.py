@@ -274,18 +274,21 @@ def cmd_operators(
     for key in ("p0", "mu"):
         if not numbers[key] > 0:
             raise ConfigError(f"{key} must be positive, got {numbers[key]!r}")
-    if which == "rate":
-        op = rate_operator(lattice)
-    elif which == "trend":
-        op = trend_operator(lattice)
-    elif which == "price":
-        op = price_operator(lattice, p0, scale)
-    elif which == "kinetic":
-        op = kinetic_operator(lattice, mu)
-    elif which == "hamiltonian":
-        op = hamiltonian_at(lattice, t, mu, beta, omega)
-    else:
-        raise ConfigError(f"unknown operator {which!r}, expected one of {OPERATOR_NAMES}")
+    # finite numbers can still overflow the matrix; its constructor then
+    # raises NumericalError, which names the overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        if which == "rate":
+            op = rate_operator(lattice)
+        elif which == "trend":
+            op = trend_operator(lattice)
+        elif which == "price":
+            op = price_operator(lattice, p0, scale)
+        elif which == "kinetic":
+            op = kinetic_operator(lattice, mu)
+        elif which == "hamiltonian":
+            op = hamiltonian_at(lattice, t, mu, beta, omega)
+        else:
+            raise ConfigError(f"unknown operator {which!r}, expected one of {OPERATOR_NAMES}")
 
     pts = lattice.points()
     header = "k," + ",".join(f"re[{n}],im[{n}]" for n in pts)

@@ -32,7 +32,9 @@ class HermitianOperator:
 
     The constructor verifies hermiticity (entrywise, within
     ``HERMITICITY_TOL``) instead of symmetrizing; a non-Hermitian input is
-    a bug that should surface, not be hidden.
+    a bug that should surface, not be hidden. A matrix with a non-finite
+    entry, which finite parameters give when the matrix overflows, raises
+    ``NumericalError``.
     """
 
     lattice: Lattice
@@ -43,8 +45,10 @@ class HermitianOperator:
         d = self.lattice.d
         if m.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise NumericalError("operator matrix has non-finite entries (it overflowed)")
         defect = np.abs(m - m.conj().T).max()
-        if not defect <= HERMITICITY_TOL:  # NaN included
+        if defect > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

@@ -36,12 +36,18 @@ magnus2
     c = beta*x, x = cos(omega*(t + dt/2)), changes from step to step, so
     U is tabled once per (q, mu, beta, dt) as Chebyshev coefficients in
     x, built from M node unitaries, and each step's U is a sum of M
-    coefficient matrices, polished by one Newton-Schulz step. M is the
-    fewest nodes whose interpolation error bound is below 1e-16; when
-    that is more than one chunk of steps, each step's U comes from its
-    own eigendecomposition instead. The real
-    symmetric Hamiltonian matrices come from the one builder
-    ``operators.hamiltonians``.
+    coefficient matrices. M is the fewest nodes whose interpolation error
+    bound is below 1e-16; when that is more than one chunk of steps, each
+    step's U comes from its own eigendecomposition instead. The stored
+    table has a fixed unitarity defect of a few ulp, which would make the
+    norm drift grow linearly with the steps. A run of fewer than 256 M
+    steps cancels it per step with one Newton-Schulz step,
+    U <- U (3 - U^H U) / 2 (two batched complex products). A longer run
+    cancels it once: the table gains the Chebyshev coefficients of
+    -U (U^H U - I) / 2, formed in extended precision (np.longdouble with
+    a 64-bit mantissa; elsewhere every run polishes), and each step is
+    then one real matrix product. The real symmetric Hamiltonian matrices
+    come from the one builder ``operators.hamiltonians``.
 
 reference
     magnus2 run at dt/8, used as the convergence yardstick.
@@ -81,17 +87,36 @@ _CHUNK = 32
 #: Most integration steps one run may take: bounds the run time of any config.
 _MAX_STEPS = 10**7
 
+#: A tabled magnus2 run of at least this many steps per table node cancels
+#: its table's unitarity defect once, with correction rows, instead of
+#: polishing every step (_corrects): building the rows costs as much as 35
+#: (M = 1) to 133 (M = 29) polished steps per node at q = 10 to 60.
+_CORRECTED_STEPS_PER_NODE = 256
+
+#: Trailing correction rows whose entries are all below this are dropped.
+_CORRECTION_FLOOR = 1e-19
+
+#: The correction resolves U^H U - I, about 1e-15, in np.longdouble, which
+#: must carry more bits than a double: x87 extended precision (64-bit
+#: mantissa, as on x86-64 Linux) does; where longdouble is a plain double
+#: the correction would be rounding noise.
+_EXTENDED_PRECISION = np.finfo(np.longdouble).nmant >= 63
+
 #: Most memory evolve holds at once in (_CHUNK, d, d) complex stacks, besides
 #: vectors: magnus2's per-step eigh fallback keeps the previous chunk's
 #: stack, the real eigenvectors (half a stack), their complex cast and two
-#: complex products, 4.5 in all. Tabled magnus2 takes 4 (its table and three
-#: buffers), strang 1.
+#: complex products, 4.5 in all. Polished tabled magnus2 takes 4 (its table
+#: of at most _CHUNK matrices and three buffers). Its corrected table is
+#: allocated with M + N = 4M - 2 rows, of which it uses M + N' (35 of 58 at
+#: fig2), so at M = 32 it is 126 matrices, 3.94 stacks, plus one buffer:
+#: 4.94; building it adds temporaries of a few matrices. strang takes 1.
 _PEAK_STACKS = 5
 
 #: Largest price limit q. evolve's memory grows as d^2, d = 2q + 1: its
 #: _PEAK_STACKS stacks of 16 _CHUNK d^2 bytes each stay within 1 GiB
-#: (d <= 647, q <= 323). A cached magnus2 table (at most _CHUNK matrices)
-#: and a dense operator dump are each one stack or less.
+#: (d <= 647, q <= 323). Beside a run, each of the 16 tables _magnus_table
+#: caches holds up to one stack, or 3.94 if corrected, and a dense operator
+#: dump is one stack or less.
 MAX_Q = (math.isqrt(2**30 // (16 * _CHUNK * _PEAK_STACKS)) - 1) // 2
 
 
@@ -230,15 +255,16 @@ _StepBuilder = Callable[[np.ndarray], np.ndarray]
 
 
 def _strang_kicked_builder(config: SimulationConfig, t0: float, dt: float,
-                           size: int) -> _StepBuilder:
-    """t -> (m, d, d) F diag(k_j) for up to size steps of a run from t0 starting at the times t.
+                           n_steps: int) -> _StepBuilder:
+    """t -> (m, d, d) F diag(k_j) for the steps starting at the times t of an n_steps run from t0.
 
     k_j joins the closing half kick of step j - 1 with the opening half
     kick of step j; the run's first step (t = t0) has only its opening one.
-    Every stack is written into one buffer, valid until the next call.
+    Every stack, of at most min(_CHUNK, n_steps) steps, is written into
+    one buffer, valid until the next call.
     """
     free = _free_step(config.q, config.mu, dt)
-    work = np.empty((size, *free.shape), dtype=complex)
+    work = np.empty((min(_CHUNK, n_steps), *free.shape), dtype=complex)
 
     def build(t: np.ndarray) -> np.ndarray:
         closing = np.cos(config.omega * (t - 0.25 * dt))
@@ -278,62 +304,127 @@ def _chebyshev_nodes(a: float) -> int:
     return _CHUNK + 1
 
 
-def _chebyshev_basis(theta: np.ndarray, m: int) -> np.ndarray:
-    """(len(theta), m) Chebyshev polynomials T_k(cos theta) = cos(k theta), k < m."""
-    return np.cos(np.multiply.outer(theta, np.arange(m)))
+def _chebyshev_basis(theta: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """(len(theta), len(degrees)) Chebyshev polynomials T_k(cos theta) = cos(k theta)."""
+    return np.cos(np.multiply.outer(theta, degrees))
+
+
+def _corrects(n_steps: int, m: int) -> bool:
+    """Whether a tabled magnus2 run of n_steps steps on an m-node table takes the corrected table."""
+    return _EXTENDED_PRECISION and n_steps >= _CORRECTED_STEPS_PER_NODE * m
+
+
+def _correction(coef: np.ndarray, out: np.ndarray) -> int:
+    """Chebyshev coefficients G_k of -U (U^H U - I) / 2, U(x) = sum_k T_k(x) coef_k, into out.
+
+    U has degree M - 1 = len(coef) - 1, so the correction has degree
+    3M - 3, and out must have N = 3M - 2 rows: it is sampled at N
+    Chebyshev nodes, which interpolate it exactly. Returns N', the rows up
+    to the last one with an entry of at least _CORRECTION_FLOOR; U + E,
+    E(x) = sum_{k < N'} T_k(x) G_k, is unitary to about that floor.
+    """
+    m, n = len(coef), len(out)
+    d = math.isqrt(coef.shape[1])
+    # U^H U - I is about 1e-15 and U is about 1, so U is summed and U^H U
+    # formed in extended precision. Two nodes and an eighth of the
+    # coefficient columns at a time keep those temporaries below one stack.
+    # The correction itself is about 1e-16: its product with U and its
+    # coefficients need only double.
+    basis = _chebyshev_basis(np.pi * (np.arange(n, dtype=np.longdouble) + 0.5) / n, np.arange(m))
+    parts = coef.view(float)
+    width = -(-parts.shape[1] // 8)
+    for start in range(0, n, 2):
+        nodes = basis[start:start + 2]
+        u = np.empty((len(nodes), parts.shape[1]), dtype=np.longdouble)
+        for col in range(0, parts.shape[1], width):
+            np.matmul(nodes, parts[:, col:col + width].astype(np.longdouble),
+                      out=u[:, col:col + width])
+        u = u.view(np.clongdouble).reshape(-1, d, d)
+        defect = u.conj().transpose(0, 2, 1) @ u
+        defect.reshape(len(nodes), -1)[:, :: d + 1] -= 1
+        np.matmul(u.astype(complex), defect.astype(complex),
+                  out=out[start:start + 2].reshape(-1, d, d))
+    transform = (-1.0 / n) * _chebyshev_basis(np.pi * (np.arange(n) + 0.5) / n, np.arange(n)).T
+    transform[0] *= 0.5
+    # node values -> coefficients in place, one matrix row of entries at a time
+    values = out.view(float)
+    for col in range(0, values.shape[1], 2 * d):
+        values[:, col:col + 2 * d] = transform @ values[:, col:col + 2 * d]
+    kept = n
+    while kept and np.abs(out[kept - 1]).max() < _CORRECTION_FLOOR:
+        kept -= 1
+    return kept
 
 
 @lru_cache(maxsize=16)
-def _magnus_table(q: int, mu: float, beta: float, dt: float) -> np.ndarray | None:
-    """(M, d*d) Chebyshev coefficients in x of exp(-1j*dt*(K + beta*x*R)) on [-1, 1].
+def _magnus_table(q: int, mu: float, beta: float, dt: float,
+                  corrected: bool = False) -> np.ndarray | None:
+    """(rows, d*d) Chebyshev coefficients in x of exp(-1j*dt*(K + beta*x*R)) on [-1, 1].
 
-    None when M exceeds _CHUNK: the table would then cost more eigh work
-    and memory than one chunk of direct steps.
+    The first M rows are the coefficients C_k of U(x), the interpolant of
+    M node unitaries. corrected appends the N' rows G_k of _correction,
+    which cancel the unitarity defect of U(x) as stored. None when M
+    exceeds _CHUNK: the table would then cost more eigh work and memory
+    than one chunk of direct steps.
     """
     m = _chebyshev_nodes(abs(beta * dt) * q)
     if m > _CHUNK:
         return None
     theta = np.pi * (np.arange(m) + 0.5) / m
     u = _magnus_unitaries(Lattice(q), mu, beta * np.cos(theta), dt)
-    coef = (2.0 / m) * _chebyshev_basis(theta, m).T @ u.reshape(m, -1)
-    coef[0] *= 0.5
-    coef.flags.writeable = False
-    return coef
+    table = np.empty((4 * m - 2 if corrected else m, u[0].size), dtype=complex)
+    np.matmul((2.0 / m) * _chebyshev_basis(theta, np.arange(m)).T, u.reshape(m, -1),
+              out=table[:m])
+    del u  # a stack the correction does not need
+    table[0] *= 0.5
+    if corrected:
+        table = table[:m + _correction(table[:m], table[m:])]
+    table.flags.writeable = False
+    return table
 
 
-def _magnus_builder(config: SimulationConfig, t0: float, dt: float, size: int) -> _StepBuilder:
-    """t -> (m, d, d) exponential-midpoint unitaries for up to size steps starting at the times t.
+def _magnus_builder(config: SimulationConfig, t0: float, dt: float,
+                    n_steps: int) -> _StepBuilder:
+    """t -> (m, d, d) exponential-midpoint unitaries for the steps starting at the times t.
 
     Each step depends on its own start time alone, so t0 is unused.
-    Tabled stacks are written into three buffers allocated here, once, and
-    are valid until the next call; above _CHUNK nodes each call runs its
-    own eigh and allocates its result.
+    Tabled stacks, of at most min(_CHUNK, n_steps) steps, are written into
+    buffers allocated here, once, and are valid until the next call; above
+    _CHUNK nodes each call runs its own eigh and allocates its result.
     """
     lattice = config.lattice
-    coef = _magnus_table(config.q, config.mu, config.beta, dt)
-    if coef is None:
+    m = _chebyshev_nodes(abs(config.beta * dt) * config.q)
+    corrected = _corrects(n_steps, m)
+    table = _magnus_table(config.q, config.mu, config.beta, dt, corrected)
+    if table is None:
         return lambda t: _magnus_unitaries(lattice, config.mu,
                                            config.beta * np.cos(config.omega * (t + 0.5 * dt)), dt)
+    # The interpolant's unitarity defect is a few ulp, set by the node
+    # unitaries' own errors, so it is nearly the same from one step to the
+    # next and the norm drift of a run would grow linearly with its steps,
+    # past the 1e-10 that expectation() accepts after about a million. Either
+    # the table's correction rows cancel it, or each step gets one
+    # Newton-Schulz step, U <- U (3 - U^H U) / 2. Both leave only rounding
+    # that changes from step to step, so the drift grows as a random walk,
+    # as it does with one eigh per step.
+    degrees = np.arange(len(table))
+    degrees[m:] -= m  # the correction rows start again at T_0
     d = lattice.d
-    work = np.empty((3, size, d, d), dtype=complex)
+    work = np.empty((1 if corrected else 3, min(_CHUNK, n_steps), d, d), dtype=complex)
 
     def build(t: np.ndarray) -> np.ndarray:
-        m = len(t)
-        u, g, f = work[:, :m]
+        n = len(t)
+        u = work[0, :n]
         # A real product on the interleaved (re, im) pairs, 3x faster than a complex one.
-        basis = _chebyshev_basis(config.omega * (t + 0.5 * dt), len(coef))
-        np.matmul(basis, coef.view(float), out=u.reshape(m, -1).view(float))
-        # The interpolant's unitarity defect is a few ulp, set by the node
-        # unitaries' own errors, so it is nearly the same from one step to
-        # the next and the norm drift of a run would grow linearly with its
-        # steps, past the 1e-10 that expectation() accepts after about a
-        # million. One Newton-Schulz step, U <- U (3 - U^H U) / 2, leaves
-        # only rounding that changes from step to step, so the drift grows
-        # as a random walk, as it does with one eigh per step.
+        basis = _chebyshev_basis(config.omega * (t + 0.5 * dt), degrees)
+        np.matmul(basis, table.view(float), out=u.reshape(n, -1).view(float))
+        if corrected:
+            return u
+        g, f = work[1:, :n]
         np.conjugate(u, out=g)
         np.matmul(g.transpose(0, 2, 1), u, out=f)
         f *= -0.5
-        f.reshape(m, -1)[:, :: d + 1] += 1.5  # the diagonal
+        f.reshape(n, -1)[:, :: d + 1] += 1.5  # the diagonal
         return np.matmul(u, f, out=g)
 
     return build
@@ -356,7 +447,7 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 # full runs
 
 #: Per method: the maker of the step builder, called with (config, t0, dt,
-#: most steps per stack), and the map from a carried state at time t to the
+#: steps of the run), and the map from a carried state at time t to the
 #: state recorded there (None: the carried state is the state).
 _LOOP = {
     "strang": (_strang_kicked_builder, _strang_closing_kick),
@@ -374,12 +465,11 @@ def _propagate(config: SimulationConfig, psi: np.ndarray, t0: float, dt: float, 
     worst per-step norm defect.
     """
     make_builder, record = _LOOP[config.method]
-    size = min(_CHUNK, n_steps)
-    build = make_builder(config, t0, dt, size)
+    build = make_builder(config, t0, dt, n_steps)
     record_at = set(record_at)
     recorded = {0: psi} if 0 in record_at else {}
     drift = 0.0
-    chunk = np.empty((size, config.lattice.d), dtype=complex)
+    chunk = np.empty((min(_CHUNK, n_steps), config.lattice.d), dtype=complex)
     rows = list(chunk)
     for start in range(0, n_steps, _CHUNK):
         m = min(_CHUNK, n_steps - start)

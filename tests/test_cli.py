@@ -369,6 +369,17 @@ def test_operators_bad_numbers_exit_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [("hamiltonian", "--beta", "1e308"),
+                                   ("kinetic", "--mu", "1e-310"),
+                                   ("price", "--p0", "1e308", "--scale", "10")])
+def test_operators_overflowing_numbers_exit_3(tmp_path, capsys, flags):
+    # finite inputs whose matrix overflows: a numerical failure, not a traceback
+    out = tmp_path / "x.csv"
+    assert main(["operators", "--q", "3", "--which", *flags, "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_operators_via_main(tmp_path):
     out = tmp_path / "kin.csv"
     rc = main(["operators", "--q", "2", "--which", "kinetic", "--out", str(out), "--mu", "1.0"])

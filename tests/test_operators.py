@@ -3,6 +3,7 @@ import pytest
 
 from qlimit import (
     HermitianOperator,
+    NumericalError,
     StateVector,
     delta_state,
     expectation,
@@ -28,7 +29,7 @@ def test_constructor_rejects_non_hermitian():
 
 
 def test_constructor_rejects_non_finite_matrix():
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(NumericalError, match="non-finite"):
         HermitianOperator(new_lattice(1), np.full((3, 3), np.nan))
 
 

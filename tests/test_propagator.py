@@ -25,12 +25,16 @@ from qlimit import (
     tilde_delta,
     upsilon_kappa,
 )
+from qlimit import propagator
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
 from qlimit.propagator import (
     _CHUNK,
+    _CORRECTED_STEPS_PER_NODE,
     _PEAK_STACKS,
     _REFINE,
     MAX_Q,
+    _chebyshev_nodes,
+    _corrects,
     _free_step,
     _magnus_builder,
     _magnus_table,
@@ -303,7 +307,7 @@ def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
     # stacks of the same chunks applied by plain matmul: bit for bit
     cfg = _config(method=method, t_end=100.0, snapshots=(0.0, 17.0, 32.0, 64.0, 97.0, 100.0))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
-    build = _magnus_builder(cfg, 0.0, dt, _CHUNK)
+    build = _magnus_builder(cfg, 0.0, dt, n_steps)
     psi = initial_state(cfg).amplitudes
     expected = {0: psi}
     for start in range(0, n_steps, _CHUNK):
@@ -414,6 +418,15 @@ def test_magnus_evolve_at_large_q_matches_single_steps():
     assert np.abs(traj.states[-1][1].amplitudes - psi).max() < 1e-12
 
 
+def _stacks(build, t):
+    """A builder's stacks for all the times t, built one chunk at a time."""
+    return np.concatenate([build(t[i:i + _CHUNK]).copy() for i in range(0, len(t), _CHUNK)])
+
+
+#: Steps of a run that takes the corrected table whatever its node count.
+_LONG_RUN = _CORRECTED_STEPS_PER_NODE * _CHUNK
+
+
 @pytest.mark.parametrize("q", [1, 10, 30])
 def test_magnus_table_matches_eigh_unitaries(q):
     t = np.linspace(0.0, 2 * np.pi, 49)  # omega = 1: the coupling sweeps [-beta, beta]
@@ -422,8 +435,58 @@ def test_magnus_table_matches_eigh_unitaries(q):
         for dt in (1.0, 0.125, -1.0):
             assert _magnus_table(q, cfg.mu, beta, dt) is not None
             direct = _magnus_unitaries(cfg.lattice, cfg.mu, beta * np.cos(t + 0.5 * dt), dt)
-            stacks = _magnus_builder(cfg, 0.0, dt, len(t))(t)
+            stacks = _stacks(_magnus_builder(cfg, 0.0, dt, len(t)), t)
             assert np.abs(stacks - direct).max() <= 1e-13, (beta, dt)
+
+
+@pytest.mark.parametrize("q", [1, 10, 30])
+def test_corrected_table_matches_polished_stacks(q):
+    # a long run corrects the table once; a short one polishes each step of the same table
+    t = np.linspace(0.0, 2 * np.pi, 49)
+    for beta in (0.0, -0.1, 0.2):
+        cfg = _config(q=q, beta=beta, omega=1.0)
+        for dt in (1.0, 0.125, -1.0):
+            m = _chebyshev_nodes(abs(beta * dt) * q)
+            assert not _corrects(len(t), m) and _corrects(_LONG_RUN, m)
+            polished = _stacks(_magnus_builder(cfg, 0.0, dt, len(t)), t)
+            corrected = _stacks(_magnus_builder(cfg, 0.0, dt, _LONG_RUN), t)
+            assert not np.array_equal(corrected, polished), (beta, dt)
+            assert np.abs(corrected - polished).max() <= 1e-13, (beta, dt)
+
+
+def test_corrected_fig2_day_keeps_norm_drift_small(fig2_config):
+    # polished steps give 5.7e-14 here, the table as stored 6.6e-12
+    cfg = replace(fig2_config, method="magnus2")
+    assert _corrects(cfg.n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q))
+    assert evolve(cfg).norm_drift <= 1e-13
+
+
+def test_plain_double_longdouble_sends_long_runs_to_the_polish(monkeypatch):
+    cfg = _config(omega=1.0)
+    t = np.linspace(0.0, 2 * np.pi, 49)
+    polished = _stacks(_magnus_builder(cfg, 0.0, 1.0, len(t)), t)
+    monkeypatch.setattr(propagator, "_EXTENDED_PRECISION", False)
+    np.testing.assert_array_equal(_stacks(_magnus_builder(cfg, 0.0, 1.0, _LONG_RUN), t), polished)
+
+
+def test_corrected_table_memory_stays_within_the_stacks_max_q_assumes():
+    # 32 nodes at q = 40: the table is allocated with 4 * 32 - 2 rows beside
+    # the one buffer, and the extended-precision temporaries of the
+    # correction are a few matrices
+    cfg = _config(q=40, beta=0.1875, method="magnus2")
+    d = cfg.lattice.d
+    _magnus_table.cache_clear()
+    tracemalloc.start()
+    try:
+        _magnus_builder(cfg, 0.0, cfg.dt, _LONG_RUN)(np.arange(float(_CHUNK)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _CHUNK < len(_magnus_table(cfg.q, cfg.mu, cfg.beta, cfg.dt, True)) <= 4 * _CHUNK - 2
+    stacks = (4 * _CHUNK - 2) / _CHUNK + 1
+    assert stacks <= _PEAK_STACKS
+    stack = 16 * _CHUNK * d * d
+    assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
 
 
 def test_magnus_steps_above_chunk_nodes_use_eigh():
