@@ -5,15 +5,14 @@ hbar = 1, time in seconds, starting from the discrete Gaussian of width
 kappa at market opening (t = 0).
 
 Every method is a product of per-step unitaries U_j, and one loop,
-``_propagate``, runs all three: it builds the (m, d, d) stack of the next
-chunk of step unitaries, applies psi <- U_j psi step by step, each into
-a preallocated row, and checks the chunk's states with one vectorized
-norm. It starts at any time and runs backward for a negative dt;
-``evolve`` and the time-reversibility check both call it. Its step
-builders write every stack into buffers they allocate once per run:
-fresh per-chunk temporaries cost tens of thousands of minor page faults
-a day whenever the allocator hands them back to the system between
-chunks.
+``_propagate``, runs all three. It hands the next chunk of _STATES steps
+to the method's stepper, which writes the state after each step into a
+preallocated row, and checks the chunk's states with one vectorized norm.
+It starts at any time and runs backward for a negative dt; ``evolve`` and
+the time-reversibility check both call it. The steppers write into
+buffers they allocate once per run: fresh per-chunk temporaries cost
+tens of thousands of minor page faults a day whenever the allocator
+hands them back to the system between chunks.
 
 strang
     Split step p1 F p0: half potential phase p0 in the return basis, the
@@ -21,10 +20,14 @@ strang
     (q, mu, dt)), half potential phase p1 again. The two potential
     half-steps sample cos at their own midpoints, t + dt/4 and
     t + 3dt/4, which keeps the scheme second order in the time-dependent
-    coefficient and exactly time reversible. The loop merges the
+    coefficient and exactly time reversible. The stepper merges the
     closing half kick of each step with the opening one of the next
-    (first same as last), so each of its steps is F diag(k_j) with one
-    diagonal kick k_j; the run's first step has only its opening half.
+    (first same as last) into one diagonal kick k_j, applied to the
+    state: psi <- F (k_j * psi), two calls on d-vectors and no d x d
+    matrix built per step. As cos w(t + dt/4) + cos w(t - dt/4) =
+    2 cos(wt) cos(w dt/4), a chunk's kicks are exp(outer(cos(w t), rate))
+    with rate formed once per run: one cos per step. The run's first step
+    has only its opening half.
     The carried state then lacks its last closing half kick,
     exp(-1j*beta*dt/2*cos(omega*(t_k - dt/4))*n), which depends on t_k
     alone and is applied only to the recorded snapshots. ``norm_drift``
@@ -46,8 +49,10 @@ magnus2
     cancels it once: the table gains the Chebyshev coefficients of
     -U (U^H U - I) / 2, formed in extended precision (np.longdouble with
     a 64-bit mantissa; elsewhere every run polishes), and each step is
-    then one real matrix product. The real symmetric Hamiltonian matrices
-    come from the one builder ``operators.hamiltonians``.
+    then one real matrix product. The stepper builds the unitaries as
+    (_CHUNK, d, d) stacks and applies them one by one. The real symmetric
+    Hamiltonian matrices come from the one builder
+    ``operators.hamiltonians``.
 
 reference
     magnus2 run at dt/8, used as the convergence yardstick.
@@ -80,9 +85,15 @@ from .operators import expectation, hamiltonians, rate_operator, trend_operator
 _REFINE = {"strang": 1, "magnus2": 1, "reference": 8}
 METHODS = tuple(_REFINE)
 
-#: Steps per chunk: evolve builds the step unitaries and checks the
-#: states of this many steps at a time.
+#: Steps per stack: magnus2 builds its step unitaries this many at a time.
 _CHUNK = 32
+
+#: States per chunk: evolve runs a method's stepper on, and checks the
+#: norms of, this many steps at a time. Beside its stacks a run holds
+#: (_STATES, d) complex blocks of states and, for strang, of kicks; the
+#: memory test allows 8 (_CHUNK, d) blocks of vectors, which a q = 40
+#: magnus2 run keeps within at 2 _CHUNK states and exceeds at 4 _CHUNK.
+_STATES = 2 * _CHUNK
 
 #: Most integration steps one run may take: bounds the run time of any config.
 _MAX_STEPS = 10**7
@@ -109,7 +120,8 @@ _EXTENDED_PRECISION = np.finfo(np.longdouble).nmant >= 63
 #: of at most _CHUNK matrices and three buffers). Its corrected table is
 #: allocated with M + N = 4M - 2 rows, of which it uses M + N' (35 of 58 at
 #: fig2), so at M = 32 it is 126 matrices, 3.94 stacks, plus one buffer:
-#: 4.94; building it adds temporaries of a few matrices. strang takes 1.
+#: 4.94; building it adds temporaries of a few matrices. strang holds no
+#: stack: its one matrix, F, is 1/_CHUNK of one.
 _PEAK_STACKS = 5
 
 #: Largest price limit q. evolve's memory grows as d^2, d = 2q + 1: its
@@ -229,7 +241,7 @@ def initial_state(config: SimulationConfig) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# step unitaries (one builder per method)
+# steppers and step unitaries (one stepper per method)
 
 def _kinetic_phase(lattice: Lattice, dt: float, mu: float) -> np.ndarray:
     n = lattice.points().astype(float)
@@ -253,26 +265,41 @@ def _half_kicks(config: SimulationConfig, cos: np.ndarray, dt: float) -> np.ndar
 #: A step builder: the (m, d, d) step stack for the steps starting at the times t.
 _StepBuilder = Callable[[np.ndarray], np.ndarray]
 
+#: A stepper: (t, psi, rows) -> psi. It takes the steps starting at the times
+#: t from the carried state psi, writes the state after each into the next of
+#: rows and returns the last.
+_Stepper = Callable[[np.ndarray, np.ndarray, list], np.ndarray]
 
-def _strang_kicked_builder(config: SimulationConfig, t0: float, dt: float,
-                           n_steps: int) -> _StepBuilder:
-    """t -> (m, d, d) F diag(k_j) for the steps starting at the times t of an n_steps run from t0.
+
+def _strang_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int) -> _Stepper:
+    """The stepper of an n_steps strang run from t0: psi <- F (k_j * psi) per step.
 
     k_j joins the closing half kick of step j - 1 with the opening half
-    kick of step j; the run's first step (t = t0) has only its opening one.
-    Every stack, of at most min(_CHUNK, n_steps) steps, is written into
-    one buffer, valid until the next call.
+    kick of step j, exp(cos(w t_j) * rate); the run's first step (t = t0)
+    has only its opening one. The kicks of up to min(_STATES, n_steps)
+    steps are written into one buffer allocated here.
     """
     free = _free_step(config.q, config.mu, dt)
-    work = np.empty((min(_CHUNK, n_steps), *free.shape), dtype=complex)
+    n = config.lattice.points()
+    # cos w(t + dt/4) + cos w(t - dt/4) = 2 cos(wt) cos(w dt/4)
+    rate = (-1j * config.beta * dt * math.cos(0.25 * config.omega * dt) * n)[None, :]
+    # cos(w t) as a complex column: the outer product with rate is then one
+    # matmul, which, unlike a broadcast multiply, allocates no ufunc buffers
+    cos = np.zeros((min(_STATES, n_steps), 1), dtype=complex)
+    kicks = np.empty((len(cos), len(n)), dtype=complex)
+    kicked = np.empty(len(n), dtype=complex)
 
-    def build(t: np.ndarray) -> np.ndarray:
-        closing = np.cos(config.omega * (t - 0.25 * dt))
-        closing[t == t0] = 0.0
-        kicks = _half_kicks(config, np.cos(config.omega * (t + 0.25 * dt)) + closing, dt)
-        return np.multiply(free, kicks[:, None, :], out=work[:len(t)])
+    def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
+        np.cos(config.omega * t, out=cos[:len(t), 0].real)
+        k = np.matmul(cos[:len(t)], rate, out=kicks[:len(t)])
+        np.exp(k, out=k)
+        if t[0] == t0:
+            k[0] = _half_kicks(config, np.cos(config.omega * (t0 + 0.25 * dt)), dt)
+        for k_j, row in zip(k, rows):
+            psi = free.dot(np.multiply(k_j, psi, out=kicked), out=row)
+        return psi
 
-    return build
+    return step
 
 
 def _strang_closing_kick(config: SimulationConfig, psi: np.ndarray, t: float,
@@ -446,13 +473,26 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 # ---------------------------------------------------------------------------
 # full runs
 
-#: Per method: the maker of the step builder, called with (config, t0, dt,
-#: steps of the run), and the map from a carried state at time t to the
-#: state recorded there (None: the carried state is the state).
+def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int) -> _Stepper:
+    """The stepper of an n_steps magnus2 run: psi <- U_j psi, stacks built _CHUNK steps at a time."""
+    build = _magnus_builder(config, t0, dt, n_steps)
+
+    def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
+        for start in range(0, len(t), _CHUNK):
+            for u, row in zip(build(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
+                psi = u.dot(psi, out=row)
+        return psi
+
+    return step
+
+
+#: Per method: the maker of the stepper, called with (config, t0, dt, steps
+#: of the run), and the map from a carried state at time t to the state
+#: recorded there (None: the carried state is the state).
 _LOOP = {
-    "strang": (_strang_kicked_builder, _strang_closing_kick),
-    "magnus2": (_magnus_builder, None),
-    "reference": (_magnus_builder, None),
+    "strang": (_strang_stepper, _strang_closing_kick),
+    "magnus2": (_magnus_stepper, None),
+    "reference": (_magnus_stepper, None),
 }
 
 
@@ -464,26 +504,27 @@ def _propagate(config: SimulationConfig, psi: np.ndarray, t0: float, dt: float, 
     the steps k in record_at (k = 0 is psi itself), keyed by k, and the
     worst per-step norm defect.
     """
-    make_builder, record = _LOOP[config.method]
-    build = make_builder(config, t0, dt, n_steps)
+    make_stepper, record = _LOOP[config.method]
+    step = make_stepper(config, t0, dt, n_steps)
     record_at = set(record_at)
     recorded = {0: psi} if 0 in record_at else {}
     drift = 0.0
-    chunk = np.empty((min(_CHUNK, n_steps), config.lattice.d), dtype=complex)
+    chunk = np.empty((min(_STATES, n_steps), config.lattice.d), dtype=complex)
     rows = list(chunk)
-    for start in range(0, n_steps, _CHUNK):
-        m = min(_CHUNK, n_steps - start)
-        for u, row in zip(build(t0 + (start + np.arange(m)) * dt), rows):
-            psi = u.dot(psi, out=row)
-        norms = np.linalg.norm(chunk[:m], axis=1)
-        bad = np.flatnonzero(~np.isfinite(norms))
-        if bad.size:
+    for start in range(0, n_steps, _STATES):
+        m = min(_STATES, n_steps - start)
+        psi = step(t0 + (start + np.arange(m)) * dt, psi, rows)
+        parts = chunk[:m].view(float)
+        norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+        defect = float(np.abs(1.0 - norms).max())  # not finite if any state is not
+        if not math.isfinite(defect):
+            bad = np.flatnonzero(~np.isfinite(norms))
             raise PropagationError(start + int(bad[0]), "state became non-finite")
-        drift = max(drift, float(np.abs(1.0 - norms).max()))
-        for step in record_at.intersection(range(start + 1, start + m + 1)):
-            state = chunk[step - start - 1]
-            recorded[step] = (state.copy() if record is None
-                              else record(config, state, t0 + step * dt, dt))
+        drift = max(drift, defect)
+        for k in record_at.intersection(range(start + 1, start + m + 1)):
+            state = chunk[k - start - 1]
+            recorded[k] = (state.copy() if record is None
+                           else record(config, state, t0 + k * dt, dt))
     return recorded, drift
 
 

@@ -32,15 +32,18 @@ from qlimit.propagator import (
     _CORRECTED_STEPS_PER_NODE,
     _PEAK_STACKS,
     _REFINE,
+    _STATES,
     MAX_Q,
     _chebyshev_nodes,
     _corrects,
     _free_step,
     _magnus_builder,
+    _magnus_stepper,
     _magnus_table,
     _magnus_unitaries,
+    _propagate,
     _strang_closing_kick,
-    _strang_kicked_builder,
+    _strang_stepper,
 )
 
 
@@ -134,25 +137,26 @@ def _unmerged_strang_step(cfg, psi, t, dt):
     return StateVector(cfg.lattice, kick(t + 0.75 * dt, free.amplitudes))
 
 
-def _one_step(make_builder, cfg, psi, t, dt):
-    return make_builder(cfg, t, dt, 1)(np.array([t]))[0] @ psi.amplitudes
+def _one_step(make_stepper, cfg, psi, t, dt):
+    row = np.empty_like(psi.amplitudes)
+    return make_stepper(cfg, t, dt, 1)(np.array([t]), psi.amplitudes, [row])
 
 
 def _strang_step(cfg, psi, t, dt):
-    """One whole strang step: the builder's opening stack, then the closing half kick."""
-    opened = _one_step(_strang_kicked_builder, cfg, psi, t, dt)
+    """One whole strang step: the stepper's opening step, then the closing half kick."""
+    opened = _one_step(_strang_stepper, cfg, psi, t, dt)
     return StateVector(cfg.lattice, _strang_closing_kick(cfg, opened, t + dt, dt))
 
 
 def _magnus_step(cfg, psi, t, dt):
-    return StateVector(cfg.lattice, _one_step(_magnus_builder, cfg, psi, t, dt))
+    return StateVector(cfg.lattice, _one_step(_magnus_stepper, cfg, psi, t, dt))
 
 
 def test_strang_step_is_exact_for_free_evolution():
     cfg = _config(beta=0.0)
     psi = initial_state(cfg)
     for dt in (0.5, 1.0, 7.3):
-        stepped = _one_step(_strang_kicked_builder, cfg, psi, 0.0, dt)
+        stepped = _one_step(_strang_stepper, cfg, psi, 0.0, dt)
         exact = exact_free_evolution(psi, dt, cfg.mu)
         assert np.abs(stepped - exact.amplitudes).max() < 1e-14
 
@@ -160,7 +164,7 @@ def test_strang_step_is_exact_for_free_evolution():
 def test_strang_step_with_zero_dt_is_identity():
     cfg = _config()
     psi = initial_state(cfg)
-    stepped = _one_step(_strang_kicked_builder, cfg, psi, 100.0, 0.0)
+    stepped = _one_step(_strang_stepper, cfg, psi, 100.0, 0.0)
     assert np.abs(stepped - psi.amplitudes).max() < 1e-14
 
 
@@ -203,7 +207,7 @@ def test_magnus_step_matches_taylor_exponential():
     for t in (0.0, 250.0):
         h = hamiltonian_at(cfg.lattice, t + dt / 2, cfg.mu, cfg.beta, cfg.omega).matrix
         oracle = _taylor_expm_apply(h, dt, psi.amplitudes)
-        stepped = _one_step(_magnus_builder, cfg, psi, t, dt)
+        stepped = _one_step(_magnus_stepper, cfg, psi, t, dt)
         assert np.abs(stepped - oracle).max() < 1e-13
 
 
@@ -211,7 +215,7 @@ def test_magnus_step_is_exact_for_time_independent_hamiltonian():
     cfg = _config(beta=0.0)
     psi = initial_state(cfg)
     for dt in (1.0, 13.7):
-        stepped = _one_step(_magnus_builder, cfg, psi, 5.0, dt)
+        stepped = _one_step(_magnus_stepper, cfg, psi, 5.0, dt)
         exact = exact_free_evolution(psi, dt, cfg.mu)
         assert np.abs(stepped - exact.amplitudes).max() < 1e-12
 
@@ -303,18 +307,24 @@ def test_evolve_magnus_equals_repeated_steps():
 
 @pytest.mark.parametrize("method", ["magnus2", "reference"])
 def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
-    # the loop (u.dot(psi, out=row) into preallocated rows) against the
-    # stacks of the same chunks applied by plain matmul: bit for bit
+    # the stepper (u.dot(psi, out=row) into preallocated rows, _CHUNK steps
+    # per stack, _STATES per call) against the builder's stacks applied one
+    # by one by plain matmul: bit for bit, in every state of the stepper,
+    # whose last stack is partial, and in evolve's snapshots
     cfg = _config(method=method, t_end=100.0, snapshots=(0.0, 17.0, 32.0, 64.0, 97.0, 100.0))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
     build = _magnus_builder(cfg, 0.0, dt, n_steps)
-    psi = initial_state(cfg).amplitudes
-    expected = {0: psi}
+    expected = [initial_state(cfg).amplitudes]
     for start in range(0, n_steps, _CHUNK):
-        t = (start + np.arange(min(_CHUNK, n_steps - start))) * dt
-        for j, u in enumerate(build(t)):
-            psi = np.matmul(u, psi)
-            expected[start + j + 1] = psi
+        for u in build((start + np.arange(min(_CHUNK, n_steps - start))) * dt):
+            expected.append(np.matmul(u, expected[-1]))
+    step = _magnus_stepper(cfg, 0.0, dt, n_steps)
+    psi = expected[0]
+    rows = list(np.empty((_STATES, cfg.lattice.d), dtype=complex))
+    for start in range(0, n_steps, _STATES):
+        m = min(_STATES, n_steps - start)
+        psi = step((start + np.arange(m)) * dt, psi, rows)
+        np.testing.assert_array_equal(rows[:m], expected[start + 1:start + m + 1])
     states = evolve(cfg).states
     assert [t for t, _ in states] == list(cfg.snapshots)
     for t, state in states:
@@ -323,8 +333,8 @@ def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
 
 def test_evolve_strang_snapshots_across_chunks_match_single_steps():
     # merged half kicks: the recorded states get their closing half kick back,
-    # at a chunk boundary (32, 64), inside a chunk (17) and in the last,
-    # partial chunk (97, 100)
+    # at the end of a chunk of states (64), inside one (17, 32) and in the
+    # last, partial one (97, 100)
     snaps = (0.0, 17.0, 32.0, 64.0, 97.0, 100.0)
     cfg = _config(t_end=100.0, snapshots=snaps)
     recorded = dict(evolve(cfg).states)
@@ -336,13 +346,43 @@ def test_evolve_strang_snapshots_across_chunks_match_single_steps():
         psi = _unmerged_strang_step(cfg, psi, float(i), 1.0)
 
 
-@pytest.mark.parametrize("make_builder", [_strang_kicked_builder, _magnus_builder])
+def test_backward_strang_run_matches_single_steps():
+    # from t0 = 200 back to 50, over more than two chunks of states: the
+    # first step (at t0) has only its opening half kick, whatever the sign of dt
+    cfg = _config()
+    psi = initial_state(cfg)
+    recorded, _ = _propagate(cfg, psi.amplitudes, 200.0, -1.0, 150, {1, _STATES, 150})
+    for i in range(150):
+        psi = _unmerged_strang_step(cfg, psi, 200.0 - i, -1.0)
+        if i + 1 in recorded:
+            assert np.abs(recorded[i + 1] - psi.amplitudes).max() <= 1e-13, i + 1
+    assert sorted(recorded) == [1, _STATES, 150]
+
+
+@pytest.mark.parametrize("make_builder", [_magnus_builder])
 def test_evolve_builders_reuse_one_workspace_across_chunks(make_builder):
     build = make_builder(_config(), 0.0, 1.0, _CHUNK)
     first = build(np.arange(float(_CHUNK)))
     second = build(_CHUNK + np.arange(5.0))
     assert second.shape == (5, 21, 21)
     assert np.shares_memory(first, second)
+
+
+def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
+    # a fresh (_STATES, d) block of kicks per chunk, or the ufunc buffers of a
+    # broadcast multiply, would take 16 _STATES d bytes or more
+    cfg = _config()
+    d = cfg.lattice.d
+    step = _strang_stepper(cfg, 0.0, 1.0, 2 * _STATES)
+    rows = list(np.empty((_STATES, d), dtype=complex))
+    psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
+    tracemalloc.start()
+    try:
+        step(_STATES + np.arange(float(_STATES)), psi, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _STATES * d, peak
 
 
 _FAULT_PROBE = """
@@ -366,7 +406,8 @@ def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
     # on the heap's history, so the probe runs in a fresh interpreter. This
     # does not catch every reallocation: memory the heap keeps is reused
     # without faults. test_evolve_builders_reuse_one_workspace_across_chunks
-    # checks the reuse itself.
+    # and test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks
+    # check the reuse itself.
     pytest.importorskip("resource")
     src = str(Path(qlimit.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -378,19 +419,22 @@ def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
     assert max(faults.values()) < 2000, faults
 
 
-@pytest.mark.parametrize("method, beta, t_end, nodes, stacks", [
-    ("strang", 0.1, 64.0, None, 1),
+@pytest.mark.parametrize("method, beta, chunk_time, nodes, stacks", [
+    ("strang", 0.1, 64.0, None, 0.25),
     ("magnus2", 0.1875, 64.0, _CHUNK, 4),  # the largest table
     ("magnus2", 0.25, 64.0, None, 4.5),    # one eigh per step
     ("reference", 1.5, 8.0, _CHUNK, 4),
 ])
-def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, t_end, nodes, stacks):
+def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk_time, nodes,
+                                                             stacks):
     # MAX_Q keeps _PEAK_STACKS (_CHUNK, d, d) complex stacks within 1 GiB;
     # a run that held more would break that bound. The allowance on top of
     # each path's stacks is a few (_CHUNK, d) blocks of vectors: states,
-    # kicks, eigenvalues.
+    # kicks, eigenvalues. Each run fills two chunks of states (chunk_time
+    # each) and starts a third, so every buffer has been reused.
     assert stacks <= _PEAK_STACKS
-    cfg = _config(q=40, beta=beta, method=method, t_end=t_end, snapshots=None)
+    cfg = _config(q=40, beta=beta, method=method, t_end=2.25 * chunk_time, snapshots=None)
+    assert chunk_time * _REFINE[method] == _STATES * cfg.dt
     d = cfg.lattice.d
     _free_step.cache_clear()
     _magnus_table.cache_clear()
@@ -525,10 +569,15 @@ def test_evolve_is_deterministic(method):
 
 @pytest.mark.parametrize("method", ["strang", "magnus2"])
 def test_evolve_reports_step_of_numerical_blowup(method, time_limit):
-    cfg = _config(beta=1e308, t_end=5.0, snapshots=(5.0,), method=method)
-    with time_limit(10), np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(PropagationError, match="step 0"):
-            evolve(cfg)
+    # beta = 1e308 overflows the phases of the first step. omega = 4e306
+    # overflows omega * t from t = 45 on, at both t and t + dt/2, which blows
+    # up step 45: in the second stack of the first chunk of states.
+    assert _CHUNK <= 45 < _STATES
+    for beta, omega, step in ((1e308, 0.0002, 0), (0.0, 4e306, 45)):
+        cfg = _config(beta=beta, omega=omega, t_end=100.0, snapshots=(100.0,), method=method)
+        with time_limit(10), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PropagationError, match=f"step {step}:"):
+                evolve(cfg)
 
 
 def test_package_caches_stay_bounded_in_parameter_sweeps():
