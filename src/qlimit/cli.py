@@ -293,9 +293,9 @@ def cmd_operators(
     pts = lattice.points()
     header = "k," + ",".join(f"re[{n}],im[{n}]" for n in pts)
     lines = [header]
-    for i, k in enumerate(pts):
-        row = op.matrix[i]
-        cells = ",".join(f"{_fmt(row[j].real)},{_fmt(row[j].imag)}" for j in range(lattice.d))
+    # tolist gives Python floats, whose repr is _fmt's, without a NumPy scalar per cell
+    for k, re, im in zip(pts, op.matrix.real.tolist(), op.matrix.imag.tolist()):
+        cells = ",".join(f"{a!r},{b!r}" for a, b in zip(re, im))
         lines.append(f"{k},{cells}")
     path = Path(out)
     path.write_text("\n".join(lines) + "\n")

@@ -19,6 +19,7 @@ cross-checks and state construction.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -77,8 +78,8 @@ def theta3(args: ThetaArgs, tol: float = 1e-12) -> complex:
     total = 1.0 + 0j
     a = 1
     while True:
-        quad = np.exp(1j * math.pi * tau * a * a)
-        total += quad * (np.exp(2j * math.pi * a * z) + np.exp(-2j * math.pi * a * z))
+        quad = cmath.exp(1j * math.pi * tau * a * a)
+        total += quad * (cmath.exp(2j * math.pi * a * z) + cmath.exp(-2j * math.pi * a * z))
         # bound on the next pair of terms, and the ratio of consecutive bounds
         bound = 2.0 * math.exp(-math.pi * im_tau * (a + 1) ** 2 + 2.0 * math.pi * im_z * (a + 1))
         ratio = math.exp(-math.pi * im_tau * (2 * a + 3) + 2.0 * math.pi * im_z)

@@ -41,18 +41,20 @@ magnus2
     x, built from M node unitaries, and each step's U is a sum of M
     coefficient matrices. M is the fewest nodes whose interpolation error
     bound is below 1e-16; when that is more than one chunk of steps, each
-    step's U comes from its own eigendecomposition instead. The stored
+    step's U comes from its own eigendecomposition instead.
+    The nodes pair up as x, -x, and J H(c) J = H(-c) exactly (J the flip
+    n -> -n), so one eigh serves each pair: U(-x) = J U(x) J. The stored
     table has a fixed unitarity defect of a few ulp, which would make the
     norm drift grow linearly with the steps. A run of fewer than 256 M
-    steps cancels it per step with one Newton-Schulz step,
-    U <- U (3 - U^H U) / 2 (two batched complex products). A longer run
-    cancels it once: the table gains the Chebyshev coefficients of
-    -U (U^H U - I) / 2, formed in extended precision (np.longdouble with
-    a 64-bit mantissa; elsewhere every run polishes), and each step is
-    then one real matrix product. The stepper builds the unitaries as
-    (_CHUNK, d, d) stacks and applies them one by one. The real symmetric
-    Hamiltonian matrices come from the one builder
-    ``operators.hamiltonians``.
+    steps cancels it per step with one Newton-Schulz step applied to the
+    state, psi <- U (3 - U^H U) psi / 2 = 1.5 v - 0.5 U (U^H v), v = U psi:
+    three products on d-vectors. A longer run cancels it once: the table
+    gains the Chebyshev coefficients of -U (U^H U - I) / 2, formed in
+    extended precision (np.longdouble with a 64-bit mantissa; elsewhere
+    every run polishes), and each step is then one real matrix product.
+    The stepper builds the unitaries as (_CHUNK, d, d) stacks and applies
+    them one by one. The real symmetric Hamiltonian matrices come from the
+    one builder ``operators.hamiltonians``.
 
 reference
     magnus2 run at dt/8, used as the convergence yardstick.
@@ -100,8 +102,10 @@ _MAX_STEPS = 10**7
 
 #: A tabled magnus2 run of at least this many steps per table node cancels
 #: its table's unitarity defect once, with correction rows, instead of
-#: polishing every step (_corrects): building the rows costs as much as 35
-#: (M = 1) to 133 (M = 29) polished steps per node at q = 10 to 60.
+#: polishing every step (_corrects): building the rows costs as much as 107
+#: to 155 state-polished steps per node at q = 10 (M = 15) and about 1 200
+#: at q = 20 (M = 24); at q = 30 (M = 29) a corrected step costs no less
+#: than a polished one.
 _CORRECTED_STEPS_PER_NODE = 256
 
 #: Trailing correction rows whose entries are all below this are dropped.
@@ -116,12 +120,13 @@ _EXTENDED_PRECISION = np.finfo(np.longdouble).nmant >= 63
 #: Most memory evolve holds at once in (_CHUNK, d, d) complex stacks, besides
 #: vectors: magnus2's per-step eigh fallback keeps the previous chunk's
 #: stack, the real eigenvectors (half a stack), their complex cast and two
-#: complex products, 4.5 in all. Polished tabled magnus2 takes 4 (its table
-#: of at most _CHUNK matrices and three buffers). Its corrected table is
-#: allocated with M + N = 4M - 2 rows, of which it uses M + N' (35 of 58 at
-#: fig2), so at M = 32 it is 126 matrices, 3.94 stacks, plus one buffer:
-#: 4.94; building it adds temporaries of a few matrices. strang holds no
-#: stack: its one matrix, F, is 1/_CHUNK of one.
+#: complex products, 4.5 in all. Polished tabled magnus2 takes 3: its table
+#: of at most _CHUNK matrices plus two stacks, the step unitaries and their
+#: conjugates for the polish. Its corrected table is allocated with
+#: M + N = 4M - 2 rows, of which it uses M + N' (35 of 58 at fig2), so at
+#: M = 32 it is 126 matrices, 3.94 stacks, plus one buffer: 4.94; building
+#: it adds temporaries of a few matrices. strang holds no stack: its one
+#: matrix, F, is 1/_CHUNK of one.
 _PEAK_STACKS = 5
 
 #: Largest price limit q. evolve's memory grows as d^2, d = 2q + 1: its
@@ -331,9 +336,11 @@ def _chebyshev_nodes(a: float) -> int:
     return _CHUNK + 1
 
 
-def _chebyshev_basis(theta: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """(len(theta), len(degrees)) Chebyshev polynomials T_k(cos theta) = cos(k theta)."""
-    return np.cos(np.multiply.outer(theta, degrees))
+def _chebyshev_basis(theta: np.ndarray, degrees: np.ndarray, out=None) -> np.ndarray:
+    """(len(theta), len(degrees)) Chebyshev polynomials T_k(cos theta) = cos(k theta), into out."""
+    # the outer product as a matmul: a broadcast multiply allocates ufunc buffers
+    basis = np.matmul(theta[:, None], degrees[None, :], out=out)
+    return np.cos(basis, out=basis)
 
 
 def _corrects(n_steps: int, m: int) -> bool:
@@ -383,6 +390,17 @@ def _correction(coef: np.ndarray, out: np.ndarray) -> int:
     return kept
 
 
+def _magnus_nodes(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
+                  m: int) -> np.ndarray:
+    """(m, d, d) unitaries at the m Chebyshev nodes, given the couplings of the first ceil(m/2).
+
+    Node m - 1 - i has the coupling -c_i, and J H(c) J = H(-c) exactly,
+    J the flip n -> -n, so U(-c) = J U(c) J: one eigh per pair.
+    """
+    half = _magnus_unitaries(lattice, mu, coupling, dt)
+    return np.concatenate([half, half[:m // 2][::-1, ::-1, ::-1]])
+
+
 @lru_cache(maxsize=16)
 def _magnus_table(q: int, mu: float, beta: float, dt: float,
                   corrected: bool = False) -> np.ndarray | None:
@@ -398,7 +416,7 @@ def _magnus_table(q: int, mu: float, beta: float, dt: float,
     if m > _CHUNK:
         return None
     theta = np.pi * (np.arange(m) + 0.5) / m
-    u = _magnus_unitaries(Lattice(q), mu, beta * np.cos(theta), dt)
+    u = _magnus_nodes(Lattice(q), mu, beta * np.cos(theta[:(m + 1) // 2]), dt, m)
     table = np.empty((4 * m - 2 if corrected else m, u[0].size), dtype=complex)
     np.matmul((2.0 / m) * _chebyshev_basis(theta, np.arange(m)).T, u.reshape(m, -1),
               out=table[:m])
@@ -418,41 +436,28 @@ def _magnus_builder(config: SimulationConfig, t0: float, dt: float,
     Tabled stacks, of at most min(_CHUNK, n_steps) steps, are written into
     buffers allocated here, once, and are valid until the next call; above
     _CHUNK nodes each call runs its own eigh and allocates its result.
+    A table without correction rows leaves its unitarity defect to the
+    stepper's per-step polish.
     """
     lattice = config.lattice
     m = _chebyshev_nodes(abs(config.beta * dt) * config.q)
-    corrected = _corrects(n_steps, m)
-    table = _magnus_table(config.q, config.mu, config.beta, dt, corrected)
+    table = _magnus_table(config.q, config.mu, config.beta, dt, _corrects(n_steps, m))
     if table is None:
         return lambda t: _magnus_unitaries(lattice, config.mu,
                                            config.beta * np.cos(config.omega * (t + 0.5 * dt)), dt)
-    # The interpolant's unitarity defect is a few ulp, set by the node
-    # unitaries' own errors, so it is nearly the same from one step to the
-    # next and the norm drift of a run would grow linearly with its steps,
-    # past the 1e-10 that expectation() accepts after about a million. Either
-    # the table's correction rows cancel it, or each step gets one
-    # Newton-Schulz step, U <- U (3 - U^H U) / 2. Both leave only rounding
-    # that changes from step to step, so the drift grows as a random walk,
-    # as it does with one eigh per step.
-    degrees = np.arange(len(table))
+    degrees = np.arange(len(table), dtype=float)  # as int64 they would be cast per call
     degrees[m:] -= m  # the correction rows start again at T_0
-    d = lattice.d
-    work = np.empty((1 if corrected else 3, min(_CHUNK, n_steps), d, d), dtype=complex)
+    size = min(_CHUNK, n_steps)
+    basis = np.empty((size, len(table)))
+    work = np.empty((size, lattice.d, lattice.d), dtype=complex)
 
     def build(t: np.ndarray) -> np.ndarray:
         n = len(t)
-        u = work[0, :n]
+        u = work[:n]
         # A real product on the interleaved (re, im) pairs, 3x faster than a complex one.
-        basis = _chebyshev_basis(config.omega * (t + 0.5 * dt), degrees)
-        np.matmul(basis, table.view(float), out=u.reshape(n, -1).view(float))
-        if corrected:
-            return u
-        g, f = work[1:, :n]
-        np.conjugate(u, out=g)
-        np.matmul(g.transpose(0, 2, 1), u, out=f)
-        f *= -0.5
-        f.reshape(n, -1)[:, :: d + 1] += 1.5  # the diagonal
-        return np.matmul(u, f, out=g)
+        b = _chebyshev_basis(config.omega * (t + 0.5 * dt), degrees, out=basis[:n])
+        np.matmul(b, table.view(float), out=u.reshape(n, -1).view(float))
+        return u
 
     return build
 
@@ -474,16 +479,44 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 # full runs
 
 def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int) -> _Stepper:
-    """The stepper of an n_steps magnus2 run: psi <- U_j psi, stacks built _CHUNK steps at a time."""
-    build = _magnus_builder(config, t0, dt, n_steps)
+    """The stepper of an n_steps magnus2 run: psi <- U_j psi, stacks built _CHUNK steps at a time.
 
-    def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
+    The interpolant's unitarity defect is a few ulp, set by the node
+    unitaries' own errors, so it is nearly the same from one step to the
+    next and the norm drift of a run would grow linearly with its steps,
+    past the 1e-10 that expectation() accepts after about a million. Either
+    the table's correction rows cancel it, or each step applies one
+    Newton-Schulz step to the state, psi <- U (3 - U^H U) psi / 2. Both
+    leave only rounding that changes from step to step, so the drift grows
+    as a random walk, as it does with one eigh per step.
+    """
+    build = _magnus_builder(config, t0, dt, n_steps)
+    m = _chebyshev_nodes(abs(config.beta * dt) * config.q)
+    if m > _CHUNK or _corrects(n_steps, m):
+        def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
+            for start in range(0, len(t), _CHUNK):
+                for u, row in zip(build(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
+                    psi = u.dot(psi, out=row)
+            return psi
+
+        return step
+
+    d = config.lattice.d
+    conj = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
+    v, w, x = np.empty((3, d), dtype=complex)
+
+    def polished(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
         for start in range(0, len(t), _CHUNK):
-            for u, row in zip(build(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
-                psi = u.dot(psi, out=row)
+            u = build(t[start:start + _CHUNK])
+            g = np.conjugate(u, out=conj[:len(u)])  # g[j].T is U_j^H
+            for u_j, g_j, row in zip(u, g, rows[start:start + _CHUNK]):
+                u_j.dot(psi, out=v)
+                g_j.T.dot(v, out=w)
+                np.multiply(u_j.dot(w, out=x), 0.5, out=x)
+                psi = np.subtract(np.multiply(v, 1.5, out=row), x, out=row)
         return psi
 
-    return step
+    return polished
 
 
 #: Per method: the maker of the stepper, called with (config, t0, dt, steps

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlimit
 from qlimit import (
     ConfigError,
     SimulationConfig,
@@ -337,6 +342,39 @@ def test_operators_hamiltonian_dump(tmp_path):
 
     expected = hamiltonian_at(new_lattice(3), 0.0, 2.0, 0.1, 0.0002).matrix
     assert np.abs(dumped - expected).max() < 1e-15
+
+
+def test_operators_dump_matches_per_cell_repr(tmp_path):
+    # the bytes of the per-cell formatting, repr(float(x)) of each NumPy entry
+    out = tmp_path / "h.csv"
+    cmd_operators(5, "hamiltonian", out, mu=0.7, beta=0.3, omega=0.01, t=17.0)
+    from qlimit import hamiltonian_at
+
+    lattice = new_lattice(5)
+    matrix = hamiltonian_at(lattice, 17.0, 0.7, 0.3, 0.01).matrix
+    lines = ["k," + ",".join(f"re[{n}],im[{n}]" for n in lattice.points())]
+    for k, row in zip(lattice.points(), matrix):
+        cells = ",".join(f"{repr(float(x.real))},{repr(float(x.imag))}" for x in row)
+        lines.append(f"{k},{cells}")
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_python_m_qlimit_runs_the_cli(tmp_path):
+    # a source tree on PYTHONPATH, without the installed entry point
+    src = str(Path(qlimit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = tmp_path / "rate.csv"
+    for q, code in (("1", 0), ("0", 2)):
+        argv = ["operators", "--q", q, "--which", "rate", "--out", str(out)]
+        run = subprocess.run([sys.executable, "-m", "qlimit", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == code, run.stderr
+    assert out.read_text().startswith("k,re[-1],im[-1]")
+    probe = "import sys, qlimit.cli; print('qlimit.__main__' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_operators_unwritable_path_is_io_error():

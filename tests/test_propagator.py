@@ -38,6 +38,7 @@ from qlimit.propagator import (
     _corrects,
     _free_step,
     _magnus_builder,
+    _magnus_nodes,
     _magnus_stepper,
     _magnus_table,
     _magnus_unitaries,
@@ -307,24 +308,23 @@ def test_evolve_magnus_equals_repeated_steps():
 
 @pytest.mark.parametrize("method", ["magnus2", "reference"])
 def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
-    # the stepper (u.dot(psi, out=row) into preallocated rows, _CHUNK steps
-    # per stack, _STATES per call) against the builder's stacks applied one
-    # by one by plain matmul: bit for bit, in every state of the stepper,
-    # whose last stack is partial, and in evolve's snapshots
+    # the stepper (.dot into preallocated rows and vectors, _CHUNK steps per
+    # stack, _STATES per call) against the builder's stacks applied one by
+    # one by plain matmul, with the Newton-Schulz polish of these short runs,
+    # 1.5 v - 0.5 U (U^H v), written out: bit for bit, in every state of the
+    # stepper, whose last stack is partial, and in evolve's snapshots
     cfg = _config(method=method, t_end=100.0, snapshots=(0.0, 17.0, 32.0, 64.0, 97.0, 100.0))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
+    assert not _corrects(n_steps, _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q))
     build = _magnus_builder(cfg, 0.0, dt, n_steps)
     expected = [initial_state(cfg).amplitudes]
     for start in range(0, n_steps, _CHUNK):
         for u in build((start + np.arange(min(_CHUNK, n_steps - start))) * dt):
-            expected.append(np.matmul(u, expected[-1]))
-    step = _magnus_stepper(cfg, 0.0, dt, n_steps)
-    psi = expected[0]
-    rows = list(np.empty((_STATES, cfg.lattice.d), dtype=complex))
-    for start in range(0, n_steps, _STATES):
-        m = min(_STATES, n_steps - start)
-        psi = step((start + np.arange(m)) * dt, psi, rows)
-        np.testing.assert_array_equal(rows[:m], expected[start + 1:start + m + 1])
+            v = np.matmul(u, expected[-1])
+            expected.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
+    states = _states(_magnus_stepper(cfg, 0.0, dt, n_steps), np.arange(n_steps) * dt,
+                     expected[0])
+    np.testing.assert_array_equal(states, expected[1:])
     states = evolve(cfg).states
     assert [t for t, _ in states] == list(cfg.snapshots)
     for t, state in states:
@@ -374,6 +374,27 @@ def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
     cfg = _config()
     d = cfg.lattice.d
     step = _strang_stepper(cfg, 0.0, 1.0, 2 * _STATES)
+    rows = list(np.empty((_STATES, d), dtype=complex))
+    psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
+    tracemalloc.start()
+    try:
+        step(_STATES + np.arange(float(_STATES)), psi, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _STATES * d, peak
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(corrected):
+    # a tabled chunk after the first allocates no stack, basis or ufunc
+    # buffers: a broadcast outer product of times and int64 degrees
+    # allocated 28 kB per stack
+    cfg = _config()
+    d = cfg.lattice.d
+    n_steps = _LONG_RUN if corrected else 2 * _STATES
+    assert _corrects(n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q)) == corrected
+    step = _magnus_stepper(cfg, 0.0, 1.0, n_steps)
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
     tracemalloc.start()
@@ -467,6 +488,14 @@ def _stacks(build, t):
     return np.concatenate([build(t[i:i + _CHUNK]).copy() for i in range(0, len(t), _CHUNK)])
 
 
+def _states(step, t, psi):
+    """A stepper's states after each of the steps starting at the times t, _STATES per call."""
+    rows = np.empty((len(t), len(psi)), dtype=complex)
+    for i in range(0, len(t), _STATES):
+        psi = step(t[i:i + _STATES], psi, list(rows[i:i + _STATES]))
+    return rows
+
+
 #: Steps of a run that takes the corrected table whatever its node count.
 _LONG_RUN = _CORRECTED_STEPS_PER_NODE * _CHUNK
 
@@ -485,15 +514,17 @@ def test_magnus_table_matches_eigh_unitaries(q):
 
 @pytest.mark.parametrize("q", [1, 10, 30])
 def test_corrected_table_matches_polished_stacks(q):
-    # a long run corrects the table once; a short one polishes each step of the same table
+    # a long run corrects the table once; a short one polishes each step's
+    # state with the same table: their states agree
     t = np.linspace(0.0, 2 * np.pi, 49)
     for beta in (0.0, -0.1, 0.2):
         cfg = _config(q=q, beta=beta, omega=1.0)
+        psi = initial_state(cfg).amplitudes
         for dt in (1.0, 0.125, -1.0):
             m = _chebyshev_nodes(abs(beta * dt) * q)
             assert not _corrects(len(t), m) and _corrects(_LONG_RUN, m)
-            polished = _stacks(_magnus_builder(cfg, 0.0, dt, len(t)), t)
-            corrected = _stacks(_magnus_builder(cfg, 0.0, dt, _LONG_RUN), t)
+            polished = _states(_magnus_stepper(cfg, 0.0, dt, len(t)), t, psi)
+            corrected = _states(_magnus_stepper(cfg, 0.0, dt, _LONG_RUN), t, psi)
             assert not np.array_equal(corrected, polished), (beta, dt)
             assert np.abs(corrected - polished).max() <= 1e-13, (beta, dt)
 
@@ -505,12 +536,22 @@ def test_corrected_fig2_day_keeps_norm_drift_small(fig2_config):
     assert evolve(cfg).norm_drift <= 1e-13
 
 
+def test_polished_long_run_keeps_norm_drift_small(fig2_config):
+    # 3 000 fig2 steps, fewer than 256 M: the polish gives 2.0e-15 here, the
+    # table as stored 1.05e-12
+    cfg = replace(fig2_config, method="magnus2", t_end=3000.0, snapshots=None)
+    assert not _corrects(cfg.n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q))
+    assert evolve(cfg).norm_drift <= 1e-13
+
+
 def test_plain_double_longdouble_sends_long_runs_to_the_polish(monkeypatch):
     cfg = _config(omega=1.0)
     t = np.linspace(0.0, 2 * np.pi, 49)
-    polished = _stacks(_magnus_builder(cfg, 0.0, 1.0, len(t)), t)
+    psi = initial_state(cfg).amplitudes
+    polished = _states(_magnus_stepper(cfg, 0.0, 1.0, len(t)), t, psi)
     monkeypatch.setattr(propagator, "_EXTENDED_PRECISION", False)
-    np.testing.assert_array_equal(_stacks(_magnus_builder(cfg, 0.0, 1.0, _LONG_RUN), t), polished)
+    np.testing.assert_array_equal(_states(_magnus_stepper(cfg, 0.0, 1.0, _LONG_RUN), t, psi),
+                                  polished)
 
 
 def test_corrected_table_memory_stays_within_the_stacks_max_q_assumes():
@@ -531,6 +572,29 @@ def test_corrected_table_memory_stays_within_the_stacks_max_q_assumes():
     assert stacks <= _PEAK_STACKS
     stack = 16 * _CHUNK * d * d
     assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
+
+
+@pytest.mark.parametrize("q", [1, 10, 30])
+def test_magnus_table_takes_one_eigh_per_node_pair(q, monkeypatch):
+    # J H(c) J = H(-c) bit for bit, J the flip n -> -n, so the node unitary
+    # at -x is J U(x) J, exactly: node m - 1 - i mirrors node i
+    cfg = _config(q=q)
+    h = hamiltonians(cfg.lattice, cfg.mu, [0.2, -0.2])
+    np.testing.assert_array_equal(h[0][::-1, ::-1], h[1])
+    for beta in (0.1, 0.2):
+        m = _chebyshev_nodes(beta * q)
+        theta = np.pi * (np.arange(m) + 0.5) / m
+        u = _magnus_nodes(cfg.lattice, cfg.mu, beta * np.cos(theta[:(m + 1) // 2]), 1.0, m)
+        for i in range(m // 2):
+            np.testing.assert_array_equal(u[m - 1 - i], u[i][::-1, ::-1])
+        direct = _magnus_unitaries(cfg.lattice, cfg.mu, beta * np.cos(theta), 1.0)
+        assert np.abs(u - direct).max() <= 1e-13, beta
+        eigh, sizes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        _magnus_table.cache_clear()
+        assert len(_magnus_table(q, cfg.mu, beta, 1.0)) == m
+        monkeypatch.undo()
+        assert sizes == [(m + 1) // 2], (beta, m)
 
 
 def test_magnus_steps_above_chunk_nodes_use_eigh():
