@@ -45,16 +45,18 @@ magnus2
     The nodes pair up as x, -x, and J H(c) J = H(-c) exactly (J the flip
     n -> -n), so one eigh serves each pair: U(-x) = J U(x) J. The stored
     table has a fixed unitarity defect of a few ulp, which would make the
-    norm drift grow linearly with the steps. A run of fewer than 256 M
-    steps cancels it per step with one Newton-Schulz step applied to the
-    state, psi <- U (3 - U^H U) psi / 2 = 1.5 v - 0.5 U (U^H v), v = U psi:
-    three products on d-vectors. A longer run cancels it once: the table
-    gains the Chebyshev coefficients of -U (U^H U - I) / 2, formed in
-    extended precision (np.longdouble with a 64-bit mantissa; elsewhere
-    every run polishes), and each step is then one real matrix product.
-    The stepper builds the unitaries as (_CHUNK, d, d) stacks and applies
-    them one by one. The real symmetric Hamiltonian matrices come from the
-    one builder ``operators.hamiltonians``.
+    norm drift grow linearly with the steps. A run cancels it per step
+    with one Newton-Schulz step applied to the state,
+    psi <- U (3 - U^H U) psi / 2 = 1.5 v - 0.5 U (U^H v), v = U psi: three
+    products on d-vectors. A run long enough to repay an O(M d^3) build,
+    at least M d^3 / 20 steps, cancels it once instead: the table gains
+    the Chebyshev coefficients of -U (U^H U - I) / 2, formed in extended
+    precision (np.longdouble with a 64-bit mantissa; elsewhere every run
+    polishes), and each step is then one real matrix product. The stepper
+    alone chooses among these paths, builds the unitaries as
+    (_CHUNK, d, d) stacks and applies them one by one. The real symmetric
+    Hamiltonian matrices come from the one builder
+    ``operators.hamiltonians``.
 
 reference
     magnus2 run at dt/8, used as the convergence yardstick.
@@ -100,13 +102,13 @@ _STATES = 2 * _CHUNK
 #: Most integration steps one run may take: bounds the run time of any config.
 _MAX_STEPS = 10**7
 
-#: A tabled magnus2 run of at least this many steps per table node cancels
-#: its table's unitarity defect once, with correction rows, instead of
-#: polishing every step (_corrects): building the rows costs as much as 107
-#: to 155 state-polished steps per node at q = 10 (M = 15) and about 1 200
-#: at q = 20 (M = 24); at q = 30 (M = 29) a corrected step costs no less
-#: than a polished one.
-_CORRECTED_STEPS_PER_NODE = 256
+#: A tabled magnus2 run of at least this many steps per table node and per
+#: d^3 cancels its table's unitarity defect once, with correction rows,
+#: instead of polishing every step (_corrects). The rows' extended-precision
+#: build costs O(M d^3); against the state polish it pays after 0.0095 to
+#: 0.051 M d^3 steps from q = 5 to q = 20, and at q = 30 a corrected step
+#: costs about as much as a polished one.
+_CORRECTED_STEPS_PER_NODE_D3 = 1 / 20
 
 #: Trailing correction rows whose entries are all below this are dropped.
 _CORRECTION_FLOOR = 1e-19
@@ -203,7 +205,7 @@ class SimulationConfig:
 
         raw = self.snapshots
         if raw is None:
-            raw = (0.0, self.t_end)
+            raw = (0.0, self.t_end) if n_steps else (0.0,)
         raw = tuple(_finite("snapshots", s) for s in raw)
         if any(raw[i] >= raw[i + 1] for i in range(len(raw) - 1)):
             raise ConfigError(f"snapshots must be strictly ascending, got {list(raw)}")
@@ -266,9 +268,6 @@ def _half_kicks(config: SimulationConfig, cos: np.ndarray, dt: float) -> np.ndar
     """exp(-1j*beta*dt/2*cos*n): the diagonal potential phases for the sampled cos values."""
     return np.exp(-0.5j * config.beta * dt * cos[..., None] * config.lattice.points())
 
-
-#: A step builder: the (m, d, d) step stack for the steps starting at the times t.
-_StepBuilder = Callable[[np.ndarray], np.ndarray]
 
 #: A stepper: (t, psi, rows) -> psi. It takes the steps starting at the times
 #: t from the carried state psi, writes the state after each into the next of
@@ -343,9 +342,9 @@ def _chebyshev_basis(theta: np.ndarray, degrees: np.ndarray, out=None) -> np.nda
     return np.cos(basis, out=basis)
 
 
-def _corrects(n_steps: int, m: int) -> bool:
-    """Whether a tabled magnus2 run of n_steps steps on an m-node table takes the corrected table."""
-    return _EXTENDED_PRECISION and n_steps >= _CORRECTED_STEPS_PER_NODE * m
+def _corrects(n_steps: int, m: int, d: int) -> bool:
+    """Whether a magnus2 run of n_steps steps on an m-node table of d x d unitaries corrects it."""
+    return _EXTENDED_PRECISION and n_steps >= _CORRECTED_STEPS_PER_NODE_D3 * m * d**3
 
 
 def _correction(coef: np.ndarray, out: np.ndarray) -> int:
@@ -402,19 +401,15 @@ def _magnus_nodes(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
 
 
 @lru_cache(maxsize=16)
-def _magnus_table(q: int, mu: float, beta: float, dt: float,
-                  corrected: bool = False) -> np.ndarray | None:
+def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int,
+                  corrected: bool) -> np.ndarray:
     """(rows, d*d) Chebyshev coefficients in x of exp(-1j*dt*(K + beta*x*R)) on [-1, 1].
 
-    The first M rows are the coefficients C_k of U(x), the interpolant of
-    M node unitaries. corrected appends the N' rows G_k of _correction,
-    which cancel the unitarity defect of U(x) as stored. None when M
-    exceeds _CHUNK: the table would then cost more eigh work and memory
-    than one chunk of direct steps.
+    The first m rows are the coefficients C_k of U(x), the interpolant of
+    m node unitaries, m = _chebyshev_nodes(|beta*dt|*q). corrected appends
+    the N' rows G_k of _correction, which cancel the unitarity defect of
+    U(x) as stored.
     """
-    m = _chebyshev_nodes(abs(beta * dt) * q)
-    if m > _CHUNK:
-        return None
     theta = np.pi * (np.arange(m) + 0.5) / m
     u = _magnus_nodes(Lattice(q), mu, beta * np.cos(theta[:(m + 1) // 2]), dt, m)
     table = np.empty((4 * m - 2 if corrected else m, u[0].size), dtype=complex)
@@ -426,40 +421,6 @@ def _magnus_table(q: int, mu: float, beta: float, dt: float,
         table = table[:m + _correction(table[:m], table[m:])]
     table.flags.writeable = False
     return table
-
-
-def _magnus_builder(config: SimulationConfig, t0: float, dt: float,
-                    n_steps: int) -> _StepBuilder:
-    """t -> (m, d, d) exponential-midpoint unitaries for the steps starting at the times t.
-
-    Each step depends on its own start time alone, so t0 is unused.
-    Tabled stacks, of at most min(_CHUNK, n_steps) steps, are written into
-    buffers allocated here, once, and are valid until the next call; above
-    _CHUNK nodes each call runs its own eigh and allocates its result.
-    A table without correction rows leaves its unitarity defect to the
-    stepper's per-step polish.
-    """
-    lattice = config.lattice
-    m = _chebyshev_nodes(abs(config.beta * dt) * config.q)
-    table = _magnus_table(config.q, config.mu, config.beta, dt, _corrects(n_steps, m))
-    if table is None:
-        return lambda t: _magnus_unitaries(lattice, config.mu,
-                                           config.beta * np.cos(config.omega * (t + 0.5 * dt)), dt)
-    degrees = np.arange(len(table), dtype=float)  # as int64 they would be cast per call
-    degrees[m:] -= m  # the correction rows start again at T_0
-    size = min(_CHUNK, n_steps)
-    basis = np.empty((size, len(table)))
-    work = np.empty((size, lattice.d, lattice.d), dtype=complex)
-
-    def build(t: np.ndarray) -> np.ndarray:
-        n = len(t)
-        u = work[:n]
-        # A real product on the interleaved (re, im) pairs, 3x faster than a complex one.
-        b = _chebyshev_basis(config.omega * (t + 0.5 * dt), degrees, out=basis[:n])
-        np.matmul(b, table.view(float), out=u.reshape(n, -1).view(float))
-        return u
-
-    return build
 
 
 def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
@@ -481,18 +442,45 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int) -> _Stepper:
     """The stepper of an n_steps magnus2 run: psi <- U_j psi, stacks built _CHUNK steps at a time.
 
+    Each step depends on its own start time alone, so t0 is unused. Above
+    _CHUNK Chebyshev nodes each stack comes from its own eigh: a table
+    would cost more eigh work and memory than one chunk of direct steps.
+    Otherwise each stack is the run's table times the Chebyshev basis of
+    its steps, written into buffers allocated here, once.
+
     The interpolant's unitarity defect is a few ulp, set by the node
     unitaries' own errors, so it is nearly the same from one step to the
     next and the norm drift of a run would grow linearly with its steps,
     past the 1e-10 that expectation() accepts after about a million. Either
-    the table's correction rows cancel it, or each step applies one
-    Newton-Schulz step to the state, psi <- U (3 - U^H U) psi / 2. Both
-    leave only rounding that changes from step to step, so the drift grows
-    as a random walk, as it does with one eigh per step.
+    the table's correction rows cancel it, when the run is long enough to
+    repay their build (_corrects), or each step applies one Newton-Schulz
+    step to the state, psi <- U (3 - U^H U) psi / 2. Both leave only
+    rounding that changes from step to step, so the drift grows as a
+    random walk, as it does with one eigh per step.
     """
-    build = _magnus_builder(config, t0, dt, n_steps)
+    d = config.lattice.d
     m = _chebyshev_nodes(abs(config.beta * dt) * config.q)
-    if m > _CHUNK or _corrects(n_steps, m):
+    plain = m > _CHUNK or _corrects(n_steps, m, d)  # no polish
+    if m > _CHUNK:
+        def build(t: np.ndarray) -> np.ndarray:
+            coupling = config.beta * np.cos(config.omega * (t + 0.5 * dt))
+            return _magnus_unitaries(config.lattice, config.mu, coupling, dt)
+    else:
+        table = _magnus_table(config.q, config.mu, config.beta, dt, m, plain)
+        degrees = np.arange(len(table), dtype=float)  # as int64 they would be cast per call
+        degrees[m:] -= m  # the correction rows start again at T_0
+        basis = np.empty((min(_CHUNK, n_steps), len(table)))
+        work = np.empty((len(basis), d, d), dtype=complex)
+
+        def build(t: np.ndarray) -> np.ndarray:
+            n = len(t)
+            u = work[:n]
+            # A real product on the interleaved (re, im) pairs, 3x faster than a complex one.
+            b = _chebyshev_basis(config.omega * (t + 0.5 * dt), degrees, out=basis[:n])
+            np.matmul(b, table.view(float), out=u.reshape(n, -1).view(float))
+            return u
+
+    if plain:
         def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
             for start in range(0, len(t), _CHUNK):
                 for u, row in zip(build(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
@@ -501,7 +489,6 @@ def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
 
         return step
 
-    d = config.lattice.d
     conj = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
     v, w, x = np.empty((3, d), dtype=complex)
 

@@ -17,9 +17,6 @@ from qlimit import (
 from qlimit.checks import (
     check_dft_fourth_power,
     check_dft_unitarity,
-    check_dual_basis_resolution,
-    check_gaussian_dft_covariance,
-    check_gaussian_self_duality,
 )
 
 from conftest import assert_passes
@@ -83,14 +80,6 @@ def test_transform_preserves_norm():
     for _ in range(25):
         psi = StateVector(lattice, rng.standard_normal(21) + 1j * rng.standard_normal(21))
         assert abs(apply_dft(psi).norm() - psi.norm()) < 1e-13
-
-
-def test_transform_maps_gaussian_to_reciprocal_width():
-    assert_passes(check_gaussian_dft_covariance())
-
-
-def test_unit_width_gaussian_is_fixed_point():
-    assert_passes(check_gaussian_self_duality())
 
 
 def test_inverse_round_trip():
@@ -157,10 +146,6 @@ def test_transform_preserves_inner_products():
         assert inner_product(apply_dft(a), apply_dft(b)) == pytest.approx(
             inner_product(a, b), abs=1e-12
         )
-
-
-def test_dual_resolution_of_identity():
-    assert_passes(check_dual_basis_resolution())
 
 
 def test_adjoint_relation():

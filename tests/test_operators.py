@@ -16,9 +16,6 @@ from qlimit import (
     tilde_delta,
     trend_operator,
 )
-from qlimit.checks import check_trend_mean_parseval
-
-from conftest import assert_passes
 
 
 def test_constructor_rejects_non_hermitian():
@@ -118,10 +115,6 @@ def test_expectation_is_real_for_hermitian_operators():
             raw = np.vdot(psi.amplitudes, op.matrix @ psi.amplitudes)
             assert abs(raw.imag) < 1e-10
             assert expectation(op, psi) == pytest.approx(raw.real)
-
-
-def test_trend_mean_equals_dual_weighted_sum():
-    assert_passes(check_trend_mean_parseval())
 
 
 def test_kinetic_operator_eigenstates():

@@ -26,18 +26,19 @@ from qlimit import (
     upsilon_kappa,
 )
 from qlimit import propagator
+from qlimit.checks import _market_config
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
 from qlimit.propagator import (
     _CHUNK,
-    _CORRECTED_STEPS_PER_NODE,
+    _MAX_STEPS,
     _PEAK_STACKS,
     _REFINE,
     _STATES,
     MAX_Q,
+    _chebyshev_basis,
     _chebyshev_nodes,
     _corrects,
     _free_step,
-    _magnus_builder,
     _magnus_nodes,
     _magnus_stepper,
     _magnus_table,
@@ -107,6 +108,14 @@ def test_config_aligns_t_end():
     cfg = _config(t_end=599.7, snapshots=(0.0,))
     assert cfg.t_end == 600.0
     assert cfg.n_steps == 600
+
+
+@pytest.mark.parametrize("t_end", [0.0, 0.4])
+def test_config_default_snapshots_of_a_zero_step_run(t_end):
+    # t_end aligns to 0: the default [0, t_end] is the one time 0
+    cfg = _config(t_end=t_end, snapshots=None)
+    assert cfg.t_end == 0.0 and cfg.n_steps == 0
+    assert cfg.snapshots == (0.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +318,17 @@ def test_evolve_magnus_equals_repeated_steps():
 @pytest.mark.parametrize("method", ["magnus2", "reference"])
 def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
     # the stepper (.dot into preallocated rows and vectors, _CHUNK steps per
-    # stack, _STATES per call) against the builder's stacks applied one by
-    # one by plain matmul, with the Newton-Schulz polish of these short runs,
-    # 1.5 v - 0.5 U (U^H v), written out: bit for bit, in every state of the
-    # stepper, whose last stack is partial, and in evolve's snapshots
+    # stack, _STATES per call) against the table's stacks, formed here one
+    # _CHUNK at a time and applied one by one by plain matmul, with the
+    # Newton-Schulz polish of these short runs, 1.5 v - 0.5 U (U^H v),
+    # written out: bit for bit, in every state of the stepper, whose last
+    # stack is partial, and in evolve's snapshots
     cfg = _config(method=method, t_end=100.0, snapshots=(0.0, 17.0, 32.0, 64.0, 97.0, 100.0))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
-    assert not _corrects(n_steps, _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q))
-    build = _magnus_builder(cfg, 0.0, dt, n_steps)
+    assert not _corrects(n_steps, _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q), cfg.lattice.d)
     expected = [initial_state(cfg).amplitudes]
     for start in range(0, n_steps, _CHUNK):
-        for u in build((start + np.arange(min(_CHUNK, n_steps - start))) * dt):
+        for u in _tabled_stacks(cfg, (start + np.arange(min(_CHUNK, n_steps - start))) * dt, dt):
             v = np.matmul(u, expected[-1])
             expected.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
     states = _states(_magnus_stepper(cfg, 0.0, dt, n_steps), np.arange(n_steps) * dt,
@@ -359,15 +368,6 @@ def test_backward_strang_run_matches_single_steps():
     assert sorted(recorded) == [1, _STATES, 150]
 
 
-@pytest.mark.parametrize("make_builder", [_magnus_builder])
-def test_evolve_builders_reuse_one_workspace_across_chunks(make_builder):
-    build = make_builder(_config(), 0.0, 1.0, _CHUNK)
-    first = build(np.arange(float(_CHUNK)))
-    second = build(_CHUNK + np.arange(5.0))
-    assert second.shape == (5, 21, 21)
-    assert np.shares_memory(first, second)
-
-
 def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
     # a fresh (_STATES, d) block of kicks per chunk, or the ufunc buffers of a
     # broadcast multiply, would take 16 _STATES d bytes or more
@@ -393,7 +393,7 @@ def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(corrected):
     cfg = _config()
     d = cfg.lattice.d
     n_steps = _LONG_RUN if corrected else 2 * _STATES
-    assert _corrects(n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q)) == corrected
+    assert _corrects(n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q), d) == corrected
     step = _magnus_stepper(cfg, 0.0, 1.0, n_steps)
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
@@ -426,7 +426,7 @@ def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
     # memory back to the system and maps it again; whether it does depends
     # on the heap's history, so the probe runs in a fresh interpreter. This
     # does not catch every reallocation: memory the heap keeps is reused
-    # without faults. test_evolve_builders_reuse_one_workspace_across_chunks
+    # without faults. test_evolve_magnus_stepper_reuses_its_buffers_across_chunks
     # and test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks
     # check the reuse itself.
     pytest.importorskip("resource")
@@ -468,8 +468,10 @@ def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk
     stack = 16 * _CHUNK * d * d
     assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
     if method != "strang":
-        table = _magnus_table(cfg.q, cfg.mu, beta, cfg.dt / _REFINE[method])
-        assert (None if table is None else len(table)) == nodes
+        m = _chebyshev_nodes(beta * cfg.dt / _REFINE[method] * cfg.q)
+        assert (m if m <= _CHUNK else None) == nodes
+        # the one table of a tabled run, none for one eigh per step
+        assert _magnus_table.cache_info().currsize == (nodes is not None)
 
 
 def test_magnus_evolve_at_large_q_matches_single_steps():
@@ -483,9 +485,13 @@ def test_magnus_evolve_at_large_q_matches_single_steps():
     assert np.abs(traj.states[-1][1].amplitudes - psi).max() < 1e-12
 
 
-def _stacks(build, t):
-    """A builder's stacks for all the times t, built one chunk at a time."""
-    return np.concatenate([build(t[i:i + _CHUNK]).copy() for i in range(0, len(t), _CHUNK)])
+def _tabled_stacks(cfg, t, dt):
+    """The step unitaries at the times t from the uncorrected table: its Chebyshev basis times it."""
+    m = _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q)
+    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, m, False)
+    basis = _chebyshev_basis(cfg.omega * (t + 0.5 * dt), np.arange(m, dtype=float))
+    stacks = basis @ table.view(float)
+    return stacks.view(complex).reshape(len(t), cfg.lattice.d, cfg.lattice.d)
 
 
 def _states(step, t, psi):
@@ -496,8 +502,8 @@ def _states(step, t, psi):
     return rows
 
 
-#: Steps of a run that takes the corrected table whatever its node count.
-_LONG_RUN = _CORRECTED_STEPS_PER_NODE * _CHUNK
+#: Steps of a run that takes the corrected table at every q these tests use.
+_LONG_RUN = _MAX_STEPS
 
 
 @pytest.mark.parametrize("q", [1, 10, 30])
@@ -506,25 +512,26 @@ def test_magnus_table_matches_eigh_unitaries(q):
     for beta in (0.0, 0.1, -0.1, 0.2):
         cfg = _config(q=q, beta=beta, omega=1.0)
         for dt in (1.0, 0.125, -1.0):
-            assert _magnus_table(q, cfg.mu, beta, dt) is not None
+            assert _chebyshev_nodes(abs(beta * dt) * q) <= _CHUNK
             direct = _magnus_unitaries(cfg.lattice, cfg.mu, beta * np.cos(t + 0.5 * dt), dt)
-            stacks = _stacks(_magnus_builder(cfg, 0.0, dt, len(t)), t)
-            assert np.abs(stacks - direct).max() <= 1e-13, (beta, dt)
+            assert np.abs(_tabled_stacks(cfg, t, dt) - direct).max() <= 1e-13, (beta, dt)
 
 
 @pytest.mark.parametrize("q", [1, 10, 30])
-def test_corrected_table_matches_polished_stacks(q):
-    # a long run corrects the table once; a short one polishes each step's
-    # state with the same table: their states agree
+def test_corrected_table_matches_polished_stacks(q, monkeypatch):
+    # a long run corrects the table once; without extended precision it
+    # polishes each step's state with the same table: their states agree (at
+    # q = 1 even these 49 steps would correct)
     t = np.linspace(0.0, 2 * np.pi, 49)
     for beta in (0.0, -0.1, 0.2):
         cfg = _config(q=q, beta=beta, omega=1.0)
         psi = initial_state(cfg).amplitudes
         for dt in (1.0, 0.125, -1.0):
-            m = _chebyshev_nodes(abs(beta * dt) * q)
-            assert not _corrects(len(t), m) and _corrects(_LONG_RUN, m)
-            polished = _states(_magnus_stepper(cfg, 0.0, dt, len(t)), t, psi)
+            assert _corrects(_LONG_RUN, _chebyshev_nodes(abs(beta * dt) * q), cfg.lattice.d)
             corrected = _states(_magnus_stepper(cfg, 0.0, dt, _LONG_RUN), t, psi)
+            with monkeypatch.context() as patch:
+                patch.setattr(propagator, "_EXTENDED_PRECISION", False)
+                polished = _states(_magnus_stepper(cfg, 0.0, dt, _LONG_RUN), t, psi)
             assert not np.array_equal(corrected, polished), (beta, dt)
             assert np.abs(corrected - polished).max() <= 1e-13, (beta, dt)
 
@@ -532,15 +539,15 @@ def test_corrected_table_matches_polished_stacks(q):
 def test_corrected_fig2_day_keeps_norm_drift_small(fig2_config):
     # polished steps give 5.7e-14 here, the table as stored 6.6e-12
     cfg = replace(fig2_config, method="magnus2")
-    assert _corrects(cfg.n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q))
+    assert _corrects(cfg.n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q), cfg.lattice.d)
     assert evolve(cfg).norm_drift <= 1e-13
 
 
 def test_polished_long_run_keeps_norm_drift_small(fig2_config):
-    # 3 000 fig2 steps, fewer than 256 M: the polish gives 2.0e-15 here, the
-    # table as stored 1.05e-12
+    # 3 000 fig2 steps, fewer than M d^3 / 20: the polish gives 2.0e-15
+    # here, the table as stored 1.05e-12
     cfg = replace(fig2_config, method="magnus2", t_end=3000.0, snapshots=None)
-    assert not _corrects(cfg.n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q))
+    assert not _corrects(cfg.n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q), cfg.lattice.d)
     assert evolve(cfg).norm_drift <= 1e-13
 
 
@@ -560,18 +567,53 @@ def test_corrected_table_memory_stays_within_the_stacks_max_q_assumes():
     # correction are a few matrices
     cfg = _config(q=40, beta=0.1875, method="magnus2")
     d = cfg.lattice.d
+    psi = initial_state(cfg).amplitudes
     _magnus_table.cache_clear()
     tracemalloc.start()
     try:
-        _magnus_builder(cfg, 0.0, cfg.dt, _LONG_RUN)(np.arange(float(_CHUNK)))
+        _states(_magnus_stepper(cfg, 0.0, cfg.dt, _LONG_RUN), np.arange(float(_CHUNK)), psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _CHUNK < len(_magnus_table(cfg.q, cfg.mu, cfg.beta, cfg.dt, True)) <= 4 * _CHUNK - 2
+    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, cfg.dt, _CHUNK, True)
+    assert _magnus_table.cache_info().currsize == 1
+    assert _CHUNK < len(table) <= 4 * _CHUNK - 2
     stacks = (4 * _CHUNK - 2) / _CHUNK + 1
     assert stacks <= _PEAK_STACKS
     stack = 16 * _CHUNK * d * d
     assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
+
+
+def test_correction_gate_amortizes_its_build(fig2_config, monkeypatch):
+    # The correction rows' extended-precision build costs O(M d^3), so a run
+    # takes them from M d^3 / 20 steps on: the fig2 day (M = 15, from 6 946
+    # steps), its reference (M = 9, from 4 168) and check's beta = 0 run
+    # (M = 1, from 464) do. A 3 000-step fig2 run, the benchmark sweep's
+    # 60-step runs and a 7 500-step run at q = 30, beta = 0.2 (M = 29, where
+    # a corrected step costs about as much as a polished one) polish instead.
+    def make_stepper(cfg):
+        _magnus_table.cache_clear()
+        refine = _REFINE[cfg.method]
+        _magnus_stepper(cfg, 0.0, cfg.dt / refine, cfg.n_steps * refine)
+
+    built, correction = [], propagator._correction
+    monkeypatch.setattr(propagator, "_correction",
+                        lambda coef, out: built.append(len(coef)) or correction(coef, out))
+    day = replace(fig2_config, method="magnus2")
+    for cfg in (day, replace(day, method="reference"),
+                _market_config(beta=0.0, method="magnus2")):  # check_free_evolution_oracle
+        make_stepper(cfg)
+    assert built == ([15, 9, 1] if propagator._EXTENDED_PRECISION else [])
+
+    def no_correction(coef, out):
+        raise AssertionError(f"correction rows built for {len(coef)} nodes")
+
+    monkeypatch.setattr(propagator, "_correction", no_correction)
+    make_stepper(replace(day, t_end=3000.0, snapshots=None))
+    for q in (5, 7, 10, 15, 20, 30):  # the sweep's price limits, at its betas
+        for beta in (0.0, 0.05, 0.1, 0.2):
+            make_stepper(_config(q=q, beta=beta, method="magnus2", t_end=60.0, snapshots=None))
+    make_stepper(_config(q=30, beta=0.2, method="magnus2", t_end=7500.0, snapshots=None))
 
 
 @pytest.mark.parametrize("q", [1, 10, 30])
@@ -592,17 +634,23 @@ def test_magnus_table_takes_one_eigh_per_node_pair(q, monkeypatch):
         eigh, sizes = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
         _magnus_table.cache_clear()
-        assert len(_magnus_table(q, cfg.mu, beta, 1.0)) == m
+        assert len(_magnus_table(q, cfg.mu, beta, 1.0, m, False)) == m
         monkeypatch.undo()
         assert sizes == [(m + 1) // 2], (beta, m)
 
 
-def test_magnus_steps_above_chunk_nodes_use_eigh():
+def test_magnus_steps_above_chunk_nodes_use_eigh(monkeypatch):
+    # no table and no polish: each state is the last one times its own eigh
+    # unitary, bit for bit
     cfg = _config(q=150, omega=1.0)
-    assert _magnus_table(150, cfg.mu, cfg.beta, 1.0) is None
+    assert _chebyshev_nodes(cfg.beta * cfg.q) > _CHUNK
+    monkeypatch.setattr(propagator, "_magnus_table", None)  # a call would raise
     t = np.array([0.0, 1.0, 2.5])
-    direct = _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(t + 0.5), 1.0)
-    np.testing.assert_array_equal(_magnus_builder(cfg, 0.0, 1.0, len(t))(t), direct)
+    expected = [initial_state(cfg).amplitudes]
+    for u in _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(t + 0.5), 1.0):
+        expected.append(u.dot(expected[-1]))
+    np.testing.assert_array_equal(_states(_magnus_stepper(cfg, 0.0, 1.0, len(t)), t, expected[0]),
+                                  expected[1:])
 
 
 def test_reference_run_conserves_norm(fig2_reference):
