@@ -144,7 +144,13 @@ def cmd_gaussian(q: int, kappa: float, out: str | Path) -> Path:
 
 
 def _snapshot_filename(t: float) -> str:
-    return f"snapshot_t{t:g}.csv"
+    """snapshot_t<t>.csv, t as :g where that reads back as t, else as its shortest exact repr.
+
+    :g keeps six significant digits, which would give distinct times such
+    as 1000000 and 1000001 one name.
+    """
+    name = f"{t:g}"
+    return f"snapshot_t{name if float(name) == t else repr(float(t))}.csv"
 
 
 def _figure_check(states: dict[float, np.ndarray], lattice) -> list[dict]:
@@ -390,8 +396,8 @@ def _run_evolve(args) -> int:
         raw["dt"] = args.dt
     if args.method is not None:
         raw["method"] = args.method
+    config = _config_from_dict(raw)  # checks that snapshots, if given, is a list
     requested = tuple(raw["snapshots"]) if "snapshots" in raw else None
-    config = _config_from_dict(raw)
     outdir = _default_outdir(args.out)
     manifest = cmd_evolve(
         config,

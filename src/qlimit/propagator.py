@@ -42,6 +42,14 @@ magnus2
     coefficient matrices. M is the fewest nodes whose interpolation error
     bound is below 1e-16; when that is more than one chunk of steps, each
     step's U comes from its own eigendecomposition instead.
+    A chunk of L steps weights the table's K rows by its Chebyshev basis
+    cos(k theta_j). On the run's grid its phases are its centre c plus
+    fixed offsets s_j, so the basis factors as S W(c): S_jl = s_j^l, fixed
+    per run, and p Taylor rows W(c)_lk = k^l cos(kc + l pi/2) / l!, one cos
+    per chunk. The stack is then S (W table), p (K + L) products per entry
+    instead of L K (p = 6, K = 35 on the fig2 day). A chunk that sweeps
+    too wide a phase for that to pay, and every chunk of a run too short to
+    repay the set-up, takes its basis directly.
     The nodes pair up as x, -x, and J H(c) J = H(-c) exactly (J the flip
     n -> -n), so one eigh serves each pair: U(-x) = J U(x) J. The stored
     table has a fixed unitarity defect of a few ulp, which would make the
@@ -99,6 +107,20 @@ _CHUNK = 32
 #: magnus2 run keeps within at 2 _CHUNK states and exceeds at 4 _CHUNK.
 _STATES = 2 * _CHUNK
 
+#: Most entries of W table a tabled magnus2 chunk forms at a time
+#: (_tabled_builder): 64 kB, which holds a whole fig2 chunk's. At q = 40 it
+#: is 0.02 stack, within the 1/16 that a corrected M = 32 table leaves of
+#: _PEAK_STACKS, and less at larger q.
+_TAYLOR_BLOCK = 2**13
+
+#: A tabled magnus2 run of at least this many steps builds its chunks from
+#: the Taylor factorization (_tabled_builder). Its set-up, a pass over the
+#: table and a few dozen small array operations, takes 0.1 to 0.5 ms after
+#: a table build and pays back only over many chunks: interleaved
+#: in-process, 60-step runs at q = 5 to 30 were 7 to 14 % slower with it,
+#: and 512-step runs 2.5 to 7 % faster.
+_FACTORED_STEPS = 16 * _CHUNK
+
 #: Most integration steps one run may take: bounds the run time of any config.
 _MAX_STEPS = 10**7
 
@@ -127,8 +149,9 @@ _EXTENDED_PRECISION = np.finfo(np.longdouble).nmant >= 63
 #: conjugates for the polish. Its corrected table is allocated with
 #: M + N = 4M - 2 rows, of which it uses M + N' (35 of 58 at fig2), so at
 #: M = 32 it is 126 matrices, 3.94 stacks, plus one buffer: 4.94; building
-#: it adds temporaries of a few matrices. strang holds no stack: its one
-#: matrix, F, is 1/_CHUNK of one.
+#: it adds temporaries of a few matrices, and a chunk's Taylor products
+#: (_TAYLOR_BLOCK) at most 64 kB. strang holds no stack: its one matrix, F,
+#: is 1/_CHUNK of one.
 _PEAK_STACKS = 5
 
 #: Largest price limit q. evolve's memory grows as d^2, d = 2q + 1: its
@@ -271,7 +294,10 @@ def _half_kicks(config: SimulationConfig, cos: np.ndarray, dt: float) -> np.ndar
 
 #: A stepper: (t, psi, rows) -> psi. It takes the steps starting at the times
 #: t from the carried state psi, writes the state after each into the next of
-#: rows and returns the last.
+#: rows and returns the last. The times are those of _propagate's grid,
+#: t_0 + j dt: tabled magnus2 builds a chunk's unitaries from its first time
+#: and the run's fixed offsets j dt, and builds a chunk whose span is not
+#: (n - 1) dt from its own times instead.
 _Stepper = Callable[[np.ndarray, np.ndarray, list], np.ndarray]
 
 
@@ -340,6 +366,95 @@ def _chebyshev_basis(theta: np.ndarray, degrees: np.ndarray, out=None) -> np.nda
     # the outer product as a matmul: a broadcast multiply allocates ufunc buffers
     basis = np.matmul(theta[:, None], degrees[None, :], out=out)
     return np.cos(basis, out=basis)
+
+
+def _taylor_order(table: np.ndarray, degrees: np.ndarray, omega_dt: float, length: int) -> int:
+    """Taylor terms p that keep a chunk's factorized table sum within 1e-17; 0 if it saves nothing.
+
+    A chunk of length steps sweeps phase offsets |s| <= (length - 1)/2
+    |omega dt| about its centre. Cut after p terms, the Taylor series of
+    cos(k (c + s)) in s is off by at most (k |s|)^p / p!, so the sum over
+    the table's rows C_k by at most sum_k max|C_k| (k |s|)^p / p!: p is
+    the fewest terms that bring this below 1e-17, and 0 when the
+    factorization takes p (K + length) >= length K products per entry.
+    p is at least 2: for an inner dimension of 1, as for a beta = 0
+    table, np.matmul leaves BLAS and takes 4x as long.
+    """
+    most = (length * len(table) - 1) // (length + len(table))
+    if most < 2:
+        return 0
+    sizes = np.array([np.abs(row).max() for row in table])  # no table-sized temporary
+    reach = degrees * (0.5 * (length - 1) * abs(omega_dt))
+    terms = np.cumprod(np.outer(1.0 / np.arange(1, most + 1), reach), axis=0)  # (k|s|)^p / p!
+    below = terms[1:] @ sizes < 1e-17
+    return int(below.argmax()) + 2 if below.any() else 0
+
+
+def _tabled_builder(table: np.ndarray, degrees: np.ndarray, omega: float, dt: float,
+                    work: np.ndarray, order: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The builder of a tabled magnus2 run's step unitaries: t -> work[:len(t)], one chunk's stack.
+
+    Step j of a chunk has the phase theta_j = omega (t_j + dt/2) and
+    U_j = sum_k cos(k theta_j) C_k: the chunk's stack is B table, B its
+    (n, K) Chebyshev basis, as a real product on the interleaved (re, im)
+    pairs, 3x faster than a complex one. With order p > 0, a chunk of n <=
+    L = len(work) steps on the grid t_0 + j dt takes B = S W(c) instead.
+    Its phases are c + s_j about c = omega (t_0 + L dt/2), with
+    s_j = (j - (L - 1)/2) omega dt, and, as d^l/dtheta^l cos(k theta) =
+    k^l cos(k theta + l pi/2), cos(k (c + s)) = sum_l s^l k^l
+    cos(kc + l pi/2) / l!, cut after p terms (_taylor_order). S_jl = s_j^l
+    is fixed per run, W(c)_lk = k^l cos(kc + l pi/2) / l! takes one cos
+    per chunk, and the stack is S (W table): p (K + L) products per entry
+    instead of L K. W table is formed _TAYLOR_BLOCK entries at a time. A
+    chunk whose span is not (n - 1) dt, to the rounding of its times, is
+    built directly.
+    """
+    parts = table.view(float)
+    stacks = work.reshape(len(work), -1).view(float)
+    basis = np.empty((len(work), len(table)))
+
+    def direct(t: np.ndarray) -> np.ndarray:
+        n = len(t)
+        b = _chebyshev_basis(omega * (t + 0.5 * dt), degrees, out=basis[:n])
+        np.matmul(b, parts, out=stacks[:n])
+        return work[:n]
+
+    if not order:
+        return direct
+    length = len(work)
+    powers = np.ones((length, order))  # S_jl = s_j^l
+    powers[:, 1:] = ((np.arange(length) - 0.5 * (length - 1)) * (omega * dt))[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    # k^l / l!, k and l pi/2 as full (p, K) operands: a broadcast one would
+    # make the ufuncs allocate buffers
+    scale = np.ones((order, len(table)))
+    scale[1:] = degrees / np.arange(1.0, order)[:, None]
+    np.cumprod(scale, axis=0, out=scale)
+    rows = np.empty_like(scale)
+    rows[:] = degrees
+    shift = np.empty_like(scale)
+    shift[:] = 0.5 * np.pi * np.arange(order)[:, None]
+    weights = np.empty_like(scale)
+    width = max(1, _TAYLOR_BLOCK // order)
+    terms = np.empty((order, min(width, parts.shape[1])))
+    centre = 0.5 * length * dt
+    rounding = 4 * np.finfo(float).eps
+
+    def build(t: np.ndarray) -> np.ndarray:
+        n = len(t)
+        first, last = t[0], t[-1]
+        if abs(last - first - (n - 1) * dt) > rounding * (abs(first) + abs(last)):
+            return direct(t)
+        w = np.multiply(rows, omega * (first + centre), out=weights)
+        np.cos(np.add(w, shift, out=w), out=w)
+        np.multiply(w, scale, out=w)
+        for col in range(0, parts.shape[1], width):
+            cols = slice(col, col + width)
+            v = np.matmul(w, parts[:, cols], out=terms[:, :min(width, parts.shape[1] - col)])
+            np.matmul(powers[:n], v, out=stacks[:n, cols])
+        return work[:n]
+
+    return build
 
 
 def _corrects(n_steps: int, m: int, d: int) -> bool:
@@ -445,8 +560,10 @@ def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
     Each step depends on its own start time alone, so t0 is unused. Above
     _CHUNK Chebyshev nodes each stack comes from its own eigh: a table
     would cost more eigh work and memory than one chunk of direct steps.
-    Otherwise each stack is the run's table times the Chebyshev basis of
-    its steps, written into buffers allocated here, once.
+    Otherwise _tabled_builder writes each stack from the run's table into
+    a buffer allocated here, once, factorized in a run of at least
+    _FACTORED_STEPS steps, and the steps go through views of it made once
+    per run.
 
     The interpolant's unitarity defect is a few ulp, set by the node
     unitaries' own errors, so it is nearly the same from one step to the
@@ -462,43 +579,43 @@ def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
     m = _chebyshev_nodes(abs(config.beta * dt) * config.q)
     plain = m > _CHUNK or _corrects(n_steps, m, d)  # no polish
     if m > _CHUNK:
-        def build(t: np.ndarray) -> np.ndarray:
+        def unitaries(t: np.ndarray) -> np.ndarray:
             coupling = config.beta * np.cos(config.omega * (t + 0.5 * dt))
             return _magnus_unitaries(config.lattice, config.mu, coupling, dt)
     else:
         table = _magnus_table(config.q, config.mu, config.beta, dt, m, plain)
         degrees = np.arange(len(table), dtype=float)  # as int64 they would be cast per call
         degrees[m:] -= m  # the correction rows start again at T_0
-        basis = np.empty((min(_CHUNK, n_steps), len(table)))
-        work = np.empty((len(basis), d, d), dtype=complex)
+        work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
+        order = (_taylor_order(table, degrees, config.omega * dt, len(work))
+                 if n_steps >= _FACTORED_STEPS else 0)
+        build = _tabled_builder(table, degrees, config.omega, dt, work, order)
+        views = list(work)  # iterating work would make a view object per step
 
-        def build(t: np.ndarray) -> np.ndarray:
-            n = len(t)
-            u = work[:n]
-            # A real product on the interleaved (re, im) pairs, 3x faster than a complex one.
-            b = _chebyshev_basis(config.omega * (t + 0.5 * dt), degrees, out=basis[:n])
-            np.matmul(b, table.view(float), out=u.reshape(n, -1).view(float))
-            return u
+        def unitaries(t: np.ndarray) -> list:
+            build(t)
+            return views[:len(t)]
 
     if plain:
         def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
             for start in range(0, len(t), _CHUNK):
-                for u, row in zip(build(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
+                for u, row in zip(unitaries(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
                     psi = u.dot(psi, out=row)
             return psi
 
         return step
 
-    conj = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
+    conj = np.empty_like(work)
+    adjoints = list(conj.transpose(0, 2, 1))  # U_j^H once conj holds the conjugates
     v, w, x = np.empty((3, d), dtype=complex)
 
     def polished(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
         for start in range(0, len(t), _CHUNK):
             u = build(t[start:start + _CHUNK])
-            g = np.conjugate(u, out=conj[:len(u)])  # g[j].T is U_j^H
-            for u_j, g_j, row in zip(u, g, rows[start:start + _CHUNK]):
+            np.conjugate(u, out=conj[:len(u)])
+            for u_j, g_j, row in zip(views, adjoints, rows[start:start + len(u)]):
                 u_j.dot(psi, out=v)
-                g_j.T.dot(v, out=w)
+                g_j.dot(v, out=w)
                 np.multiply(u_j.dot(w, out=x), 0.5, out=x)
                 psi = np.subtract(np.multiply(v, 1.5, out=row), x, out=row)
         return psi

@@ -257,10 +257,38 @@ def test_evolve_bad_config_exits_2(tmp_path, time_limit):
     # json reads 1e400 as inf; Python writes no such literal, so patch the text
     big = _write_config(tmp_path / "big.json", snapshots=[0.0, float("inf")])
     big.write_text(big.read_text().replace("Infinity", "1e400"))
-    for path in paths + [big]:
+    # snapshots that are not a list: a number, and null, which _write_config would drop
+    number = _write_config(tmp_path / "number.json", snapshots=5)
+    null = _write_config(tmp_path / "null.json", snapshots=5)
+    null.write_text(null.read_text().replace('"snapshots": 5', '"snapshots": null'))
+    assert json.loads(null.read_text())["snapshots"] is None
+    for path in paths + [big, number, null]:
         with time_limit(10):
             rc = main(["evolve", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2, path.read_text()
+
+
+@pytest.mark.parametrize("dt, snapshots", [
+    (1.0, [1000000.0, 1000001.0]),        # :g names both 1e+06
+    (1e-7, [0.1234567, 0.1234568]),       # :g names both 0.123457
+])
+def test_evolve_snapshot_files_have_distinct_names(tmp_path, monkeypatch, dt, snapshots):
+    # the run itself is replaced by the initial state at each snapshot time:
+    # only the naming of the files is under test, not a million steps
+    config_path = _write_config(tmp_path / "run.json", dt=dt, t_end=snapshots[-1],
+                                snapshots=snapshots)
+    config = parse_config(config_path)
+    psi = initial_state(config)
+    monkeypatch.setattr(cli, "evolve", lambda cfg: Trajectory(
+        cfg, tuple((t, psi) for t in cfg.snapshots), norm_drift=0.0))
+    outdir = tmp_path / "out"
+    assert main(["evolve", "--config", str(config_path), "--out", str(outdir)]) == 0
+    outputs = json.loads((outdir / "manifest.json").read_text())["outputs"]
+    names = outputs[:-1]
+    assert len(set(names)) == len(names) == 2, names
+    for t, name in zip(config.snapshots, names):
+        rows = (outdir / name).read_text().splitlines()[1:]
+        assert {float(row.split(",")[0]) for row in rows} == {t}, name
 
 
 def test_evolve_numerical_blowup_exits_3_naming_step(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from qlimit.checks import _market_config
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
 from qlimit.propagator import (
     _CHUNK,
+    _FACTORED_STEPS,
     _MAX_STEPS,
     _PEAK_STACKS,
     _REFINE,
@@ -46,6 +48,8 @@ from qlimit.propagator import (
     _propagate,
     _strang_closing_kick,
     _strang_stepper,
+    _tabled_builder,
+    _taylor_order,
 )
 
 
@@ -318,19 +322,23 @@ def test_evolve_magnus_equals_repeated_steps():
 @pytest.mark.parametrize("method", ["magnus2", "reference"])
 def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
     # the stepper (.dot into preallocated rows and vectors, _CHUNK steps per
-    # stack, _STATES per call) against the table's stacks, formed here one
-    # _CHUNK at a time and applied one by one by plain matmul, with the
-    # Newton-Schulz polish of these short runs, 1.5 v - 0.5 U (U^H v),
-    # written out: bit for bit, in every state of the stepper, whose last
-    # stack is partial, and in evolve's snapshots
-    cfg = _config(method=method, t_end=100.0, snapshots=(0.0, 17.0, 32.0, 64.0, 97.0, 100.0))
+    # stack, _STATES per call) against the table's stacks, formed here by
+    # the stepper's builder and applied one by one by plain matmul, with the
+    # Newton-Schulz polish of these runs, 1.5 v - 0.5 U (U^H v), written
+    # out: bit for bit, in every state of the stepper and in evolve's
+    # snapshots. 520 steps are enough to factorize the stacks, too few to
+    # correct the table, and end in a partial stack.
+    t_end = 520.0 / _REFINE[method]
+    cfg = _config(method=method, t_end=t_end, snapshots=(0.0, 17.0, 32.0, 64.0, t_end))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
     assert not _corrects(n_steps, _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q), cfg.lattice.d)
+    assert n_steps >= _FACTORED_STEPS and n_steps % _CHUNK
+    table, degrees = _tabled(cfg, dt)
+    assert _taylor_order(table, degrees, cfg.omega * dt, _CHUNK)
     expected = [initial_state(cfg).amplitudes]
-    for start in range(0, n_steps, _CHUNK):
-        for u in _tabled_stacks(cfg, (start + np.arange(min(_CHUNK, n_steps - start))) * dt, dt):
-            v = np.matmul(u, expected[-1])
-            expected.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
+    for u in _tabled_stacks(cfg, np.arange(n_steps) * dt, dt):
+        v = np.matmul(u, expected[-1])
+        expected.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
     states = _states(_magnus_stepper(cfg, 0.0, dt, n_steps), np.arange(n_steps) * dt,
                      expected[0])
     np.testing.assert_array_equal(states, expected[1:])
@@ -385,15 +393,35 @@ def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
     assert peak < 4 * _STATES * d, peak
 
 
-@pytest.mark.parametrize("corrected", [False, True])
-def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(corrected):
+#: Whether longdouble here carries the bits a table correction needs.
+_CAN_CORRECT = propagator._EXTENDED_PRECISION
+
+
+@pytest.fixture(params=[True, False], ids=["extended", "double"])
+def extended_precision(request, monkeypatch):
+    """propagator._EXTENDED_PRECISION at each value: long runs correct their table, or polish.
+
+    True is skipped where longdouble is a plain double.
+    """
+    if request.param and not _CAN_CORRECT:
+        pytest.skip("longdouble is a plain double here")
+    monkeypatch.setattr(propagator, "_EXTENDED_PRECISION", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("long_run, extended_precision",
+                         [(False, False), (True, True), (True, False)],
+                         ids=["False", "True", "True-double"], indirect=["extended_precision"])
+def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(long_run, extended_precision):
     # a tabled chunk after the first allocates no stack, basis or ufunc
     # buffers: a broadcast outer product of times and int64 degrees
-    # allocated 28 kB per stack
+    # allocated 28 kB per stack. A long run corrects its table with extended
+    # precision and polishes without.
     cfg = _config()
     d = cfg.lattice.d
-    n_steps = _LONG_RUN if corrected else 2 * _STATES
-    assert _corrects(n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q), d) == corrected
+    n_steps = _LONG_RUN if long_run else 2 * _STATES
+    assert _corrects(n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q), d) == (
+        long_run and extended_precision)
     step = _magnus_stepper(cfg, 0.0, 1.0, n_steps)
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
@@ -485,13 +513,26 @@ def test_magnus_evolve_at_large_q_matches_single_steps():
     assert np.abs(traj.states[-1][1].amplitudes - psi).max() < 1e-12
 
 
-def _tabled_stacks(cfg, t, dt):
-    """The step unitaries at the times t from the uncorrected table: its Chebyshev basis times it."""
+def _tabled(cfg, dt, corrected=False):
+    """A run's table and its rows' Chebyshev degrees, as the stepper takes them."""
     m = _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q)
-    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, m, False)
-    basis = _chebyshev_basis(cfg.omega * (t + 0.5 * dt), np.arange(m, dtype=float))
-    stacks = basis @ table.view(float)
-    return stacks.view(complex).reshape(len(t), cfg.lattice.d, cfg.lattice.d)
+    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, m, corrected)
+    degrees = np.arange(len(table), dtype=float)
+    degrees[m:] -= m
+    return table, degrees
+
+
+def _tabled_stacks(cfg, t, dt):
+    """The step unitaries of a run of len(t) steps at its times t, from the uncorrected table.
+
+    Built _CHUNK steps at a time by the builder a run of at least
+    _FACTORED_STEPS steps takes.
+    """
+    table, degrees = _tabled(cfg, dt)
+    work = np.empty((min(_CHUNK, len(t)), cfg.lattice.d, cfg.lattice.d), dtype=complex)
+    build = _tabled_builder(table, degrees, cfg.omega, dt, work,
+                            _taylor_order(table, degrees, cfg.omega * dt, len(work)))
+    return np.concatenate([build(t[i:i + _CHUNK]).copy() for i in range(0, len(t), _CHUNK)])
 
 
 def _states(step, t, psi):
@@ -517,6 +558,89 @@ def test_magnus_table_matches_eigh_unitaries(q):
             assert np.abs(_tabled_stacks(cfg, t, dt) - direct).max() <= 1e-13, (beta, dt)
 
 
+@pytest.mark.parametrize("q, beta, omega, dt, n_steps, order, late", [
+    (10, 0.1, 2e-4, 1.0, 28800, 6, 28768.0),     # the fig2 day (corrected table, K = 35)
+    (10, 0.1, 2e-4, 0.125, 230400, 5, 28796.0),  # its reference (corrected, K = 21)
+    (30, 0.2, 5e-4, 1.0, 60, 9, 28.0),           # the sweep's largest short run (polished, K = 29)
+    # about the most terms that still pay (corrected, K = 74), up to the
+    # phase the fig2 day reaches
+    (20, 0.3, 0.012, 1.0, 100000, 22, 480.0),
+])
+def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, n_steps, order,
+                                                            late):
+    # A chunk's basis B_jk = cos(k theta_j) is built as S W(c). The builder
+    # reads it out exactly from a unit table (W table is then W), and it
+    # must match B within 1e-15 (1 + k |theta_j|), the rounding of k theta_j
+    # in either form, beyond the Taylor remainder (k |s_j|)^p / p!; the
+    # remainder's sum over the table's rows must stay below 1e-17. The real
+    # table's stacks must lie within 1e-14 of B table. Full and partial
+    # chunks, at the start and late in the run, forward and backward.
+    cfg = _config(q=q, beta=beta, omega=omega)
+    d = cfg.lattice.d
+    length = min(_CHUNK, n_steps)
+    for h in (dt, -dt):
+        m = _chebyshev_nodes(abs(beta * h) * q)
+        table, degrees = _tabled(cfg, h, _corrects(n_steps, m, d))
+        p = _taylor_order(table, degrees, omega * h, length)
+        assert p == order
+        sizes = np.array([np.abs(row).max() for row in table])
+        reach = degrees * (0.5 * (length - 1) * abs(omega * h))
+        assert sizes @ reach**p / math.factorial(p) < 1e-17
+        probe = _tabled_builder(np.eye(len(table), dtype=complex), degrees, omega, h,
+                                np.empty((length, len(table)), dtype=complex), p)
+        build = _tabled_builder(table, degrees, omega, h,
+                                np.empty((length, d, d), dtype=complex), p)
+        for t0 in (0.0, late):
+            for n in (length, length - 5):
+                t = t0 + np.arange(n) * h
+                theta = omega * (t + 0.5 * h)
+                basis = _chebyshev_basis(theta, degrees)
+                factored = probe(t)
+                assert not factored.imag.any()
+                s = (np.arange(n) - 0.5 * (length - 1)) * (omega * h)
+                remainder = np.outer(np.abs(s), degrees) ** p / math.factorial(p)
+                allowed = 1e-15 * (1 + np.outer(np.abs(theta), degrees)) + remainder
+                assert np.all(np.abs(factored.real - basis) <= allowed), (h, t0, n)
+                direct = (basis @ table.view(float)).view(complex).reshape(n, d, d)
+                assert np.abs(build(t) - direct).max() <= 1e-14, (h, t0, n)
+
+
+def test_only_runs_of_many_chunks_factorize(monkeypatch):
+    # the factorization's set-up is repaid only over many chunks
+    orders = []
+    monkeypatch.setattr(propagator, "_taylor_order", lambda *args: orders.append(args) or 0)
+    cfg = _config(method="magnus2")
+    _magnus_stepper(cfg, 0.0, 1.0, _FACTORED_STEPS - 1)
+    assert not orders
+    _magnus_stepper(cfg, 0.0, 1.0, _FACTORED_STEPS)
+    assert len(orders) == 1
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.01])
+def test_wide_phase_and_off_grid_chunks_take_the_direct_build(omega):
+    # A chunk that sweeps a wide phase would take more Taylor terms than the
+    # factorization saves, and a chunk off the run's grid has no fixed
+    # offsets: both get the Chebyshev basis times the table, bit for bit.
+    cfg = _config(omega=omega)
+    d = cfg.lattice.d
+    for dt in (1.0, -1.0):
+        table, degrees = _tabled(cfg, dt)
+        assert _taylor_order(table, degrees, omega * dt, _CHUNK) == 0
+        t = np.arange(60) * dt
+        expected = [np.matmul(_chebyshev_basis(omega * (t[i:i + _CHUNK] + 0.5 * dt), degrees),
+                              table.view(float)) for i in range(0, len(t), _CHUNK)]
+        np.testing.assert_array_equal(_tabled_stacks(cfg, t, dt),
+                                      np.concatenate(expected).view(complex).reshape(-1, d, d))
+    cfg = _config()  # the fig2 coupling, which factorizes on its grid
+    table, degrees = _tabled(cfg, 1.0)
+    assert _taylor_order(table, degrees, cfg.omega, _CHUNK) == 6
+    t = np.array([0.0, 1.0, 2.5])
+    expected = np.matmul(_chebyshev_basis(cfg.omega * (t + 0.5), degrees), table.view(float))
+    np.testing.assert_array_equal(_tabled_stacks(cfg, t, 1.0),
+                                  expected.view(complex).reshape(-1, d, d))
+
+
+@pytest.mark.skipif(not _CAN_CORRECT, reason="longdouble is a plain double here")
 @pytest.mark.parametrize("q", [1, 10, 30])
 def test_corrected_table_matches_polished_stacks(q, monkeypatch):
     # a long run corrects the table once; without extended precision it
@@ -536,10 +660,12 @@ def test_corrected_table_matches_polished_stacks(q, monkeypatch):
             assert np.abs(corrected - polished).max() <= 1e-13, (beta, dt)
 
 
-def test_corrected_fig2_day_keeps_norm_drift_small(fig2_config):
-    # polished steps give 5.7e-14 here, the table as stored 6.6e-12
+def test_fig2_day_keeps_norm_drift_small(fig2_config, extended_precision):
+    # the corrected table gives 4.3e-14 here, the polish 5.6e-15 and the
+    # table as stored 6.6e-12
     cfg = replace(fig2_config, method="magnus2")
-    assert _corrects(cfg.n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q), cfg.lattice.d)
+    assert _corrects(cfg.n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q),
+                     cfg.lattice.d) == extended_precision
     assert evolve(cfg).norm_drift <= 1e-13
 
 
@@ -561,10 +687,11 @@ def test_plain_double_longdouble_sends_long_runs_to_the_polish(monkeypatch):
                                   polished)
 
 
-def test_corrected_table_memory_stays_within_the_stacks_max_q_assumes():
-    # 32 nodes at q = 40: the table is allocated with 4 * 32 - 2 rows beside
-    # the one buffer, and the extended-precision temporaries of the
-    # correction are a few matrices
+def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes(extended_precision):
+    # 32 nodes at q = 40. A corrected table is allocated with 4 * 32 - 2 rows
+    # beside the one buffer, and the extended-precision temporaries of the
+    # correction are a few matrices; without extended precision the run
+    # polishes, with the 32-row table, the buffer and its conjugates.
     cfg = _config(q=40, beta=0.1875, method="magnus2")
     d = cfg.lattice.d
     psi = initial_state(cfg).amplitudes
@@ -575,10 +702,14 @@ def test_corrected_table_memory_stays_within_the_stacks_max_q_assumes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, cfg.dt, _CHUNK, True)
+    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, cfg.dt, _CHUNK, extended_precision)
     assert _magnus_table.cache_info().currsize == 1
-    assert _CHUNK < len(table) <= 4 * _CHUNK - 2
-    stacks = (4 * _CHUNK - 2) / _CHUNK + 1
+    if extended_precision:
+        assert _CHUNK < len(table) <= 4 * _CHUNK - 2
+        stacks = (4 * _CHUNK - 2) / _CHUNK + 1
+    else:
+        assert len(table) == _CHUNK
+        stacks = 3
     assert stacks <= _PEAK_STACKS
     stack = 16 * _CHUNK * d * d
     assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
