@@ -126,6 +126,13 @@ def _default_outdir(out: str | None) -> Path:
 # ---------------------------------------------------------------------------
 # subcommands
 
+#: Largest q for ``gaussian``. It holds gamma and upsilon as complex
+#: d-vectors, and gamma_kappa's sum and wrap terms, about five float
+#: d-vectors, while it runs: at most 80 d bytes, as the CSV is written row
+#: by row. That stays within the 1 GiB that evolve keeps for d <= 2^30 / 80.
+GAUSSIAN_MAX_Q = (2**30 // 80 - 1) // 2
+
+
 def cmd_gaussian(q: int, kappa: float, out: str | Path) -> Path:
     """Write the discrete Gaussian table (n, gamma, upsilon, prob) as CSV."""
     try:
@@ -133,13 +140,16 @@ def cmd_gaussian(q: int, kappa: float, out: str | Path) -> Path:
         params = GaussianParams(kappa)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if lattice.q > GAUSSIAN_MAX_Q:
+        raise ConfigError(f"q = {q} exceeds the gaussian limit of {GAUSSIAN_MAX_Q} "
+                          "(memory of its d-vectors)")
     g = gamma_kappa(lattice, params).amplitudes.real
     u = upsilon_kappa(lattice, params).amplitudes.real
     path = Path(out)
-    lines = ["n,gamma,upsilon,prob"]
-    for i, n in enumerate(lattice.points()):
-        lines.append(f"{n},{_fmt17(g[i])},{_fmt17(u[i])},{_fmt17(u[i] ** 2)}")
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write("n,gamma,upsilon,prob\n")
+        for i, n in enumerate(lattice.points()):
+            f.write(f"{n},{_fmt17(g[i])},{_fmt17(u[i])},{_fmt17(u[i] ** 2)}\n")
     return path
 
 

@@ -47,21 +47,21 @@ magnus2
     fixed offsets s_j, so the basis factors as S W(c): S_jl = s_j^l, fixed
     per run, and p Taylor rows W(c)_lk = k^l cos(kc + l pi/2) / l!, one cos
     per chunk. The stack is then S (W table), p (K + L) products per entry
-    instead of L K (p = 6, K = 35 on the fig2 day). A chunk that sweeps
+    instead of L K (p = 6, K = 15 on the fig2 day). A chunk that sweeps
     too wide a phase for that to pay, and every chunk of a run too short to
     repay the set-up, takes its basis directly.
     The nodes pair up as x, -x, and J H(c) J = H(-c) exactly (J the flip
     n -> -n), so one eigh serves each pair: U(-x) = J U(x) J. The stored
     table has a fixed unitarity defect of a few ulp, which would make the
-    norm drift grow linearly with the steps. A run cancels it per step
-    with one Newton-Schulz step applied to the state,
+    norm drift grow linearly with the steps. A factorized chunk cancels it
+    with one Newton-Schulz step on its centre term, the row M_0 = U(c) of
+    W table: M_0 <- M_0 (3 - M_0^H M_0) / 2, two d x d products per
+    chunk, and each step is then one product. Any other tabled run
+    applies that step to the state instead,
     psi <- U (3 - U^H U) psi / 2 = 1.5 v - 0.5 U (U^H v), v = U psi: three
-    products on d-vectors. A run long enough to repay an O(M d^3) build,
-    at least M d^3 / 20 steps, cancels it once instead: the table gains
-    the Chebyshev coefficients of -U (U^H U - I) / 2, formed in extended
-    precision (np.longdouble with a 64-bit mantissa; elsewhere every run
-    polishes), and each step is then one real matrix product. The stepper
-    alone chooses among these paths, builds the unitaries as
+    products on d-vectors. Either is redone with rounding of its own at
+    each chunk or step, so the drift grows as a random walk. The stepper
+    alone chooses between these paths, builds the unitaries as
     (_CHUNK, d, d) stacks and applies them one by one. The real symmetric
     Hamiltonian matrices come from the one builder
     ``operators.hamiltonians``.
@@ -107,12 +107,6 @@ _CHUNK = 32
 #: magnus2 run keeps within at 2 _CHUNK states and exceeds at 4 _CHUNK.
 _STATES = 2 * _CHUNK
 
-#: Most entries of W table a tabled magnus2 chunk forms at a time
-#: (_tabled_builder): 64 kB, which holds a whole fig2 chunk's. At q = 40 it
-#: is 0.02 stack, within the 1/16 that a corrected M = 32 table leaves of
-#: _PEAK_STACKS, and less at larger q.
-_TAYLOR_BLOCK = 2**13
-
 #: A tabled magnus2 run of at least this many steps builds its chunks from
 #: the Taylor factorization (_tabled_builder). Its set-up, a pass over the
 #: table and a few dozen small array operations, takes 0.1 to 0.5 ms after
@@ -124,41 +118,21 @@ _FACTORED_STEPS = 16 * _CHUNK
 #: Most integration steps one run may take: bounds the run time of any config.
 _MAX_STEPS = 10**7
 
-#: A tabled magnus2 run of at least this many steps per table node and per
-#: d^3 cancels its table's unitarity defect once, with correction rows,
-#: instead of polishing every step (_corrects). The rows' extended-precision
-#: build costs O(M d^3); against the state polish it pays after 0.0095 to
-#: 0.051 M d^3 steps from q = 5 to q = 20, and at q = 30 a corrected step
-#: costs about as much as a polished one.
-_CORRECTED_STEPS_PER_NODE_D3 = 1 / 20
-
-#: Trailing correction rows whose entries are all below this are dropped.
-_CORRECTION_FLOOR = 1e-19
-
-#: The correction resolves U^H U - I, about 1e-15, in np.longdouble, which
-#: must carry more bits than a double: x87 extended precision (64-bit
-#: mantissa, as on x86-64 Linux) does; where longdouble is a plain double
-#: the correction would be rounding noise.
-_EXTENDED_PRECISION = np.finfo(np.longdouble).nmant >= 63
-
 #: Most memory evolve holds at once in (_CHUNK, d, d) complex stacks, besides
 #: vectors: magnus2's per-step eigh fallback keeps the previous chunk's
 #: stack, the real eigenvectors (half a stack), their complex cast and two
-#: complex products, 4.5 in all. Polished tabled magnus2 takes 3: its table
-#: of at most _CHUNK matrices plus two stacks, the step unitaries and their
-#: conjugates for the polish. Its corrected table is allocated with
-#: M + N = 4M - 2 rows, of which it uses M + N' (35 of 58 at fig2), so at
-#: M = 32 it is 126 matrices, 3.94 stacks, plus one buffer: 4.94; building
-#: it adds temporaries of a few matrices, and a chunk's Taylor products
-#: (_TAYLOR_BLOCK) at most 64 kB. strang holds no stack: its one matrix, F,
-#: is 1/_CHUNK of one.
+#: complex products, 4.5 in all. A state-polished tabled run takes 3: its
+#: table of at most _CHUNK matrices plus two stacks, the step unitaries and
+#: their conjugates. A factorized run takes at most 2.5: the table, one
+#: stack and W table, whose p <= 15 rows are at most 15/32 of a stack.
+#: strang holds no stack: its one matrix, F, is 1/_CHUNK of one.
 _PEAK_STACKS = 5
 
 #: Largest price limit q. evolve's memory grows as d^2, d = 2q + 1: its
 #: _PEAK_STACKS stacks of 16 _CHUNK d^2 bytes each stay within 1 GiB
 #: (d <= 647, q <= 323). Beside a run, each of the 16 tables _magnus_table
-#: caches holds up to one stack, or 3.94 if corrected, and a dense operator
-#: dump is one stack or less.
+#: caches holds up to one stack, and a dense operator dump is one stack or
+#: less.
 MAX_Q = (math.isqrt(2**30 // (16 * _CHUNK * _PEAK_STACKS)) - 1) // 2
 
 
@@ -295,9 +269,10 @@ def _half_kicks(config: SimulationConfig, cos: np.ndarray, dt: float) -> np.ndar
 #: A stepper: (t, psi, rows) -> psi. It takes the steps starting at the times
 #: t from the carried state psi, writes the state after each into the next of
 #: rows and returns the last. The times are those of _propagate's grid,
-#: t_0 + j dt: tabled magnus2 builds a chunk's unitaries from its first time
-#: and the run's fixed offsets j dt, and builds a chunk whose span is not
-#: (n - 1) dt from its own times instead.
+#: t_0 + j dt: a factorized magnus2 run builds a chunk's unitaries from its
+#: first time and the run's fixed offsets j dt, and polishes their centre
+#: term. It builds a chunk whose span is not (n - 1) dt from its own times
+#: instead, unpolished; _propagate passes none.
 _Stepper = Callable[[np.ndarray, np.ndarray, list], np.ndarray]
 
 
@@ -377,8 +352,8 @@ def _taylor_order(table: np.ndarray, degrees: np.ndarray, omega_dt: float, lengt
     the table's rows C_k by at most sum_k max|C_k| (k |s|)^p / p!: p is
     the fewest terms that bring this below 1e-17, and 0 when the
     factorization takes p (K + length) >= length K products per entry.
-    p is at least 2: for an inner dimension of 1, as for a beta = 0
-    table, np.matmul leaves BLAS and takes 4x as long.
+    p is at least 2: for an inner dimension of 1 np.matmul leaves BLAS
+    and takes 4x as long.
     """
     most = (length * len(table) - 1) // (length + len(table))
     if most < 2:
@@ -388,6 +363,38 @@ def _taylor_order(table: np.ndarray, degrees: np.ndarray, omega_dt: float, lengt
     terms = np.cumprod(np.outer(1.0 / np.arange(1, most + 1), reach), axis=0)  # (k|s|)^p / p!
     below = terms[1:] @ sizes < 1e-17
     return int(below.argmax()) + 2 if below.any() else 0
+
+
+def _taylor_factors(degrees: np.ndarray, omega: float, dt: float, length: int,
+                    order: int) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
+    """S and t -> W(c) of the factorized basis S W(c) of chunks of length steps (_tabled_builder).
+
+    S_jl = s_j^l, s_j = (j - (length - 1)/2) omega dt, is fixed per run.
+    W(c)_lk = k^l cos(kc + l pi/2) / l!, for the centre phase
+    c = omega (t + length dt / 2) of a chunk starting at t, is written into
+    one (order, K) buffer allocated here.
+    """
+    powers = np.ones((length, order))
+    powers[:, 1:] = ((np.arange(length) - 0.5 * (length - 1)) * (omega * dt))[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    # k^l / l!, k and l pi/2 as full (p, K) operands: a broadcast one would
+    # make the ufuncs allocate buffers
+    scale = np.ones((order, len(degrees)))
+    scale[1:] = degrees / np.arange(1.0, order)[:, None]
+    np.cumprod(scale, axis=0, out=scale)
+    rows = np.empty_like(scale)
+    rows[:] = degrees
+    shift = np.empty_like(scale)
+    shift[:] = 0.5 * np.pi * np.arange(order)[:, None]
+    out = np.empty_like(scale)
+    centre = 0.5 * length * dt
+
+    def weights(t: float) -> np.ndarray:
+        w = np.multiply(rows, omega * (t + centre), out=out)
+        np.cos(np.add(w, shift, out=w), out=w)
+        return np.multiply(w, scale, out=w)
+
+    return powers, weights
 
 
 def _tabled_builder(table: np.ndarray, degrees: np.ndarray, omega: float, dt: float,
@@ -402,12 +409,13 @@ def _tabled_builder(table: np.ndarray, degrees: np.ndarray, omega: float, dt: fl
     Its phases are c + s_j about c = omega (t_0 + L dt/2), with
     s_j = (j - (L - 1)/2) omega dt, and, as d^l/dtheta^l cos(k theta) =
     k^l cos(k theta + l pi/2), cos(k (c + s)) = sum_l s^l k^l
-    cos(kc + l pi/2) / l!, cut after p terms (_taylor_order). S_jl = s_j^l
-    is fixed per run, W(c)_lk = k^l cos(kc + l pi/2) / l! takes one cos
-    per chunk, and the stack is S (W table): p (K + L) products per entry
-    instead of L K. W table is formed _TAYLOR_BLOCK entries at a time. A
-    chunk whose span is not (n - 1) dt, to the rounding of its times, is
-    built directly.
+    cos(kc + l pi/2) / l!, cut after p terms (_taylor_order). S is fixed
+    per run, W(c) takes one cos per chunk (_taylor_factors), and the stack
+    is S (W table): p (K + L) products per entry instead of L K. Row 0 of
+    W table is M_0 = U(c), the term S weights by 1 at every step; one
+    Newton-Schulz step, M_0 <- M_0 (3 - M_0^H M_0) / 2, cancels its
+    unitarity defect before the stack is formed. A chunk whose span is not
+    (n - 1) dt, to the rounding of its times, is built directly.
     """
     parts = table.view(float)
     stacks = work.reshape(len(work), -1).view(float)
@@ -421,23 +429,10 @@ def _tabled_builder(table: np.ndarray, degrees: np.ndarray, omega: float, dt: fl
 
     if not order:
         return direct
-    length = len(work)
-    powers = np.ones((length, order))  # S_jl = s_j^l
-    powers[:, 1:] = ((np.arange(length) - 0.5 * (length - 1)) * (omega * dt))[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    # k^l / l!, k and l pi/2 as full (p, K) operands: a broadcast one would
-    # make the ufuncs allocate buffers
-    scale = np.ones((order, len(table)))
-    scale[1:] = degrees / np.arange(1.0, order)[:, None]
-    np.cumprod(scale, axis=0, out=scale)
-    rows = np.empty_like(scale)
-    rows[:] = degrees
-    shift = np.empty_like(scale)
-    shift[:] = 0.5 * np.pi * np.arange(order)[:, None]
-    weights = np.empty_like(scale)
-    width = max(1, _TAYLOR_BLOCK // order)
-    terms = np.empty((order, min(width, parts.shape[1])))
-    centre = 0.5 * length * dt
+    powers, weights = _taylor_factors(degrees, omega, dt, len(work), order)
+    terms = np.empty((order, parts.shape[1]))  # W table
+    m_0 = terms[0].view(complex).reshape(work.shape[1:])
+    conj, gram, cubed = work[:3]  # scratch until the stack is formed over them
     rounding = 4 * np.finfo(float).eps
 
     def build(t: np.ndarray) -> np.ndarray:
@@ -445,63 +440,15 @@ def _tabled_builder(table: np.ndarray, degrees: np.ndarray, omega: float, dt: fl
         first, last = t[0], t[-1]
         if abs(last - first - (n - 1) * dt) > rounding * (abs(first) + abs(last)):
             return direct(t)
-        w = np.multiply(rows, omega * (first + centre), out=weights)
-        np.cos(np.add(w, shift, out=w), out=w)
-        np.multiply(w, scale, out=w)
-        for col in range(0, parts.shape[1], width):
-            cols = slice(col, col + width)
-            v = np.matmul(w, parts[:, cols], out=terms[:, :min(width, parts.shape[1] - col)])
-            np.matmul(powers[:n], v, out=stacks[:n, cols])
+        np.matmul(weights(first), parts, out=terms)
+        # M_0 <- 1.5 M_0 - 0.5 M_0 (M_0^H M_0)
+        np.matmul(np.conjugate(m_0, out=conj).T, m_0, out=gram)
+        np.multiply(np.matmul(m_0, gram, out=cubed), 0.5, out=cubed)
+        np.subtract(np.multiply(m_0, 1.5, out=m_0), cubed, out=m_0)
+        np.matmul(powers[:n], terms, out=stacks[:n])
         return work[:n]
 
     return build
-
-
-def _corrects(n_steps: int, m: int, d: int) -> bool:
-    """Whether a magnus2 run of n_steps steps on an m-node table of d x d unitaries corrects it."""
-    return _EXTENDED_PRECISION and n_steps >= _CORRECTED_STEPS_PER_NODE_D3 * m * d**3
-
-
-def _correction(coef: np.ndarray, out: np.ndarray) -> int:
-    """Chebyshev coefficients G_k of -U (U^H U - I) / 2, U(x) = sum_k T_k(x) coef_k, into out.
-
-    U has degree M - 1 = len(coef) - 1, so the correction has degree
-    3M - 3, and out must have N = 3M - 2 rows: it is sampled at N
-    Chebyshev nodes, which interpolate it exactly. Returns N', the rows up
-    to the last one with an entry of at least _CORRECTION_FLOOR; U + E,
-    E(x) = sum_{k < N'} T_k(x) G_k, is unitary to about that floor.
-    """
-    m, n = len(coef), len(out)
-    d = math.isqrt(coef.shape[1])
-    # U^H U - I is about 1e-15 and U is about 1, so U is summed and U^H U
-    # formed in extended precision. Two nodes and an eighth of the
-    # coefficient columns at a time keep those temporaries below one stack.
-    # The correction itself is about 1e-16: its product with U and its
-    # coefficients need only double.
-    basis = _chebyshev_basis(np.pi * (np.arange(n, dtype=np.longdouble) + 0.5) / n, np.arange(m))
-    parts = coef.view(float)
-    width = -(-parts.shape[1] // 8)
-    for start in range(0, n, 2):
-        nodes = basis[start:start + 2]
-        u = np.empty((len(nodes), parts.shape[1]), dtype=np.longdouble)
-        for col in range(0, parts.shape[1], width):
-            np.matmul(nodes, parts[:, col:col + width].astype(np.longdouble),
-                      out=u[:, col:col + width])
-        u = u.view(np.clongdouble).reshape(-1, d, d)
-        defect = u.conj().transpose(0, 2, 1) @ u
-        defect.reshape(len(nodes), -1)[:, :: d + 1] -= 1
-        np.matmul(u.astype(complex), defect.astype(complex),
-                  out=out[start:start + 2].reshape(-1, d, d))
-    transform = (-1.0 / n) * _chebyshev_basis(np.pi * (np.arange(n) + 0.5) / n, np.arange(n)).T
-    transform[0] *= 0.5
-    # node values -> coefficients in place, one matrix row of entries at a time
-    values = out.view(float)
-    for col in range(0, values.shape[1], 2 * d):
-        values[:, col:col + 2 * d] = transform @ values[:, col:col + 2 * d]
-    kept = n
-    while kept and np.abs(out[kept - 1]).max() < _CORRECTION_FLOOR:
-        kept -= 1
-    return kept
 
 
 def _magnus_nodes(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
@@ -516,24 +463,16 @@ def _magnus_nodes(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
 
 
 @lru_cache(maxsize=16)
-def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int,
-                  corrected: bool) -> np.ndarray:
-    """(rows, d*d) Chebyshev coefficients in x of exp(-1j*dt*(K + beta*x*R)) on [-1, 1].
+def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int) -> np.ndarray:
+    """(m, d*d) Chebyshev coefficients C_k in x of exp(-1j*dt*(K + beta*x*R)) on [-1, 1].
 
-    The first m rows are the coefficients C_k of U(x), the interpolant of
-    m node unitaries, m = _chebyshev_nodes(|beta*dt|*q). corrected appends
-    the N' rows G_k of _correction, which cancel the unitarity defect of
-    U(x) as stored.
+    U(x) = sum_k T_k(x) C_k interpolates m node unitaries,
+    m = _chebyshev_nodes(|beta*dt|*q).
     """
     theta = np.pi * (np.arange(m) + 0.5) / m
     u = _magnus_nodes(Lattice(q), mu, beta * np.cos(theta[:(m + 1) // 2]), dt, m)
-    table = np.empty((4 * m - 2 if corrected else m, u[0].size), dtype=complex)
-    np.matmul((2.0 / m) * _chebyshev_basis(theta, np.arange(m)).T, u.reshape(m, -1),
-              out=table[:m])
-    del u  # a stack the correction does not need
+    table = (2.0 / m) * _chebyshev_basis(theta, np.arange(m)).T @ u.reshape(m, -1)
     table[0] *= 0.5
-    if corrected:
-        table = table[:m + _correction(table[:m], table[m:])]
     table.flags.writeable = False
     return table
 
@@ -568,27 +507,28 @@ def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
     The interpolant's unitarity defect is a few ulp, set by the node
     unitaries' own errors, so it is nearly the same from one step to the
     next and the norm drift of a run would grow linearly with its steps,
-    past the 1e-10 that expectation() accepts after about a million. Either
-    the table's correction rows cancel it, when the run is long enough to
-    repay their build (_corrects), or each step applies one Newton-Schulz
-    step to the state, psi <- U (3 - U^H U) psi / 2. Both leave only
-    rounding that changes from step to step, so the drift grows as a
+    past the 1e-10 that expectation() accepts after about a million. One
+    Newton-Schulz step cancels it: a factorized run's builder applies it
+    to each chunk's centre term, and every other tabled run applies it to
+    the state, psi <- U (3 - U^H U) psi / 2. Both leave only rounding that
+    changes from chunk to chunk or step to step, so the drift grows as a
     random walk, as it does with one eigh per step.
     """
     d = config.lattice.d
     m = _chebyshev_nodes(abs(config.beta * dt) * config.q)
-    plain = m > _CHUNK or _corrects(n_steps, m, d)  # no polish
     if m > _CHUNK:
+        plain = True  # no polish
+
         def unitaries(t: np.ndarray) -> np.ndarray:
             coupling = config.beta * np.cos(config.omega * (t + 0.5 * dt))
             return _magnus_unitaries(config.lattice, config.mu, coupling, dt)
     else:
-        table = _magnus_table(config.q, config.mu, config.beta, dt, m, plain)
-        degrees = np.arange(len(table), dtype=float)  # as int64 they would be cast per call
-        degrees[m:] -= m  # the correction rows start again at T_0
+        table = _magnus_table(config.q, config.mu, config.beta, dt, m)
+        degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
         work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
         order = (_taylor_order(table, degrees, config.omega * dt, len(work))
                  if n_steps >= _FACTORED_STEPS else 0)
+        plain = order > 0  # the builder polishes the centre term
         build = _tabled_builder(table, degrees, config.omega, dt, work, order)
         views = list(work)  # iterating work would make a view object per step
 

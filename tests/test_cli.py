@@ -21,6 +21,7 @@ from qlimit import (
 )
 from qlimit.checks import ALL_CHECKS, CheckResult
 from qlimit.cli import (
+    GAUSSIAN_MAX_Q,
     cmd_evolve,
     cmd_gaussian,
     cmd_operators,
@@ -141,6 +142,17 @@ def test_gaussian_requires_parameters(tmp_path, time_limit):
         with time_limit(10):
             assert main(["gaussian", "--q", "4", "--kappa", kappa,
                          "--out", str(tmp_path / "g.csv")]) == 2
+
+
+def test_gaussian_q_above_its_limit_exits_2(tmp_path, capsys, time_limit):
+    # rejected before any vector is built: q = 10^15 ended in an
+    # _ArrayMemoryError, and q = 10^8 ran out of memory
+    out = tmp_path / "g.csv"
+    for q in (GAUSSIAN_MAX_Q + 1, 10**15):
+        with time_limit(10):
+            assert main(["gaussian", "--q", str(q), "--kappa", "1", "--out", str(out)]) == 2
+    assert f"exceeds the gaussian limit of {GAUSSIAN_MAX_Q}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gaussian_unwritable_path_is_io_error():

@@ -27,7 +27,6 @@ from qlimit import (
     upsilon_kappa,
 )
 from qlimit import propagator
-from qlimit.checks import _market_config
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
 from qlimit.propagator import (
     _CHUNK,
@@ -39,7 +38,6 @@ from qlimit.propagator import (
     MAX_Q,
     _chebyshev_basis,
     _chebyshev_nodes,
-    _corrects,
     _free_step,
     _magnus_nodes,
     _magnus_stepper,
@@ -49,6 +47,7 @@ from qlimit.propagator import (
     _strang_closing_kick,
     _strang_stepper,
     _tabled_builder,
+    _taylor_factors,
     _taylor_order,
 )
 
@@ -319,26 +318,13 @@ def test_evolve_magnus_equals_repeated_steps():
     assert np.abs(final.amplitudes - psi.amplitudes).max() < 1e-12
 
 
-@pytest.mark.parametrize("method", ["magnus2", "reference"])
-def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
-    # the stepper (.dot into preallocated rows and vectors, _CHUNK steps per
-    # stack, _STATES per call) against the table's stacks, formed here by
-    # the stepper's builder and applied one by one by plain matmul, with the
-    # Newton-Schulz polish of these runs, 1.5 v - 0.5 U (U^H v), written
-    # out: bit for bit, in every state of the stepper and in evolve's
-    # snapshots. 520 steps are enough to factorize the stacks, too few to
-    # correct the table, and end in a partial stack.
-    t_end = 520.0 / _REFINE[method]
-    cfg = _config(method=method, t_end=t_end, snapshots=(0.0, 17.0, 32.0, 64.0, t_end))
-    dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
-    assert not _corrects(n_steps, _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q), cfg.lattice.d)
-    assert n_steps >= _FACTORED_STEPS and n_steps % _CHUNK
-    table, degrees = _tabled(cfg, dt)
-    assert _taylor_order(table, degrees, cfg.omega * dt, _CHUNK)
-    expected = [initial_state(cfg).amplitudes]
-    for u in _tabled_stacks(cfg, np.arange(n_steps) * dt, dt):
-        v = np.matmul(u, expected[-1])
-        expected.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
+def _assert_magnus_run_gives(cfg, expected):
+    """The stepper's state after each step, and evolve's snapshots, equal expected bit for bit.
+
+    expected[k] is the state after k steps of cfg's run; the stepper takes
+    .dot into preallocated rows, _CHUNK steps per stack, _STATES per call.
+    """
+    dt, n_steps = cfg.dt / _REFINE[cfg.method], cfg.n_steps * _REFINE[cfg.method]
     states = _states(_magnus_stepper(cfg, 0.0, dt, n_steps), np.arange(n_steps) * dt,
                      expected[0])
     np.testing.assert_array_equal(states, expected[1:])
@@ -346,6 +332,36 @@ def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
     assert [t for t, _ in states] == list(cfg.snapshots)
     for t, state in states:
         np.testing.assert_array_equal(state.amplitudes, expected[round(t / dt)])
+
+
+@pytest.mark.parametrize("method", ["magnus2", "reference"])
+def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
+    # 520 steps factorize the stacks and end in a partial one: the stacks
+    # the stepper's builder forms, each chunk's centre term polished,
+    # applied one by one by plain matmul.
+    t_end = 520.0 / _REFINE[method]
+    cfg = _config(method=method, t_end=t_end, snapshots=(0.0, 17.0, 32.0, 64.0, t_end))
+    dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
+    assert n_steps >= _FACTORED_STEPS and n_steps % _CHUNK
+    table, degrees = _tabled(cfg, dt)
+    assert _taylor_order(table, degrees, cfg.omega * dt, _CHUNK)
+    expected = [initial_state(cfg).amplitudes]
+    for u in _tabled_stacks(cfg, np.arange(n_steps) * dt, dt):
+        expected.append(np.matmul(u, expected[-1]))
+    _assert_magnus_run_gives(cfg, expected)
+
+
+def test_short_magnus_run_polishes_each_state():
+    # Fewer than _FACTORED_STEPS steps: the stacks built directly, each
+    # applied with the Newton-Schulz polish of the state,
+    # 1.5 v - 0.5 U (U^H v), written out.
+    cfg = _config(method="magnus2", t_end=100.0, snapshots=(0.0, 17.0, 64.0, 100.0))
+    assert cfg.n_steps < _FACTORED_STEPS and cfg.n_steps % _CHUNK
+    expected = [initial_state(cfg).amplitudes]
+    for u in _tabled_stacks(cfg, np.arange(float(cfg.n_steps)), cfg.dt, factorized=False):
+        v = np.matmul(u, expected[-1])
+        expected.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
+    _assert_magnus_run_gives(cfg, expected)
 
 
 def test_evolve_strang_snapshots_across_chunks_match_single_steps():
@@ -393,35 +409,15 @@ def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
     assert peak < 4 * _STATES * d, peak
 
 
-#: Whether longdouble here carries the bits a table correction needs.
-_CAN_CORRECT = propagator._EXTENDED_PRECISION
-
-
-@pytest.fixture(params=[True, False], ids=["extended", "double"])
-def extended_precision(request, monkeypatch):
-    """propagator._EXTENDED_PRECISION at each value: long runs correct their table, or polish.
-
-    True is skipped where longdouble is a plain double.
-    """
-    if request.param and not _CAN_CORRECT:
-        pytest.skip("longdouble is a plain double here")
-    monkeypatch.setattr(propagator, "_EXTENDED_PRECISION", request.param)
-    return request.param
-
-
-@pytest.mark.parametrize("long_run, extended_precision",
-                         [(False, False), (True, True), (True, False)],
-                         ids=["False", "True", "True-double"], indirect=["extended_precision"])
-def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(long_run, extended_precision):
-    # a tabled chunk after the first allocates no stack, basis or ufunc
-    # buffers: a broadcast outer product of times and int64 degrees
-    # allocated 28 kB per stack. A long run corrects its table with extended
-    # precision and polishes without.
+@pytest.mark.parametrize("long_run", [False, True])
+def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(long_run):
+    # a tabled chunk after the first allocates no stack, basis, Taylor or
+    # ufunc buffers: a broadcast outer product of times and int64 degrees
+    # allocated 28 kB per stack. A long run factorizes its chunks and
+    # polishes their centre terms, a short one polishes its states.
     cfg = _config()
     d = cfg.lattice.d
     n_steps = _LONG_RUN if long_run else 2 * _STATES
-    assert _corrects(n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q), d) == (
-        long_run and extended_precision)
     step = _magnus_stepper(cfg, 0.0, 1.0, n_steps)
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
@@ -513,25 +509,22 @@ def test_magnus_evolve_at_large_q_matches_single_steps():
     assert np.abs(traj.states[-1][1].amplitudes - psi).max() < 1e-12
 
 
-def _tabled(cfg, dt, corrected=False):
+def _tabled(cfg, dt):
     """A run's table and its rows' Chebyshev degrees, as the stepper takes them."""
     m = _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q)
-    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, m, corrected)
-    degrees = np.arange(len(table), dtype=float)
-    degrees[m:] -= m
-    return table, degrees
+    return _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, m), np.arange(m, dtype=float)
 
 
-def _tabled_stacks(cfg, t, dt):
-    """The step unitaries of a run of len(t) steps at its times t, from the uncorrected table.
+def _tabled_stacks(cfg, t, dt, factorized=True):
+    """The step unitaries of a run of len(t) steps at its times t, from its table.
 
     Built _CHUNK steps at a time by the builder a run of at least
-    _FACTORED_STEPS steps takes.
+    _FACTORED_STEPS steps takes, or one of fewer steps if not factorized.
     """
     table, degrees = _tabled(cfg, dt)
     work = np.empty((min(_CHUNK, len(t)), cfg.lattice.d, cfg.lattice.d), dtype=complex)
-    build = _tabled_builder(table, degrees, cfg.omega, dt, work,
-                            _taylor_order(table, degrees, cfg.omega * dt, len(work)))
+    order = _taylor_order(table, degrees, cfg.omega * dt, len(work)) if factorized else 0
+    build = _tabled_builder(table, degrees, cfg.omega, dt, work, order)
     return np.concatenate([build(t[i:i + _CHUNK]).copy() for i in range(0, len(t), _CHUNK)])
 
 
@@ -543,7 +536,7 @@ def _states(step, t, psi):
     return rows
 
 
-#: Steps of a run that takes the corrected table at every q these tests use.
+#: Steps of a run long enough to factorize its chunks.
 _LONG_RUN = _MAX_STEPS
 
 
@@ -559,35 +552,33 @@ def test_magnus_table_matches_eigh_unitaries(q):
 
 
 @pytest.mark.parametrize("q, beta, omega, dt, n_steps, order, late", [
-    (10, 0.1, 2e-4, 1.0, 28800, 6, 28768.0),     # the fig2 day (corrected table, K = 35)
-    (10, 0.1, 2e-4, 0.125, 230400, 5, 28796.0),  # its reference (corrected, K = 21)
-    (30, 0.2, 5e-4, 1.0, 60, 9, 28.0),           # the sweep's largest short run (polished, K = 29)
-    # about the most terms that still pay (corrected, K = 74), up to the
-    # phase the fig2 day reaches
-    (20, 0.3, 0.012, 1.0, 100000, 22, 480.0),
+    (10, 0.1, 2e-4, 1.0, 28800, 6, 28768.0),     # the fig2 day (K = 15)
+    (10, 0.1, 2e-4, 0.125, 230400, 5, 28796.0),  # its reference (K = 9)
+    (30, 0.2, 5e-4, 1.0, 60, 9, 28.0),           # the sweep's largest short run (K = 29)
+    # the most terms that still pay (K = 29), up to the phase the fig2 day
+    # reaches
+    (20, 0.3, 0.004, 1.0, 100000, 15, 1440.0),
 ])
 def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, n_steps, order,
                                                             late):
-    # A chunk's basis B_jk = cos(k theta_j) is built as S W(c). The builder
-    # reads it out exactly from a unit table (W table is then W), and it
-    # must match B within 1e-15 (1 + k |theta_j|), the rounding of k theta_j
-    # in either form, beyond the Taylor remainder (k |s_j|)^p / p!; the
+    # A chunk's basis B_jk = cos(k theta_j) is built as S W(c), which must
+    # match B within 1e-15 (1 + k |theta_j|), the rounding of k theta_j in
+    # either form, beyond the Taylor remainder (k |s_j|)^p / p!; the
     # remainder's sum over the table's rows must stay below 1e-17. The real
-    # table's stacks must lie within 1e-14 of B table. Full and partial
-    # chunks, at the start and late in the run, forward and backward.
+    # table's stacks, centre terms polished, must lie within 1e-14 of
+    # B table. Full and partial chunks, at the start and late in the run,
+    # forward and backward.
     cfg = _config(q=q, beta=beta, omega=omega)
     d = cfg.lattice.d
     length = min(_CHUNK, n_steps)
     for h in (dt, -dt):
-        m = _chebyshev_nodes(abs(beta * h) * q)
-        table, degrees = _tabled(cfg, h, _corrects(n_steps, m, d))
+        table, degrees = _tabled(cfg, h)
         p = _taylor_order(table, degrees, omega * h, length)
         assert p == order
         sizes = np.array([np.abs(row).max() for row in table])
         reach = degrees * (0.5 * (length - 1) * abs(omega * h))
         assert sizes @ reach**p / math.factorial(p) < 1e-17
-        probe = _tabled_builder(np.eye(len(table), dtype=complex), degrees, omega, h,
-                                np.empty((length, len(table)), dtype=complex), p)
+        powers, weights = _taylor_factors(degrees, omega, h, length, p)
         build = _tabled_builder(table, degrees, omega, h,
                                 np.empty((length, d, d), dtype=complex), p)
         for t0 in (0.0, late):
@@ -595,12 +586,11 @@ def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, 
                 t = t0 + np.arange(n) * h
                 theta = omega * (t + 0.5 * h)
                 basis = _chebyshev_basis(theta, degrees)
-                factored = probe(t)
-                assert not factored.imag.any()
+                factored = powers[:n] @ weights(t0)
                 s = (np.arange(n) - 0.5 * (length - 1)) * (omega * h)
                 remainder = np.outer(np.abs(s), degrees) ** p / math.factorial(p)
                 allowed = 1e-15 * (1 + np.outer(np.abs(theta), degrees)) + remainder
-                assert np.all(np.abs(factored.real - basis) <= allowed), (h, t0, n)
+                assert np.all(np.abs(factored - basis) <= allowed), (h, t0, n)
                 direct = (basis @ table.view(float)).view(complex).reshape(n, d, d)
                 assert np.abs(build(t) - direct).max() <= 1e-14, (h, t0, n)
 
@@ -640,58 +630,37 @@ def test_wide_phase_and_off_grid_chunks_take_the_direct_build(omega):
                                   expected.view(complex).reshape(-1, d, d))
 
 
-@pytest.mark.skipif(not _CAN_CORRECT, reason="longdouble is a plain double here")
-@pytest.mark.parametrize("q", [1, 10, 30])
-def test_corrected_table_matches_polished_stacks(q, monkeypatch):
-    # a long run corrects the table once; without extended precision it
-    # polishes each step's state with the same table: their states agree (at
-    # q = 1 even these 49 steps would correct)
-    t = np.linspace(0.0, 2 * np.pi, 49)
-    for beta in (0.0, -0.1, 0.2):
-        cfg = _config(q=q, beta=beta, omega=1.0)
-        psi = initial_state(cfg).amplitudes
-        for dt in (1.0, 0.125, -1.0):
-            assert _corrects(_LONG_RUN, _chebyshev_nodes(abs(beta * dt) * q), cfg.lattice.d)
-            corrected = _states(_magnus_stepper(cfg, 0.0, dt, _LONG_RUN), t, psi)
-            with monkeypatch.context() as patch:
-                patch.setattr(propagator, "_EXTENDED_PRECISION", False)
-                polished = _states(_magnus_stepper(cfg, 0.0, dt, _LONG_RUN), t, psi)
-            assert not np.array_equal(corrected, polished), (beta, dt)
-            assert np.abs(corrected - polished).max() <= 1e-13, (beta, dt)
-
-
-def test_fig2_day_keeps_norm_drift_small(fig2_config, extended_precision):
-    # the corrected table gives 4.3e-14 here, the polish 5.6e-15 and the
-    # table as stored 6.6e-12
+def test_fig2_day_keeps_norm_drift_small(fig2_config):
+    # a factorized run: polishing each chunk's centre term gives 2.6e-14
+    # here, the table as stored 8.2e-12
     cfg = replace(fig2_config, method="magnus2")
-    assert _corrects(cfg.n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q),
-                     cfg.lattice.d) == extended_precision
+    table, degrees = _tabled(cfg, cfg.dt)
+    assert _taylor_order(table, degrees, cfg.omega * cfg.dt, _CHUNK)
     assert evolve(cfg).norm_drift <= 1e-13
 
 
 def test_polished_long_run_keeps_norm_drift_small(fig2_config):
-    # 3 000 fig2 steps, fewer than M d^3 / 20: the polish gives 2.0e-15
+    # 3 000 fig2 steps, factorized: the centre polish gives 9.5e-15
     # here, the table as stored 1.05e-12
     cfg = replace(fig2_config, method="magnus2", t_end=3000.0, snapshots=None)
-    assert not _corrects(cfg.n_steps, _chebyshev_nodes(cfg.beta * cfg.dt * cfg.q), cfg.lattice.d)
+    assert cfg.n_steps >= _FACTORED_STEPS
     assert evolve(cfg).norm_drift <= 1e-13
 
 
-def test_plain_double_longdouble_sends_long_runs_to_the_polish(monkeypatch):
-    cfg = _config(omega=1.0)
-    t = np.linspace(0.0, 2 * np.pi, 49)
-    psi = initial_state(cfg).amplitudes
-    polished = _states(_magnus_stepper(cfg, 0.0, 1.0, len(t)), t, psi)
-    monkeypatch.setattr(propagator, "_EXTENDED_PRECISION", False)
-    np.testing.assert_array_equal(_states(_magnus_stepper(cfg, 0.0, 1.0, _LONG_RUN), t, psi),
-                                  polished)
+@pytest.mark.parametrize("beta, omega", [(0.0, 2e-4), (0.1, 0.01)])
+def test_long_run_that_does_not_factorize_polishes_its_states(beta, omega):
+    # 3 000 steps without a centre term to polish, as beta = 0 (one table
+    # row) or a wide phase per chunk gives: the state polish keeps the
+    # drift at 4.8e-15 and 3.7e-15, against 2.1e-13 and 6.7e-13 with the
+    # table as stored
+    cfg = _config(method="magnus2", beta=beta, omega=omega, t_end=3000.0, snapshots=None)
+    table, degrees = _tabled(cfg, cfg.dt)
+    assert _taylor_order(table, degrees, omega * cfg.dt, _CHUNK) == 0
+    assert evolve(cfg).norm_drift <= 1e-13
 
 
-def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes(extended_precision):
-    # 32 nodes at q = 40. A corrected table is allocated with 4 * 32 - 2 rows
-    # beside the one buffer, and the extended-precision temporaries of the
-    # correction are a few matrices; without extended precision the run
-    # polishes, with the 32-row table, the buffer and its conjugates.
+def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes():
+    # 32 nodes at q = 40, factorized: the table, one buffer and W table
     cfg = _config(q=40, beta=0.1875, method="magnus2")
     d = cfg.lattice.d
     psi = initial_state(cfg).amplitudes
@@ -702,49 +671,14 @@ def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes(extended_pr
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, cfg.dt, _CHUNK, extended_precision)
-    assert _magnus_table.cache_info().currsize == 1
-    if extended_precision:
-        assert _CHUNK < len(table) <= 4 * _CHUNK - 2
-        stacks = (4 * _CHUNK - 2) / _CHUNK + 1
-    else:
-        assert len(table) == _CHUNK
-        stacks = 3
-    assert stacks <= _PEAK_STACKS
+    table, degrees = _tabled(cfg, cfg.dt)
+    assert len(table) == _CHUNK and _magnus_table.cache_info().currsize == 1
+    order = _taylor_order(table, degrees, cfg.omega * cfg.dt, _CHUNK)
+    assert order
+    stacks = 2 + order / _CHUNK
+    assert stacks <= 2.5 <= _PEAK_STACKS
     stack = 16 * _CHUNK * d * d
     assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
-
-
-def test_correction_gate_amortizes_its_build(fig2_config, monkeypatch):
-    # The correction rows' extended-precision build costs O(M d^3), so a run
-    # takes them from M d^3 / 20 steps on: the fig2 day (M = 15, from 6 946
-    # steps), its reference (M = 9, from 4 168) and check's beta = 0 run
-    # (M = 1, from 464) do. A 3 000-step fig2 run, the benchmark sweep's
-    # 60-step runs and a 7 500-step run at q = 30, beta = 0.2 (M = 29, where
-    # a corrected step costs about as much as a polished one) polish instead.
-    def make_stepper(cfg):
-        _magnus_table.cache_clear()
-        refine = _REFINE[cfg.method]
-        _magnus_stepper(cfg, 0.0, cfg.dt / refine, cfg.n_steps * refine)
-
-    built, correction = [], propagator._correction
-    monkeypatch.setattr(propagator, "_correction",
-                        lambda coef, out: built.append(len(coef)) or correction(coef, out))
-    day = replace(fig2_config, method="magnus2")
-    for cfg in (day, replace(day, method="reference"),
-                _market_config(beta=0.0, method="magnus2")):  # check_free_evolution_oracle
-        make_stepper(cfg)
-    assert built == ([15, 9, 1] if propagator._EXTENDED_PRECISION else [])
-
-    def no_correction(coef, out):
-        raise AssertionError(f"correction rows built for {len(coef)} nodes")
-
-    monkeypatch.setattr(propagator, "_correction", no_correction)
-    make_stepper(replace(day, t_end=3000.0, snapshots=None))
-    for q in (5, 7, 10, 15, 20, 30):  # the sweep's price limits, at its betas
-        for beta in (0.0, 0.05, 0.1, 0.2):
-            make_stepper(_config(q=q, beta=beta, method="magnus2", t_end=60.0, snapshots=None))
-    make_stepper(_config(q=30, beta=0.2, method="magnus2", t_end=7500.0, snapshots=None))
 
 
 @pytest.mark.parametrize("q", [1, 10, 30])
@@ -765,7 +699,7 @@ def test_magnus_table_takes_one_eigh_per_node_pair(q, monkeypatch):
         eigh, sizes = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
         _magnus_table.cache_clear()
-        assert len(_magnus_table(q, cfg.mu, beta, 1.0, m, False)) == m
+        assert len(_magnus_table(q, cfg.mu, beta, 1.0, m)) == m
         monkeypatch.undo()
         assert sizes == [(m + 1) // 2], (beta, m)
 
