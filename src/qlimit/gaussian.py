@@ -36,6 +36,10 @@ _GAMMA_RELATIVE_TAIL = 1e-18
 #: so this bounds its run time and sets the smallest kappa it accepts.
 _GAMMA_MAX_WRAPS = 10_000
 
+#: Most index pairs a, -a theta3 sums; it needs about sqrt(ln(1/tol) / (pi Im(tau)))
+#: at real z, so this bounds its run time and sets the smallest Im(tau) it sums.
+_THETA_MAX_PAIRS = 10_000
+
 
 @dataclass(frozen=True)
 class GaussianParams:
@@ -66,7 +70,8 @@ def theta3(args: ThetaArgs, tol: float = 1e-12) -> complex:
     Terms with index a and -a are paired; |term_a| <= 2*exp(-pi*Im(tau)*a^2
     + 2*pi*|Im(z)|*a), so once past the peak of that bound the tail is
     dominated by a geometric series and summation stops as soon as the
-    bound times its geometric tail factor is below tolerance.
+    bound times its geometric tail factor is below tolerance. Raises
+    ValueError past _THETA_MAX_PAIRS pairs.
     """
     if not 0 < tol <= 1e-6:
         raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
@@ -76,8 +81,7 @@ def theta3(args: ThetaArgs, tol: float = 1e-12) -> complex:
     im_z = abs(z.imag)
 
     total = 1.0 + 0j
-    a = 1
-    while True:
+    for a in range(1, _THETA_MAX_PAIRS + 1):
         quad = cmath.exp(1j * math.pi * tau * a * a)
         total += quad * (cmath.exp(2j * math.pi * a * z) + cmath.exp(-2j * math.pi * a * z))
         # bound on the next pair of terms, and the ratio of consecutive bounds
@@ -85,7 +89,7 @@ def theta3(args: ThetaArgs, tol: float = 1e-12) -> complex:
         ratio = math.exp(-math.pi * im_tau * (2 * a + 3) + 2.0 * math.pi * im_z)
         if ratio < 1.0 and bound / (1.0 - ratio) <= tol * max(abs(total), 1e-300):
             return complex(total)
-        a += 1
+    raise ValueError(f"theta3 at tau={tau} needs over {_THETA_MAX_PAIRS} term pairs")
 
 
 @np.errstate(over="ignore")  # exponents beyond the float range give exp(-inf) = 0

@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Norm below which a vector is treated as zero when normalizing, to
-#: avoid overflow on division.
-ZERO_NORM_FLOOR = 1e-300
-
 #: Tolerance on ||psi|| - 1 for "is normalized" checks at probability and
 #: expectation boundaries.
 NORM_TOLERANCE = 1e-10
@@ -117,11 +113,16 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 
 def normalize(psi: StateVector) -> StateVector:
-    """Unit-norm state parallel to psi. Rejects (numerically) zero vectors."""
-    nrm = psi.norm()
-    if nrm < ZERO_NORM_FLOOR:
+    """Unit-norm state parallel to psi. Rejects the zero vector.
+
+    The amplitudes are divided by their largest modulus first, so the sum
+    of squares neither overflows nor underflows at any finite scale.
+    """
+    largest = np.abs(psi.amplitudes).max()
+    if not largest > 0:
         raise ValueError("cannot normalize a zero state vector")
-    return StateVector(psi.lattice, psi.amplitudes / nrm)
+    scaled = psi.amplitudes / largest
+    return StateVector(psi.lattice, scaled / np.linalg.norm(scaled))
 
 
 def delta_state(lattice: Lattice, n: int) -> StateVector:

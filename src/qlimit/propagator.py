@@ -47,9 +47,9 @@ magnus2
     fixed offsets s_j, so the basis factors as S W(c): S_jl = s_j^l, fixed
     per run, and p Taylor rows W(c)_lk = k^l cos(kc + l pi/2) / l!, one cos
     per chunk. The stack is then S (W table), p (K + L) products per entry
-    instead of L K (p = 6, K = 15 on the fig2 day). A chunk that sweeps
-    too wide a phase for that to pay, and every chunk of a run too short to
-    repay the set-up, takes its basis directly.
+    instead of L K (p = 6, K = 15 on the fig2 day). Where that saves
+    nothing (beta = 0's one-row table, a wide phase per chunk, a run of
+    one or two steps) the stack is B table, built directly.
     The nodes pair up as x, -x, and J H(c) J = H(-c) exactly (J the flip
     n -> -n), so one eigh serves each pair: U(-x) = J U(x) J. The stored
     table has a fixed unitarity defect of a few ulp, which would make the
@@ -106,14 +106,6 @@ _CHUNK = 32
 #: memory test allows 8 (_CHUNK, d) blocks of vectors, which a q = 40
 #: magnus2 run keeps within at 2 _CHUNK states and exceeds at 4 _CHUNK.
 _STATES = 2 * _CHUNK
-
-#: A tabled magnus2 run of at least this many steps builds its chunks from
-#: the Taylor factorization (_tabled_builder). Its set-up, a pass over the
-#: table and a few dozen small array operations, takes 0.1 to 0.5 ms after
-#: a table build and pays back only over many chunks: interleaved
-#: in-process, 60-step runs at q = 5 to 30 were 7 to 14 % slower with it,
-#: and 512-step runs 2.5 to 7 % faster.
-_FACTORED_STEPS = 16 * _CHUNK
 
 #: Most integration steps one run may take: bounds the run time of any config.
 _MAX_STEPS = 10**7
@@ -500,9 +492,9 @@ def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
     _CHUNK Chebyshev nodes each stack comes from its own eigh: a table
     would cost more eigh work and memory than one chunk of direct steps.
     Otherwise _tabled_builder writes each stack from the run's table into
-    a buffer allocated here, once, factorized in a run of at least
-    _FACTORED_STEPS steps, and the steps go through views of it made once
-    per run.
+    a buffer allocated here, once, factorized whenever _taylor_order gives
+    the run's chunks p > 0 terms, and the steps go through views of it
+    made once per run.
 
     The interpolant's unitarity defect is a few ulp, set by the node
     unitaries' own errors, so it is nearly the same from one step to the
@@ -526,8 +518,7 @@ def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
         table = _magnus_table(config.q, config.mu, config.beta, dt, m)
         degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
         work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
-        order = (_taylor_order(table, degrees, config.omega * dt, len(work))
-                 if n_steps >= _FACTORED_STEPS else 0)
+        order = _taylor_order(table, degrees, config.omega * dt, len(work))
         plain = order > 0  # the builder polishes the centre term
         build = _tabled_builder(table, degrees, config.omega, dt, work, order)
         views = list(work)  # iterating work would make a view object per step
@@ -581,10 +572,12 @@ def _propagate(config: SimulationConfig, psi: np.ndarray, t0: float, dt: float, 
     the steps k in record_at (k = 0 is psi itself), keyed by k, and the
     worst per-step norm defect.
     """
-    make_stepper, record = _LOOP[config.method]
-    step = make_stepper(config, t0, dt, n_steps)
     record_at = set(record_at)
     recorded = {0: psi} if 0 in record_at else {}
+    if not n_steps:  # no stepper: its buffers would be empty and its free step unused
+        return recorded, 0.0
+    make_stepper, record = _LOOP[config.method]
+    step = make_stepper(config, t0, dt, n_steps)
     drift = 0.0
     chunk = np.empty((min(_STATES, n_steps), config.lattice.d), dtype=complex)
     rows = list(chunk)

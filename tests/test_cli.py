@@ -233,14 +233,16 @@ def test_evolve_records_snapshot_adjustments(tmp_path):
 
 def test_evolve_zero_step_run_with_default_snapshots(tmp_path):
     # t_end = 0 and no snapshots: the default [0, t_end] is the one time 0
-    config_path = _write_config(tmp_path / "run.json", t_end=0.0, snapshots=None)
-    outdir = tmp_path / "out"
-    assert main(["evolve", "--config", str(config_path), "--out", str(outdir)]) == 0
-    assert {p.name for p in outdir.iterdir()} == {"snapshot_t0.csv", "observables.csv",
-                                                  "manifest.json"}
-    obs = (outdir / "observables.csv").read_text().splitlines()
-    assert len(obs) == 2 and float(obs[1].split(",")[0]) == 0.0
-    assert json.loads((outdir / "manifest.json").read_text())["norm_drift"] == 0.0
+    for method in ("strang", "magnus2"):
+        config_path = _write_config(tmp_path / f"{method}.json", t_end=0.0, snapshots=None,
+                                    method=method)
+        outdir = tmp_path / method
+        assert main(["evolve", "--config", str(config_path), "--out", str(outdir)]) == 0
+        assert {p.name for p in outdir.iterdir()} == {"snapshot_t0.csv", "observables.csv",
+                                                      "manifest.json"}
+        obs = (outdir / "observables.csv").read_text().splitlines()
+        assert len(obs) == 2 and float(obs[1].split(",")[0]) == 0.0
+        assert json.loads((outdir / "manifest.json").read_text())["norm_drift"] == 0.0
 
 
 def test_evolve_flag_overrides(tmp_path):

@@ -71,6 +71,13 @@ def test_theta_tolerance_domain():
         theta3(ThetaArgs(0.0, 1j), tol=1e-5)
 
 
+def test_theta_at_tiny_im_tau_stops_at_its_pair_cap(time_limit):
+    # the pairs it needs grow as Im(tau)^-1/2: about 10^11 here
+    with time_limit(10):
+        with pytest.raises(ValueError, match="10000 term pairs"):
+            theta3(ThetaArgs(0.3, 0.1 + 1e-20j))
+
+
 def test_gaussian_params_require_positive_kappa():
     with pytest.raises(ValueError, match="kappa"):
         GaussianParams(0.0)

@@ -61,11 +61,14 @@ def test_inner_product_rejects_lattice_mismatch():
 
 
 def test_normalize_scaling():
+    # far above and below 1 the sum of squares alone would overflow (giving
+    # the zero vector) or underflow (rejecting the state as zero)
     lattice = new_lattice(5)
-    twice = StateVector(lattice, 2.0 * delta_state(lattice, 0).amplitudes)
-    np.testing.assert_allclose(
-        normalize(twice).amplitudes, delta_state(lattice, 0).amplitudes
-    )
+    for factor in (2.0, 1e200, 1e-170):
+        scaled = StateVector(lattice, factor * delta_state(lattice, 0).amplitudes)
+        np.testing.assert_allclose(
+            normalize(scaled).amplitudes, delta_state(lattice, 0).amplitudes
+        )
 
 
 def test_normalize_two_point_superposition():

@@ -30,12 +30,11 @@ from qlimit import propagator
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
 from qlimit.propagator import (
     _CHUNK,
-    _FACTORED_STEPS,
-    _MAX_STEPS,
     _PEAK_STACKS,
     _REFINE,
     _STATES,
     MAX_Q,
+    METHODS,
     _chebyshev_basis,
     _chebyshev_nodes,
     _free_step,
@@ -115,10 +114,18 @@ def test_config_aligns_t_end():
 
 @pytest.mark.parametrize("t_end", [0.0, 0.4])
 def test_config_default_snapshots_of_a_zero_step_run(t_end):
-    # t_end aligns to 0: the default [0, t_end] is the one time 0
+    # t_end aligns to 0: the default [0, t_end] is the one time 0. Every
+    # method's run records the initial state there and builds no stepper,
+    # whose free step would overflow at dt = 1e308.
     cfg = _config(t_end=t_end, snapshots=None)
     assert cfg.t_end == 0.0 and cfg.n_steps == 0
     assert cfg.snapshots == (0.0,)
+    runs = [replace(cfg, method=method) for method in METHODS]
+    for run in runs + [_config(t_end=t_end, dt=1e308, snapshots=None)]:
+        traj = evolve(run)
+        assert [t for t, _ in traj.states] == [0.0] and traj.norm_drift == 0.0
+        np.testing.assert_array_equal(traj.states[0][1].amplitudes,
+                                      initial_state(run).amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +349,7 @@ def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
     t_end = 520.0 / _REFINE[method]
     cfg = _config(method=method, t_end=t_end, snapshots=(0.0, 17.0, 32.0, 64.0, t_end))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
-    assert n_steps >= _FACTORED_STEPS and n_steps % _CHUNK
+    assert n_steps % _CHUNK
     table, degrees = _tabled(cfg, dt)
     assert _taylor_order(table, degrees, cfg.omega * dt, _CHUNK)
     expected = [initial_state(cfg).amplitudes]
@@ -352,16 +359,20 @@ def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
 
 
 def test_short_magnus_run_polishes_each_state():
-    # Fewer than _FACTORED_STEPS steps: the stacks built directly, each
-    # applied with the Newton-Schulz polish of the state,
-    # 1.5 v - 0.5 U (U^H v), written out.
-    cfg = _config(method="magnus2", t_end=100.0, snapshots=(0.0, 17.0, 64.0, 100.0))
-    assert cfg.n_steps < _FACTORED_STEPS and cfg.n_steps % _CHUNK
-    expected = [initial_state(cfg).amplitudes]
-    for u in _tabled_stacks(cfg, np.arange(float(cfg.n_steps)), cfg.dt, factorized=False):
-        v = np.matmul(u, expected[-1])
-        expected.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
-    _assert_magnus_run_gives(cfg, expected)
+    # 100-step runs that do not factorize (beta = 0's one-row table, a wide
+    # phase per chunk): the stacks built directly, each applied with the
+    # Newton-Schulz polish of the state, 1.5 v - 0.5 U (U^H v), written out.
+    for beta, omega in ((0.0, 2e-4), (0.1, 0.01)):
+        cfg = _config(method="magnus2", beta=beta, omega=omega, t_end=100.0,
+                      snapshots=(0.0, 17.0, 64.0, 100.0))
+        assert cfg.n_steps % _CHUNK
+        table, degrees = _tabled(cfg, cfg.dt)
+        assert _taylor_order(table, degrees, omega * cfg.dt, _CHUNK) == 0
+        expected = [initial_state(cfg).amplitudes]
+        for u in _tabled_stacks(cfg, np.arange(float(cfg.n_steps)), cfg.dt):
+            v = np.matmul(u, expected[-1])
+            expected.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
+        _assert_magnus_run_gives(cfg, expected)
 
 
 def test_evolve_strang_snapshots_across_chunks_match_single_steps():
@@ -409,16 +420,17 @@ def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
     assert peak < 4 * _STATES * d, peak
 
 
-@pytest.mark.parametrize("long_run", [False, True])
-def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(long_run):
+@pytest.mark.parametrize("factorized", [False, True])
+def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(factorized):
     # a tabled chunk after the first allocates no stack, basis, Taylor or
     # ufunc buffers: a broadcast outer product of times and int64 degrees
-    # allocated 28 kB per stack. A long run factorizes its chunks and
-    # polishes their centre terms, a short one polishes its states.
-    cfg = _config()
+    # allocated 28 kB per stack. The fig2 coupling factorizes its chunks and
+    # polishes their centre terms; beta = 0 polishes its states.
+    cfg = _config(beta=0.1 if factorized else 0.0)
     d = cfg.lattice.d
-    n_steps = _LONG_RUN if long_run else 2 * _STATES
-    step = _magnus_stepper(cfg, 0.0, 1.0, n_steps)
+    table, degrees = _tabled(cfg, 1.0)
+    assert bool(_taylor_order(table, degrees, cfg.omega, _CHUNK)) == factorized
+    step = _magnus_stepper(cfg, 0.0, 1.0, 2 * _STATES)
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
     tracemalloc.start()
@@ -464,21 +476,23 @@ def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
     assert max(faults.values()) < 2000, faults
 
 
-@pytest.mark.parametrize("method, beta, chunk_time, nodes, stacks", [
-    ("strang", 0.1, 64.0, None, 0.25),
-    ("magnus2", 0.1875, 64.0, _CHUNK, 4),  # the largest table
-    ("magnus2", 0.25, 64.0, None, 4.5),    # one eigh per step
-    ("reference", 1.5, 8.0, _CHUNK, 4),
+@pytest.mark.parametrize("method, beta, chunk_time, nodes, stacks, omega", [
+    ("strang", 0.1, 64.0, None, 0.25, 2e-4),
+    ("magnus2", 0.1875, 64.0, _CHUNK, 4, 2e-4),  # the largest table, factorized
+    ("magnus2", 0.1875, 64.0, _CHUNK, 3, 1.0),   # the largest table, state-polished
+    ("magnus2", 0.25, 64.0, None, 4.5, 2e-4),    # one eigh per step
+    ("reference", 1.5, 8.0, _CHUNK, 4, 2e-4),
 ])
 def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk_time, nodes,
-                                                             stacks):
+                                                             stacks, omega):
     # MAX_Q keeps _PEAK_STACKS (_CHUNK, d, d) complex stacks within 1 GiB;
     # a run that held more would break that bound. The allowance on top of
     # each path's stacks is a few (_CHUNK, d) blocks of vectors: states,
     # kicks, eigenvalues. Each run fills two chunks of states (chunk_time
     # each) and starts a third, so every buffer has been reused.
     assert stacks <= _PEAK_STACKS
-    cfg = _config(q=40, beta=beta, method=method, t_end=2.25 * chunk_time, snapshots=None)
+    cfg = _config(q=40, beta=beta, omega=omega, method=method, t_end=2.25 * chunk_time,
+                  snapshots=None)
     assert chunk_time * _REFINE[method] == _STATES * cfg.dt
     d = cfg.lattice.d
     _free_step.cache_clear()
@@ -515,15 +529,14 @@ def _tabled(cfg, dt):
     return _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, m), np.arange(m, dtype=float)
 
 
-def _tabled_stacks(cfg, t, dt, factorized=True):
+def _tabled_stacks(cfg, t, dt):
     """The step unitaries of a run of len(t) steps at its times t, from its table.
 
-    Built _CHUNK steps at a time by the builder a run of at least
-    _FACTORED_STEPS steps takes, or one of fewer steps if not factorized.
+    Built _CHUNK steps at a time by the builder such a run takes.
     """
     table, degrees = _tabled(cfg, dt)
     work = np.empty((min(_CHUNK, len(t)), cfg.lattice.d, cfg.lattice.d), dtype=complex)
-    order = _taylor_order(table, degrees, cfg.omega * dt, len(work)) if factorized else 0
+    order = _taylor_order(table, degrees, cfg.omega * dt, len(work))
     build = _tabled_builder(table, degrees, cfg.omega, dt, work, order)
     return np.concatenate([build(t[i:i + _CHUNK]).copy() for i in range(0, len(t), _CHUNK)])
 
@@ -536,10 +549,6 @@ def _states(step, t, psi):
     return rows
 
 
-#: Steps of a run long enough to factorize its chunks.
-_LONG_RUN = _MAX_STEPS
-
-
 @pytest.mark.parametrize("q", [1, 10, 30])
 def test_magnus_table_matches_eigh_unitaries(q):
     t = np.linspace(0.0, 2 * np.pi, 49)  # omega = 1: the coupling sweeps [-beta, beta]
@@ -549,6 +558,20 @@ def test_magnus_table_matches_eigh_unitaries(q):
             assert _chebyshev_nodes(abs(beta * dt) * q) <= _CHUNK
             direct = _magnus_unitaries(cfg.lattice, cfg.mu, beta * np.cos(t + 0.5 * dt), dt)
             assert np.abs(_tabled_stacks(cfg, t, dt) - direct).max() <= 1e-13, (beta, dt)
+    # on a run's grid t_0 + j dt the chunks factorize and their centre terms
+    # are polished: a full and a partial chunk at the start and late in it
+    for beta in (0.1, -0.1, 0.2):
+        for omega in (2e-4, 5e-4):
+            cfg = _config(q=q, beta=beta, omega=omega)
+            for dt in (1.0, 0.125, -1.0):
+                table, degrees = _tabled(cfg, dt)
+                assert _taylor_order(table, degrees, omega * dt, _CHUNK)
+                for start in (0, 28768):
+                    t = (start + np.arange(40.0)) * dt
+                    coupling = beta * np.cos(omega * (t + 0.5 * dt))
+                    error = _tabled_stacks(cfg, t, dt) - _magnus_unitaries(
+                        cfg.lattice, cfg.mu, coupling, dt)
+                    assert np.abs(error).max() <= 1e-13, (beta, omega, dt, start)
 
 
 @pytest.mark.parametrize("q, beta, omega, dt, n_steps, order, late", [
@@ -595,17 +618,6 @@ def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, 
                 assert np.abs(build(t) - direct).max() <= 1e-14, (h, t0, n)
 
 
-def test_only_runs_of_many_chunks_factorize(monkeypatch):
-    # the factorization's set-up is repaid only over many chunks
-    orders = []
-    monkeypatch.setattr(propagator, "_taylor_order", lambda *args: orders.append(args) or 0)
-    cfg = _config(method="magnus2")
-    _magnus_stepper(cfg, 0.0, 1.0, _FACTORED_STEPS - 1)
-    assert not orders
-    _magnus_stepper(cfg, 0.0, 1.0, _FACTORED_STEPS)
-    assert len(orders) == 1
-
-
 @pytest.mark.parametrize("omega", [1.0, 0.01])
 def test_wide_phase_and_off_grid_chunks_take_the_direct_build(omega):
     # A chunk that sweeps a wide phase would take more Taylor terms than the
@@ -643,7 +655,6 @@ def test_polished_long_run_keeps_norm_drift_small(fig2_config):
     # 3 000 fig2 steps, factorized: the centre polish gives 9.5e-15
     # here, the table as stored 1.05e-12
     cfg = replace(fig2_config, method="magnus2", t_end=3000.0, snapshots=None)
-    assert cfg.n_steps >= _FACTORED_STEPS
     assert evolve(cfg).norm_drift <= 1e-13
 
 
@@ -667,7 +678,7 @@ def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes():
     _magnus_table.cache_clear()
     tracemalloc.start()
     try:
-        _states(_magnus_stepper(cfg, 0.0, cfg.dt, _LONG_RUN), np.arange(float(_CHUNK)), psi)
+        _states(_magnus_stepper(cfg, 0.0, cfg.dt, _CHUNK), np.arange(float(_CHUNK)), psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
