@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,7 +34,8 @@ from .operators import (
     rate_operator,
     trend_operator,
 )
-from .propagator import METHODS, SimulationConfig, _finite, checked_q, evolve, observables_series
+from .propagator import (_REFINE, METHODS, SimulationConfig, _finite, checked_q, evolve,
+                         observables_series)
 
 CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig))
 REQUIRED_KEYS = tuple(f.name for f in fields(SimulationConfig) if f.default is MISSING)
@@ -204,13 +206,19 @@ def cmd_evolve(
 ) -> dict:
     """Run one evolution and write snapshot CSVs, observables and manifest.
 
-    Returns the manifest dict. Partial outputs are removed if writing
-    fails midway.
+    Returns the manifest dict. Its ``timings`` give each phase's wall time
+    in seconds (the manifest's own write is not timed), and
+    ``steps_per_second`` the integration steps over the propagate time.
+    Partial outputs are removed if writing fails midway.
     """
     started = datetime.now(timezone.utc).isoformat()
     traj = evolve(config)
+    evolved = time.perf_counter()
     series = observables_series(traj)
+    observed = time.perf_counter()
     finished = datetime.now(timezone.utc).isoformat()
+    timings = {**traj.timings, "observables": observed - evolved}
+    steps = config.n_steps * _REFINE[config.method]
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -231,6 +239,8 @@ def cmd_evolve(
         "norm_drift": traj.norm_drift,
         "outputs": [],
         "snapshot_adjustments": adjustments,
+        "timings": timings,
+        "steps_per_second": steps / timings["propagate"] if timings.get("propagate") else None,
     }
     if figure_targets:
         states = {t: psi.amplitudes for t, psi in traj.states}
@@ -258,6 +268,7 @@ def cmd_evolve(
         obs_path.write_text("\n".join(lines) + "\n")
         written.append(obs_path)
         manifest["outputs"].append(obs_path.name)
+        timings["write"] = time.perf_counter() - observed
 
         manifest_path = outdir / "manifest.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -38,33 +38,21 @@ magnus2
     Exponential midpoint: U = exp(-1j*H(t + dt/2)*dt). Only the coupling
     c = beta*x, x = cos(omega*(t + dt/2)), changes from step to step, so
     U is tabled once per (q, mu, beta, dt) as Chebyshev coefficients in
-    x, built from M node unitaries, and each step's U is a sum of M
-    coefficient matrices. M is the fewest nodes whose interpolation error
-    bound is below 1e-16; when that is more than one chunk of steps, each
-    step's U comes from its own eigendecomposition instead.
-    A chunk of L steps weights the table's K rows by its Chebyshev basis
-    cos(k theta_j). On the run's grid its phases are its centre c plus
-    fixed offsets s_j, so the basis factors as S W(c): S_jl = s_j^l, fixed
-    per run, and p Taylor rows W(c)_lk = k^l cos(kc + l pi/2) / l!, one cos
-    per chunk. The stack is then S (W table), p (K + L) products per entry
-    instead of L K (p = 6, K = 15 on the fig2 day). Where that saves
-    nothing (beta = 0's one-row table, a wide phase per chunk, a run of
-    one or two steps) the stack is B table, built directly.
-    The nodes pair up as x, -x, and J H(c) J = H(-c) exactly (J the flip
-    n -> -n), so one eigh serves each pair: U(-x) = J U(x) J. The stored
-    table has a fixed unitarity defect of a few ulp, which would make the
-    norm drift grow linearly with the steps. A factorized chunk cancels it
-    with one Newton-Schulz step on its centre term, the row M_0 = U(c) of
-    W table: M_0 <- M_0 (3 - M_0^H M_0) / 2, two d x d products per
-    chunk, and each step is then one product. Any other tabled run
-    applies that step to the state instead,
-    psi <- U (3 - U^H U) psi / 2 = 1.5 v - 0.5 U (U^H v), v = U psi: three
-    products on d-vectors. Either is redone with rounding of its own at
-    each chunk or step, so the drift grows as a random walk. The stepper
-    alone chooses between these paths, builds the unitaries as
-    (_CHUNK, d, d) stacks and applies them one by one. The real symmetric
-    Hamiltonian matrices come from the one builder
-    ``operators.hamiltonians``.
+    x, built from M node unitaries, one eigh per node pair x, -x
+    (J H(c) J = H(-c), J the flip n -> -n), and each step's U is a sum of
+    M coefficient matrices; above _CHUNK nodes each step takes its own eigh.
+    The stepper builds the unitaries as (_CHUNK, d, d) stacks. Where a span
+    of L steps of the run's grid pays (_taylor_span), the span's Chebyshev
+    basis factors as S W(c), p Taylor terms about its centre phase c: W
+    table is formed once per span and each stack is S (W table), p (K + L)
+    products per entry and span instead of L K (L = 128, p = 8, K = 15 on
+    the fig2 day). The stored table has a fixed unitarity defect of a few
+    ulp, which would make the norm drift grow linearly with the steps. One
+    Newton-Schulz step cancels it, with rounding of its own each time, so
+    the drift grows as a random walk: once per span on its centre term
+    M_0 = U(c), M_0 <- M_0 (3 - M_0^H M_0) / 2, or, where no span pays, per
+    step on the state, psi <- 1.5 v - 0.5 U (U^H v), v = U psi. The real
+    symmetric Hamiltonian matrices come from ``operators.hamiltonians``.
 
 reference
     magnus2 run at dt/8, used as the convergence yardstick.
@@ -81,7 +69,8 @@ execute in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Collection
 
@@ -115,8 +104,8 @@ _MAX_STEPS = 10**7
 #: stack, the real eigenvectors (half a stack), their complex cast and two
 #: complex products, 4.5 in all. A state-polished tabled run takes 3: its
 #: table of at most _CHUNK matrices plus two stacks, the step unitaries and
-#: their conjugates. A factorized run takes at most 2.5: the table, one
-#: stack and W table, whose p <= 15 rows are at most 15/32 of a stack.
+#: their conjugates. A factorized run takes under 3: the table, one stack,
+#: W table, whose p <= 15 rows are at most 15/32 of a stack, and S, no larger.
 #: strang holds no stack: its one matrix, F, is 1/_CHUNK of one.
 _PEAK_STACKS = 5
 
@@ -224,11 +213,12 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States recorded at the snapshot times of one run."""
+    """States recorded at the snapshot times of one run, and its phases' wall times in seconds."""
 
     config: SimulationConfig
     states: tuple[tuple[float, StateVector], ...]
     norm_drift: float
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 def initial_state(config: SimulationConfig) -> StateVector:
@@ -259,12 +249,8 @@ def _half_kicks(config: SimulationConfig, cos: np.ndarray, dt: float) -> np.ndar
 
 
 #: A stepper: (t, psi, rows) -> psi. It takes the steps starting at the times
-#: t from the carried state psi, writes the state after each into the next of
-#: rows and returns the last. The times are those of _propagate's grid,
-#: t_0 + j dt: a factorized magnus2 run builds a chunk's unitaries from its
-#: first time and the run's fixed offsets j dt, and polishes their centre
-#: term. It builds a chunk whose span is not (n - 1) dt from its own times
-#: instead, unpolished; _propagate passes none.
+#: t, on _propagate's grid t_0 + j dt, from the carried state psi, writes the
+#: state after each into the next of rows and returns the last.
 _Stepper = Callable[[np.ndarray, np.ndarray, list], np.ndarray]
 
 
@@ -335,36 +321,56 @@ def _chebyshev_basis(theta: np.ndarray, degrees: np.ndarray, out=None) -> np.nda
     return np.cos(basis, out=basis)
 
 
-def _taylor_order(table: np.ndarray, degrees: np.ndarray, omega_dt: float, length: int) -> int:
-    """Taylor terms p that keep a chunk's factorized table sum within 1e-17; 0 if it saves nothing.
+def _taylor_order(sizes: np.ndarray, degrees: np.ndarray, omega_dt: float, length: int) -> int:
+    """Taylor terms p that keep a span's factorized table sum within 1e-17; 0 if it saves nothing.
 
-    A chunk of length steps sweeps phase offsets |s| <= (length - 1)/2
+    A span of length steps sweeps phase offsets |s| <= (length - 1)/2
     |omega dt| about its centre. Cut after p terms, the Taylor series of
     cos(k (c + s)) in s is off by at most (k |s|)^p / p!, so the sum over
-    the table's rows C_k by at most sum_k max|C_k| (k |s|)^p / p!: p is
-    the fewest terms that bring this below 1e-17, and 0 when the
-    factorization takes p (K + length) >= length K products per entry.
-    p is at least 2: for an inner dimension of 1 np.matmul leaves BLAS
-    and takes 4x as long.
+    the table's rows C_k, of maxima sizes, by sum_k max|C_k| (k |s|)^p / p!:
+    p is the fewest terms that bring this below 1e-17, and 0 when they take
+    p (K + length) >= length K products per entry or are more than 15, the
+    rows W table may keep. p >= 2: np.matmul leaves BLAS for inner size 1.
     """
-    most = (length * len(table) - 1) // (length + len(table))
+    most = min((length * len(sizes) - 1) // (length + len(sizes)), _CHUNK // 2 - 1)
     if most < 2:
         return 0
-    sizes = np.array([np.abs(row).max() for row in table])  # no table-sized temporary
     reach = degrees * (0.5 * (length - 1) * abs(omega_dt))
     terms = np.cumprod(np.outer(1.0 / np.arange(1, most + 1), reach), axis=0)  # (k|s|)^p / p!
     below = terms[1:] @ sizes < 1e-17
     return int(below.argmax()) + 2 if below.any() else 0
 
 
+def _taylor_span(table: np.ndarray, degrees: np.ndarray, omega_dt: float,
+                 n_steps: int) -> tuple[int, int]:
+    """(L, p): the span of steps and Taylor terms of an n_steps run's factorization; p = 0: none.
+
+    A span costs p (K + L) products per entry for W table and the stacks,
+    and 4d for the polish of its centre term. Spans of _CHUNK 2^i steps,
+    capped at n_steps, are tried while L <= 2 d^2, so that S takes no more
+    memory than W table; the fewest products per entry and step are kept.
+    """
+    sizes = np.array([np.abs(row).max() for row in table])  # no table-sized temporary
+    polish = 4 * math.isqrt(table.shape[1])
+    best, choice, length = math.inf, (min(_CHUNK, n_steps), 0), _CHUNK
+    while True:
+        span = min(length, n_steps)
+        p = _taylor_order(sizes, degrees, omega_dt, span)
+        cost = (p * (len(table) + span) + polish) / span
+        if p and cost < best:
+            best, choice = cost, (span, p)
+        length *= 2
+        if span == n_steps or length > 2 * table.shape[1]:
+            return choice
+
+
 def _taylor_factors(degrees: np.ndarray, omega: float, dt: float, length: int,
                     order: int) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
-    """S and t -> W(c) of the factorized basis S W(c) of chunks of length steps (_tabled_builder).
+    """S and t -> W(c) of the factorized basis S W(c) of spans of length steps (_tabled_builder).
 
-    S_jl = s_j^l, s_j = (j - (length - 1)/2) omega dt, is fixed per run.
-    W(c)_lk = k^l cos(kc + l pi/2) / l!, for the centre phase
-    c = omega (t + length dt / 2) of a chunk starting at t, is written into
-    one (order, K) buffer allocated here.
+    S_jl = s_j^l, s_j = (j - (length - 1)/2) omega dt, is fixed per run;
+    W(c)_lk = k^l cos(kc + l pi/2) / l!, c = omega (t + length dt / 2) the
+    centre phase of a span from t, is written into one (order, K) buffer.
     """
     powers = np.ones((length, order))
     powers[:, 1:] = ((np.arange(length) - 0.5 * (length - 1)) * (omega * dt))[:, None]
@@ -389,55 +395,53 @@ def _taylor_factors(degrees: np.ndarray, omega: float, dt: float, length: int,
     return powers, weights
 
 
-def _tabled_builder(table: np.ndarray, degrees: np.ndarray, omega: float, dt: float,
-                    work: np.ndarray, order: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The builder of a tabled magnus2 run's step unitaries: t -> work[:len(t)], one chunk's stack.
+def _tabled_builder(table: np.ndarray, degrees: np.ndarray, omega: float, dt: float, t0: float,
+                    work: np.ndarray, span: int, order: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The builder of a tabled magnus2 run's step unitaries: t -> work[:n], the stack at t.
 
-    Step j of a chunk has the phase theta_j = omega (t_j + dt/2) and
-    U_j = sum_k cos(k theta_j) C_k: the chunk's stack is B table, B its
-    (n, K) Chebyshev basis, as a real product on the interleaved (re, im)
-    pairs, 3x faster than a complex one. With order p > 0, a chunk of n <=
-    L = len(work) steps on the grid t_0 + j dt takes B = S W(c) instead.
-    Its phases are c + s_j about c = omega (t_0 + L dt/2), with
-    s_j = (j - (L - 1)/2) omega dt, and, as d^l/dtheta^l cos(k theta) =
-    k^l cos(k theta + l pi/2), cos(k (c + s)) = sum_l s^l k^l
-    cos(kc + l pi/2) / l!, cut after p terms (_taylor_order). S is fixed
-    per run, W(c) takes one cos per chunk (_taylor_factors), and the stack
-    is S (W table): p (K + L) products per entry instead of L K. Row 0 of
-    W table is M_0 = U(c), the term S weights by 1 at every step; one
-    Newton-Schulz step, M_0 <- M_0 (3 - M_0^H M_0) / 2, cancels its
-    unitarity defect before the stack is formed. A chunk whose span is not
-    (n - 1) dt, to the rounding of its times, is built directly.
+    Step j of the n = len(t) has the phase theta_j = omega (t_j + dt/2) and
+    U_j = sum_k cos(k theta_j) C_k: the stack is B table, B its (n, K)
+    Chebyshev basis, as a real product on the interleaved (re, im) pairs,
+    3x faster than a complex one. With order p > 0 the run's grid t0 + i dt
+    falls into spans of L = span steps, and a stack from step i, at
+    offset o = i mod L in its span, takes B = S[o:o + n] W(c) instead:
+    the span's phases are c + s_j about its centre c, and, as
+    d^l/dtheta^l cos(k theta) = k^l cos(k theta + l pi/2),
+    cos(k (c + s)) = sum_l s^l k^l cos(kc + l pi/2) / l!, cut after p
+    terms (_taylor_factors). W table, and one Newton-Schulz step on its
+    row 0, M_0 = U(c), which S weights by 1 at every step, are formed once
+    per span; each stack is then S[o:o + n] (W table).
     """
     parts = table.view(float)
     stacks = work.reshape(len(work), -1).view(float)
-    basis = np.empty((len(work), len(table)))
-
-    def direct(t: np.ndarray) -> np.ndarray:
-        n = len(t)
-        b = _chebyshev_basis(omega * (t + 0.5 * dt), degrees, out=basis[:n])
-        np.matmul(b, parts, out=stacks[:n])
-        return work[:n]
-
     if not order:
+        basis = np.empty((len(work), len(table)))
+
+        def direct(t: np.ndarray) -> np.ndarray:
+            n = len(t)
+            b = _chebyshev_basis(omega * (t + 0.5 * dt), degrees, out=basis[:n])
+            np.matmul(b, parts, out=stacks[:n])
+            return work[:n]
+
         return direct
-    powers, weights = _taylor_factors(degrees, omega, dt, len(work), order)
+    powers, weights = _taylor_factors(degrees, omega, dt, span, order)
     terms = np.empty((order, parts.shape[1]))  # W table
     m_0 = terms[0].view(complex).reshape(work.shape[1:])
     conj, gram, cubed = work[:3]  # scratch until the stack is formed over them
-    rounding = 4 * np.finfo(float).eps
+    centred = None  # the span whose W table terms holds
 
     def build(t: np.ndarray) -> np.ndarray:
+        nonlocal centred
         n = len(t)
-        first, last = t[0], t[-1]
-        if abs(last - first - (n - 1) * dt) > rounding * (abs(first) + abs(last)):
-            return direct(t)
-        np.matmul(weights(first), parts, out=terms)
-        # M_0 <- 1.5 M_0 - 0.5 M_0 (M_0^H M_0)
-        np.matmul(np.conjugate(m_0, out=conj).T, m_0, out=gram)
-        np.multiply(np.matmul(m_0, gram, out=cubed), 0.5, out=cubed)
-        np.subtract(np.multiply(m_0, 1.5, out=m_0), cubed, out=m_0)
-        np.matmul(powers[:n], terms, out=stacks[:n])
+        first, offset = divmod(round((t[0] - t0) / dt), span)
+        if first != centred:
+            centred = first
+            np.matmul(weights(t0 + first * span * dt), parts, out=terms)
+            # M_0 <- 1.5 M_0 - 0.5 M_0 (M_0^H M_0)
+            np.matmul(np.conjugate(m_0, out=conj).T, m_0, out=gram)
+            np.multiply(np.matmul(m_0, gram, out=cubed), 0.5, out=cubed)
+            np.subtract(np.multiply(m_0, 1.5, out=m_0), cubed, out=m_0)
+        np.matmul(powers[offset:offset + n], terms, out=stacks[:n])
         return work[:n]
 
     return build
@@ -486,25 +490,17 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 # full runs
 
 def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int) -> _Stepper:
-    """The stepper of an n_steps magnus2 run: psi <- U_j psi, stacks built _CHUNK steps at a time.
+    """The stepper of an n_steps magnus2 run from t0: psi <- U_j psi, _CHUNK-step stacks.
 
-    Each step depends on its own start time alone, so t0 is unused. Above
-    _CHUNK Chebyshev nodes each stack comes from its own eigh: a table
+    Above _CHUNK Chebyshev nodes each stack comes from its own eigh: a table
     would cost more eigh work and memory than one chunk of direct steps.
     Otherwise _tabled_builder writes each stack from the run's table into
-    a buffer allocated here, once, factorized whenever _taylor_order gives
-    the run's chunks p > 0 terms, and the steps go through views of it
-    made once per run.
-
-    The interpolant's unitarity defect is a few ulp, set by the node
-    unitaries' own errors, so it is nearly the same from one step to the
-    next and the norm drift of a run would grow linearly with its steps,
-    past the 1e-10 that expectation() accepts after about a million. One
-    Newton-Schulz step cancels it: a factorized run's builder applies it
-    to each chunk's centre term, and every other tabled run applies it to
-    the state, psi <- U (3 - U^H U) psi / 2. Both leave only rounding that
-    changes from chunk to chunk or step to step, so the drift grows as a
-    random walk, as it does with one eigh per step.
+    a buffer allocated here, once, in spans of the run's grid t0 + i dt
+    where _taylor_span finds one that pays, and the steps go through views
+    of it made once per run. The table's unitarity defect, nearly the same
+    from step to step, would add up linearly, past the 1e-10 expectation()
+    accepts after about a million steps: the builder polishes each span's
+    centre term, and a run without spans each state, U (3 - U^H U) psi / 2.
     """
     d = config.lattice.d
     m = _chebyshev_nodes(abs(config.beta * dt) * config.q)
@@ -518,9 +514,9 @@ def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
         table = _magnus_table(config.q, config.mu, config.beta, dt, m)
         degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
         work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
-        order = _taylor_order(table, degrees, config.omega * dt, len(work))
+        span, order = _taylor_span(table, degrees, config.omega * dt, n_steps)
         plain = order > 0  # the builder polishes the centre term
-        build = _tabled_builder(table, degrees, config.omega, dt, work, order)
+        build = _tabled_builder(table, degrees, config.omega, dt, t0, work, span, order)
         views = list(work)  # iterating work would make a view object per step
 
         def unitaries(t: np.ndarray) -> list:
@@ -602,11 +598,15 @@ def evolve(config: SimulationConfig) -> Trajectory:
     """Run the configured method from t = 0 to t_end, recording snapshots."""
     refine = _REFINE[config.method]
     snap_at = {k * refine: t for k, t in config.snapshot_steps().items()}
-    recorded, drift = _propagate(config, initial_state(config).amplitudes, 0.0,
-                                 config.dt / refine, config.n_steps * refine, snap_at)
+    begun = time.perf_counter()
+    psi = initial_state(config).amplitudes
+    ready = time.perf_counter()
+    recorded, drift = _propagate(config, psi, 0.0, config.dt / refine, config.n_steps * refine,
+                                 snap_at)
     lattice = config.lattice
     states = tuple((snap_at[k], StateVector(lattice, recorded[k])) for k in sorted(recorded))
-    return Trajectory(config, states, drift)
+    timings = {"initial_state": ready - begun, "propagate": time.perf_counter() - ready}
+    return Trajectory(config, states, drift, timings)
 
 
 def observables_series(traj: Trajectory) -> list[tuple[float, float, float, float]]:

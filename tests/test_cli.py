@@ -213,6 +213,21 @@ def test_evolve_is_byte_deterministic(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_evolve_manifest_times_its_phases(tmp_path):
+    # wall seconds per phase and the integration steps (50 steps of dt / 8
+    # for reference) per second of propagation; a run of no steps makes none
+    for method, t_end, steps in (("reference", 50.0, 400), ("magnus2", 0.0, 0)):
+        config_path = _write_config(tmp_path / f"{method}.json", method=method, t_end=t_end,
+                                    snapshots=None)
+        outdir = tmp_path / method
+        assert main(["evolve", "--config", str(config_path), "--out", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == {"initial_state", "propagate", "observables", "write"}
+        assert all(0.0 <= s < 60.0 for s in timings.values()), timings
+        assert manifest["steps_per_second"] == pytest.approx(steps / timings["propagate"])
+
+
 def test_evolve_free_run_probabilities_are_even(tmp_path):
     config_path = _write_config(tmp_path / "run.json", beta=0.0)
     outdir = tmp_path / "out"

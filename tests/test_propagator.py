@@ -30,11 +30,13 @@ from qlimit import propagator
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
 from qlimit.propagator import (
     _CHUNK,
+    _MAX_STEPS,
     _PEAK_STACKS,
     _REFINE,
     _STATES,
     MAX_Q,
     METHODS,
+    NORM_TOLERANCE,
     _chebyshev_basis,
     _chebyshev_nodes,
     _free_step,
@@ -48,6 +50,7 @@ from qlimit.propagator import (
     _tabled_builder,
     _taylor_factors,
     _taylor_order,
+    _taylor_span,
 )
 
 
@@ -343,15 +346,15 @@ def _assert_magnus_run_gives(cfg, expected):
 
 @pytest.mark.parametrize("method", ["magnus2", "reference"])
 def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
-    # 520 steps factorize the stacks and end in a partial one: the stacks
-    # the stepper's builder forms, each chunk's centre term polished,
-    # applied one by one by plain matmul.
+    # 520 steps factorize in spans of several stacks and end in a partial
+    # span and stack: the stacks the stepper's builder forms, each span's
+    # centre term polished, applied one by one by plain matmul.
     t_end = 520.0 / _REFINE[method]
     cfg = _config(method=method, t_end=t_end, snapshots=(0.0, 17.0, 32.0, 64.0, t_end))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
-    assert n_steps % _CHUNK
     table, degrees = _tabled(cfg, dt)
-    assert _taylor_order(table, degrees, cfg.omega * dt, _CHUNK)
+    span, order = _taylor_span(table, degrees, cfg.omega * dt, n_steps)
+    assert order and span > _CHUNK and n_steps % span % _CHUNK
     expected = [initial_state(cfg).amplitudes]
     for u in _tabled_stacks(cfg, np.arange(n_steps) * dt, dt):
         expected.append(np.matmul(u, expected[-1]))
@@ -367,7 +370,7 @@ def test_short_magnus_run_polishes_each_state():
                       snapshots=(0.0, 17.0, 64.0, 100.0))
         assert cfg.n_steps % _CHUNK
         table, degrees = _tabled(cfg, cfg.dt)
-        assert _taylor_order(table, degrees, omega * cfg.dt, _CHUNK) == 0
+        assert _taylor_span(table, degrees, omega * cfg.dt, cfg.n_steps)[1] == 0
         expected = [initial_state(cfg).amplitudes]
         for u in _tabled_stacks(cfg, np.arange(float(cfg.n_steps)), cfg.dt):
             v = np.matmul(u, expected[-1])
@@ -424,18 +427,20 @@ def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
 def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(factorized):
     # a tabled chunk after the first allocates no stack, basis, Taylor or
     # ufunc buffers: a broadcast outer product of times and int64 degrees
-    # allocated 28 kB per stack. The fig2 coupling factorizes its chunks and
-    # polishes their centre terms; beta = 0 polishes its states.
+    # allocated 28 kB per stack. The fig2 coupling factorizes in spans and
+    # polishes their centre terms, and the traced chunk starts a new span;
+    # beta = 0 polishes its states.
     cfg = _config(beta=0.1 if factorized else 0.0)
     d = cfg.lattice.d
     table, degrees = _tabled(cfg, 1.0)
-    assert bool(_taylor_order(table, degrees, cfg.omega, _CHUNK)) == factorized
-    step = _magnus_stepper(cfg, 0.0, 1.0, 2 * _STATES)
+    span, order = _taylor_span(table, degrees, cfg.omega, 4 * _STATES)
+    assert bool(order) == factorized and 2 * _STATES % span == 0
+    step = _magnus_stepper(cfg, 0.0, 1.0, 4 * _STATES)
     rows = list(np.empty((_STATES, d), dtype=complex))
-    psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
+    psi = _states(step, np.arange(2.0 * _STATES), initial_state(cfg).amplitudes)[-1]
     tracemalloc.start()
     try:
-        step(_STATES + np.arange(float(_STATES)), psi, rows)
+        step(2 * _STATES + np.arange(float(_STATES)), psi, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -529,15 +534,17 @@ def _tabled(cfg, dt):
     return _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, m), np.arange(m, dtype=float)
 
 
-def _tabled_stacks(cfg, t, dt):
-    """The step unitaries of a run of len(t) steps at its times t, from its table.
+def _tabled_stacks(cfg, t, dt, n_steps=None):
+    """The step unitaries at the times t of a run of n_steps (default len(t)) steps from 0.
 
-    Built _CHUNK steps at a time by the builder such a run takes.
+    The times lie on the run's grid i dt, from a multiple of _CHUNK steps;
+    built _CHUNK steps at a time by the builder such a run takes.
     """
+    n_steps = n_steps or len(t)
     table, degrees = _tabled(cfg, dt)
-    work = np.empty((min(_CHUNK, len(t)), cfg.lattice.d, cfg.lattice.d), dtype=complex)
-    order = _taylor_order(table, degrees, cfg.omega * dt, len(work))
-    build = _tabled_builder(table, degrees, cfg.omega, dt, work, order)
+    work = np.empty((min(_CHUNK, n_steps), cfg.lattice.d, cfg.lattice.d), dtype=complex)
+    span, order = _taylor_span(table, degrees, cfg.omega * dt, n_steps)
+    build = _tabled_builder(table, degrees, cfg.omega, dt, 0.0, work, span, order)
     return np.concatenate([build(t[i:i + _CHUNK]).copy() for i in range(0, len(t), _CHUNK)])
 
 
@@ -551,111 +558,153 @@ def _states(step, t, psi):
 
 @pytest.mark.parametrize("q", [1, 10, 30])
 def test_magnus_table_matches_eigh_unitaries(q):
-    t = np.linspace(0.0, 2 * np.pi, 49)  # omega = 1: the coupling sweeps [-beta, beta]
     for beta in (0.0, 0.1, -0.1, 0.2):
         cfg = _config(q=q, beta=beta, omega=1.0)
         for dt in (1.0, 0.125, -1.0):
+            # omega = 1: 49 steps sweep the coupling over [-beta, beta]
+            t = np.arange(49.0) * dt
             assert _chebyshev_nodes(abs(beta * dt) * q) <= _CHUNK
             direct = _magnus_unitaries(cfg.lattice, cfg.mu, beta * np.cos(t + 0.5 * dt), dt)
             assert np.abs(_tabled_stacks(cfg, t, dt) - direct).max() <= 1e-13, (beta, dt)
-    # on a run's grid t_0 + j dt the chunks factorize and their centre terms
-    # are polished: a full and a partial chunk at the start and late in it
+    # a fig2-long run factorizes in spans and polishes their centre terms:
+    # a full and a partial chunk at the start and late in the run
     for beta in (0.1, -0.1, 0.2):
         for omega in (2e-4, 5e-4):
             cfg = _config(q=q, beta=beta, omega=omega)
             for dt in (1.0, 0.125, -1.0):
                 table, degrees = _tabled(cfg, dt)
-                assert _taylor_order(table, degrees, omega * dt, _CHUNK)
+                assert _taylor_span(table, degrees, omega * dt, 28800)[1]
                 for start in (0, 28768):
                     t = (start + np.arange(40.0)) * dt
                     coupling = beta * np.cos(omega * (t + 0.5 * dt))
-                    error = _tabled_stacks(cfg, t, dt) - _magnus_unitaries(
+                    error = _tabled_stacks(cfg, t, dt, 28800) - _magnus_unitaries(
                         cfg.lattice, cfg.mu, coupling, dt)
                     assert np.abs(error).max() <= 1e-13, (beta, omega, dt, start)
 
 
-@pytest.mark.parametrize("q, beta, omega, dt, n_steps, order, late", [
-    (10, 0.1, 2e-4, 1.0, 28800, 6, 28768.0),     # the fig2 day (K = 15)
-    (10, 0.1, 2e-4, 0.125, 230400, 5, 28796.0),  # its reference (K = 9)
-    (30, 0.2, 5e-4, 1.0, 60, 9, 28.0),           # the sweep's largest short run (K = 29)
-    # the most terms that still pay (K = 29), up to the phase the fig2 day
-    # reaches
-    (20, 0.3, 0.004, 1.0, 100000, 15, 1440.0),
+@pytest.mark.parametrize("q, beta, omega, dt, n_steps, span, order, late", [
+    (10, 0.1, 2e-4, 1.0, 28800, 128, 8, 28672),       # the fig2 day (K = 15)
+    (10, 0.1, 2e-4, 0.125, 230400, 256, 6, 230144),  # its reference (K = 9)
+    (30, 0.2, 5e-4, 1.0, 60, 60, 10, 0),             # the sweep's largest short run (K = 29)
+    # the most terms W table keeps (K = 29), up to the phase the fig2 day
+    # reaches: a span of 64 steps would take 19
+    (20, 0.3, 0.004, 1.0, 100000, 32, 15, 1440),
 ])
-def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, n_steps, order,
-                                                            late):
-    # A chunk's basis B_jk = cos(k theta_j) is built as S W(c), which must
-    # match B within 1e-15 (1 + k |theta_j|), the rounding of k theta_j in
-    # either form, beyond the Taylor remainder (k |s_j|)^p / p!; the
-    # remainder's sum over the table's rows must stay below 1e-17. The real
-    # table's stacks, centre terms polished, must lie within 1e-14 of
-    # B table. Full and partial chunks, at the start and late in the run,
-    # forward and backward.
+def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, n_steps, span,
+                                                            order, late):
+    # A stack's basis B_jk = cos(k theta_j) is built as S W(c), S the rows
+    # of its steps in its span, which must match B within
+    # 1e-15 (1 + k |theta_j|), the rounding of k theta_j in either form,
+    # beyond the Taylor remainder (k |s_j|)^p / p!; the remainder's sum over
+    # the table's rows must stay below 1e-17. The real table's stacks,
+    # centre terms polished, must lie within 1e-14 of B table. Every full
+    # stack of a span and a partial one, in the first span and late in the
+    # run (late: its first step), forward and backward.
     cfg = _config(q=q, beta=beta, omega=omega)
     d = cfg.lattice.d
-    length = min(_CHUNK, n_steps)
     for h in (dt, -dt):
         table, degrees = _tabled(cfg, h)
-        p = _taylor_order(table, degrees, omega * h, length)
-        assert p == order
+        assert _taylor_span(table, degrees, omega * h, n_steps) == (span, order)
+        p = order
         sizes = np.array([np.abs(row).max() for row in table])
-        reach = degrees * (0.5 * (length - 1) * abs(omega * h))
+        reach = degrees * (0.5 * (span - 1) * abs(omega * h))
         assert sizes @ reach**p / math.factorial(p) < 1e-17
-        powers, weights = _taylor_factors(degrees, omega, h, length, p)
-        build = _tabled_builder(table, degrees, omega, h,
-                                np.empty((length, d, d), dtype=complex), p)
-        for t0 in (0.0, late):
-            for n in (length, length - 5):
-                t = t0 + np.arange(n) * h
-                theta = omega * (t + 0.5 * h)
-                basis = _chebyshev_basis(theta, degrees)
-                factored = powers[:n] @ weights(t0)
-                s = (np.arange(n) - 0.5 * (length - 1)) * (omega * h)
-                remainder = np.outer(np.abs(s), degrees) ** p / math.factorial(p)
-                allowed = 1e-15 * (1 + np.outer(np.abs(theta), degrees)) + remainder
-                assert np.all(np.abs(factored - basis) <= allowed), (h, t0, n)
-                direct = (basis @ table.view(float)).view(complex).reshape(n, d, d)
-                assert np.abs(build(t) - direct).max() <= 1e-14, (h, t0, n)
+        powers, weights = _taylor_factors(degrees, omega, h, span, p)
+        build = _tabled_builder(table, degrees, omega, h, 0.0,
+                                np.empty((min(_CHUNK, n_steps), d, d), dtype=complex), span, p)
+        for first in (0, late):
+            for offset in range(0, span, _CHUNK):
+                full = min(_CHUNK, span - offset)
+                for n in (full, full - 5):
+                    t = (first + offset + np.arange(n)) * h
+                    theta = omega * (t + 0.5 * h)
+                    basis = _chebyshev_basis(theta, degrees)
+                    factored = powers[offset:offset + n] @ weights(first * h)
+                    s = (offset + np.arange(n) - 0.5 * (span - 1)) * (omega * h)
+                    remainder = np.outer(np.abs(s), degrees) ** p / math.factorial(p)
+                    allowed = 1e-15 * (1 + np.outer(np.abs(theta), degrees)) + remainder
+                    assert np.all(np.abs(factored - basis) <= allowed), (h, first, offset, n)
+                    direct = (basis @ table.view(float)).view(complex).reshape(n, d, d)
+                    assert np.abs(build(t) - direct).max() <= 1e-14, (h, first, offset, n)
+
+
+@pytest.mark.parametrize("q, beta, omega, n_steps, span, order", [
+    (10, 0.1, 2e-4, 28800, 128, 8),     # the fig2 day: 9.59 products a step, 11.44 at 32 steps
+    (30, 0.2, 2e-4, 100000, 256, 11),
+    (20, 0.3, 0.004, 100000, 32, 15),   # 64 steps would take 19 terms, past W table's 15 rows
+    (40, 0.1875, 2e-4, 100000, 256, 12),  # K = 32, the largest table
+    (10, 0.1, 0.0, 100000, 512, 2),     # one phase: spans up to 2 d^2 = 882 steps
+    (1, 0.1, 2e-4, 100000, 32, 6),      # 2 d^2 = 18: one-stack spans only
+    (10, 0.1, 2e-4, 100, 64, 7),        # spans up to the run's length
+])
+def test_span_rule_keeps_the_cheapest_span_that_pays(q, beta, omega, n_steps, span, order):
+    # spans of _CHUNK 2^i steps, capped at the run's length, tried up to
+    # 2 d^2 steps, each with its Taylor order p: the one with the fewest
+    # products per entry and step, (p (K + L) + 4d) / L, is kept, and W
+    # table never takes more than 15 rows, at any span
+    cfg = _config(q=q, beta=beta, omega=omega)
+    table, degrees = _tabled(cfg, 1.0)
+    assert _taylor_span(table, degrees, omega, n_steps) == (span, order)
+    sizes = np.array([np.abs(row).max() for row in table])
+    for length in (_CHUNK << i for i in range(12)):
+        assert _taylor_order(sizes, degrees, omega, length) <= 15, length
 
 
 @pytest.mark.parametrize("omega", [1.0, 0.01])
-def test_wide_phase_and_off_grid_chunks_take_the_direct_build(omega):
-    # A chunk that sweeps a wide phase would take more Taylor terms than the
-    # factorization saves, and a chunk off the run's grid has no fixed
-    # offsets: both get the Chebyshev basis times the table, bit for bit.
+def test_wide_phase_and_two_step_runs_take_the_direct_build(omega):
+    # A run whose stacks sweep a wide phase would take more Taylor terms
+    # than the factorization saves at any span, and a run of two steps has
+    # no span that pays: both get the Chebyshev basis times the table, bit
+    # for bit.
     cfg = _config(omega=omega)
     d = cfg.lattice.d
     for dt in (1.0, -1.0):
         table, degrees = _tabled(cfg, dt)
-        assert _taylor_order(table, degrees, omega * dt, _CHUNK) == 0
+        assert _taylor_span(table, degrees, omega * dt, 60)[1] == 0
         t = np.arange(60) * dt
         expected = [np.matmul(_chebyshev_basis(omega * (t[i:i + _CHUNK] + 0.5 * dt), degrees),
                               table.view(float)) for i in range(0, len(t), _CHUNK)]
         np.testing.assert_array_equal(_tabled_stacks(cfg, t, dt),
                                       np.concatenate(expected).view(complex).reshape(-1, d, d))
-    cfg = _config()  # the fig2 coupling, which factorizes on its grid
+    cfg = _config()  # the fig2 coupling, which factorizes longer runs
     table, degrees = _tabled(cfg, 1.0)
-    assert _taylor_order(table, degrees, cfg.omega, _CHUNK) == 6
-    t = np.array([0.0, 1.0, 2.5])
+    assert _taylor_span(table, degrees, cfg.omega, 2) == (2, 0)
+    t = np.array([0.0, 1.0])
     expected = np.matmul(_chebyshev_basis(cfg.omega * (t + 0.5), degrees), table.view(float))
     np.testing.assert_array_equal(_tabled_stacks(cfg, t, 1.0),
                                   expected.view(complex).reshape(-1, d, d))
 
 
 def test_fig2_day_keeps_norm_drift_small(fig2_config):
-    # a factorized run: polishing each chunk's centre term gives 2.6e-14
-    # here, the table as stored 8.2e-12
+    # a factorized run: polishing each 128-step span's centre term gives
+    # 8.1e-14 here (2.6e-14 with 32-step spans), the table as stored 8.2e-12
     cfg = replace(fig2_config, method="magnus2")
     table, degrees = _tabled(cfg, cfg.dt)
-    assert _taylor_order(table, degrees, cfg.omega * cfg.dt, _CHUNK)
+    assert _taylor_span(table, degrees, cfg.omega * cfg.dt, cfg.n_steps)[1]
     assert evolve(cfg).norm_drift <= 1e-13
 
 
 def test_polished_long_run_keeps_norm_drift_small(fig2_config):
-    # 3 000 fig2 steps, factorized: the centre polish gives 9.5e-15
+    # 3 000 fig2 steps, factorized: the centre polish gives 1.5e-14
     # here, the table as stored 1.05e-12
     cfg = replace(fig2_config, method="magnus2", t_end=3000.0, snapshots=None)
     assert evolve(cfg).norm_drift <= 1e-13
+
+
+def test_factorized_drift_extrapolates_within_tolerance_at_the_step_limit(fig2_config):
+    # A polished span centre leaves rounding that changes from span to span,
+    # but the drift of the fig2 rate grows about linearly from 1e5 to 1e6
+    # steps: the line through two run lengths, continued to _MAX_STEPS,
+    # must stay below the tolerance that observables_series enforces.
+    # 1.7e-14 and 8.1e-14 here, which extrapolate to 2.2e-11.
+    drifts = []
+    for n in (3200, 32000):
+        cfg = replace(fig2_config, method="magnus2", t_end=float(n), snapshots=None)
+        table, degrees = _tabled(cfg, cfg.dt)
+        assert _taylor_span(table, degrees, cfg.omega, n)[0] > _CHUNK
+        drifts.append(evolve(cfg).norm_drift)
+    slope = max(drifts[1] - drifts[0], 0.0) / (32000 - 3200)
+    assert drifts[1] + slope * (_MAX_STEPS - 32000) < NORM_TOLERANCE, drifts
 
 
 @pytest.mark.parametrize("beta, omega", [(0.0, 2e-4), (0.1, 0.01)])
@@ -666,26 +715,27 @@ def test_long_run_that_does_not_factorize_polishes_its_states(beta, omega):
     # table as stored
     cfg = _config(method="magnus2", beta=beta, omega=omega, t_end=3000.0, snapshots=None)
     table, degrees = _tabled(cfg, cfg.dt)
-    assert _taylor_order(table, degrees, omega * cfg.dt, _CHUNK) == 0
+    assert _taylor_span(table, degrees, omega * cfg.dt, cfg.n_steps)[1] == 0
     assert evolve(cfg).norm_drift <= 1e-13
 
 
 def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes():
-    # 32 nodes at q = 40, factorized: the table, one buffer and W table
+    # 32 nodes at q = 40, factorized: the table, one buffer, W table and
+    # the span's S, in the first stack of a 100 000-step run
     cfg = _config(q=40, beta=0.1875, method="magnus2")
     d = cfg.lattice.d
     psi = initial_state(cfg).amplitudes
     _magnus_table.cache_clear()
     tracemalloc.start()
     try:
-        _states(_magnus_stepper(cfg, 0.0, cfg.dt, _CHUNK), np.arange(float(_CHUNK)), psi)
+        _states(_magnus_stepper(cfg, 0.0, cfg.dt, 100000), np.arange(float(_CHUNK)), psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     table, degrees = _tabled(cfg, cfg.dt)
     assert len(table) == _CHUNK and _magnus_table.cache_info().currsize == 1
-    order = _taylor_order(table, degrees, cfg.omega * cfg.dt, _CHUNK)
-    assert order
+    span, order = _taylor_span(table, degrees, cfg.omega * cfg.dt, 100000)
+    assert order and span > _CHUNK
     stacks = 2 + order / _CHUNK
     assert stacks <= 2.5 <= _PEAK_STACKS
     stack = 16 * _CHUNK * d * d
