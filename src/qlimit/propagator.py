@@ -16,8 +16,8 @@ hands them back to the system between chunks.
 
 strang
     Split step p1 F p0: half potential phase p0 in the return basis, the
-    free step F = exp(-1j*dt*T^2/(2 mu)) (a circulant matrix, cached per
-    (q, mu, dt)), half potential phase p1 again. The two potential
+    free step F = exp(-1j*dt*T^2/(2 mu)) (a circulant matrix, built once
+    per run), half potential phase p1 again. The two potential
     half-steps sample cos at their own midpoints, t + dt/4 and
     t + 3dt/4, which keeps the scheme second order in the time-dependent
     coefficient and exactly time reversible. The stepper merges the
@@ -37,10 +37,10 @@ strang
 magnus2
     Exponential midpoint: U = exp(-1j*H(t + dt/2)*dt). Only the coupling
     c = beta*x, x = cos(omega*(t + dt/2)), changes from step to step, so
-    U is tabled once per (q, mu, beta, dt) as Chebyshev coefficients in
-    x, built from M node unitaries, one eigh per node pair x, -x
-    (J H(c) J = H(-c), J the flip n -> -n), and each step's U is a sum of
-    M coefficient matrices; above _CHUNK nodes each step takes its own eigh.
+    each run tables U once as Chebyshev coefficients in x, built from M
+    node unitaries, one eigh per node pair x, -x (J H(c) J = H(-c), J the
+    flip n -> -n), and each step's U is a sum of M coefficient matrices;
+    above _CHUNK nodes each step takes its own eigh.
     The stepper builds the unitaries as (_CHUNK, d, d) stacks. Where a span
     of L steps of the run's grid pays (_taylor_span), the span's Chebyshev
     basis factors as S W(c), p Taylor terms about its centre phase c: W
@@ -50,9 +50,10 @@ magnus2
     ulp, which would make the norm drift grow linearly with the steps. One
     Newton-Schulz step cancels it, with rounding of its own each time, so
     the drift grows as a random walk: once per span on its centre term
-    M_0 = U(c), M_0 <- M_0 (3 - M_0^H M_0) / 2, or, where no span pays, per
-    step on the state, psi <- 1.5 v - 0.5 U (U^H v), v = U psi. The real
-    symmetric Hamiltonian matrices come from ``operators.hamiltonians``.
+    M_0 = U(c), M_0 <- M_0 (3 - M_0^H M_0) / 2, or, where no span pays or
+    omega = 0 (spans would repeat one centre term), per step on the state,
+    psi <- 1.5 v - 0.5 U (U^H v), v = U psi. Direct builds take cos(k theta)
+    as Re(exp(1j theta)^k). ``operators.hamiltonians`` gives the Hamiltonians.
 
 reference
     magnus2 run at dt/8, used as the convergence yardstick.
@@ -71,7 +72,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Collection
 
 import numpy as np
@@ -111,9 +111,9 @@ _PEAK_STACKS = 5
 
 #: Largest price limit q. evolve's memory grows as d^2, d = 2q + 1: its
 #: _PEAK_STACKS stacks of 16 _CHUNK d^2 bytes each stay within 1 GiB
-#: (d <= 647, q <= 323). Beside a run, each of the 16 tables _magnus_table
-#: caches holds up to one stack, and a dense operator dump is one stack or
-#: less.
+#: (d <= 647, q <= 323). A run's table and free step are its own and go
+#: with it: beside a run, the process keeps only the cached DFT and kinetic
+#: matrices, and a dense operator dump is one stack or less.
 MAX_Q = (math.isqrt(2**30 // (16 * _CHUNK * _PEAK_STACKS)) - 1) // 2
 
 
@@ -234,13 +234,9 @@ def _kinetic_phase(lattice: Lattice, dt: float, mu: float) -> np.ndarray:
     return np.exp(-0.5j * n * n * dt / mu)
 
 
-@lru_cache(maxsize=16)
-def _free_step(q: int, mu: float, dt: float) -> np.ndarray:
+def _free_step(lattice: Lattice, mu: float, dt: float) -> np.ndarray:
     """exp(-1j*dt*T^2/(2 mu)) in the return basis (complex symmetric)."""
-    lattice = Lattice(q)
-    u = even_dual_matrix(lattice, _kinetic_phase(lattice, dt, mu))
-    u.flags.writeable = False
-    return u
+    return even_dual_matrix(lattice, _kinetic_phase(lattice, dt, mu))
 
 
 def _half_kicks(config: SimulationConfig, cos: np.ndarray, dt: float) -> np.ndarray:
@@ -262,7 +258,7 @@ def _strang_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
     has only its opening one. The kicks of up to min(_STATES, n_steps)
     steps are written into one buffer allocated here.
     """
-    free = _free_step(config.q, config.mu, dt)
+    free = _free_step(config.lattice, config.mu, dt)
     n = config.lattice.points()
     # cos w(t + dt/4) + cos w(t - dt/4) = 2 cos(wt) cos(w dt/4)
     rate = (-1j * config.beta * dt * math.cos(0.25 * config.omega * dt) * n)[None, :]
@@ -314,11 +310,9 @@ def _chebyshev_nodes(a: float) -> int:
     return _CHUNK + 1
 
 
-def _chebyshev_basis(theta: np.ndarray, degrees: np.ndarray, out=None) -> np.ndarray:
-    """(len(theta), len(degrees)) Chebyshev polynomials T_k(cos theta) = cos(k theta), into out."""
-    # the outer product as a matmul: a broadcast multiply allocates ufunc buffers
-    basis = np.matmul(theta[:, None], degrees[None, :], out=out)
-    return np.cos(basis, out=basis)
+def _chebyshev_basis(theta: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """(len(theta), len(degrees)) Chebyshev polynomials T_k(cos theta) = cos(k theta)."""
+    return np.cos(np.outer(theta, degrees))
 
 
 def _taylor_order(sizes: np.ndarray, degrees: np.ndarray, omega_dt: float, length: int) -> int:
@@ -331,9 +325,10 @@ def _taylor_order(sizes: np.ndarray, degrees: np.ndarray, omega_dt: float, lengt
     p is the fewest terms that bring this below 1e-17, and 0 when they take
     p (K + length) >= length K products per entry or are more than 15, the
     rows W table may keep. p >= 2: np.matmul leaves BLAS for inner size 1.
+    At omega dt = 0, 0: every span would repeat one centre term and its rounding.
     """
     most = min((length * len(sizes) - 1) // (length + len(sizes)), _CHUNK // 2 - 1)
-    if most < 2:
+    if most < 2 or not omega_dt:
         return 0
     reach = degrees * (0.5 * (length - 1) * abs(omega_dt))
     terms = np.cumprod(np.outer(1.0 / np.arange(1, most + 1), reach), axis=0)  # (k|s|)^p / p!
@@ -415,12 +410,19 @@ def _tabled_builder(table: np.ndarray, degrees: np.ndarray, omega: float, dt: fl
     parts = table.view(float)
     stacks = work.reshape(len(work), -1).view(float)
     if not order:
-        basis = np.empty((len(work), len(table)))
+        powers = np.empty((len(work), len(table)), dtype=complex)
+        basis = np.empty(powers.shape)
 
         def direct(t: np.ndarray) -> np.ndarray:
+            # cos(k theta) = Re(exp(1j theta)^k): rounding each k theta on
+            # its own would leave, at large theta, values of no one angle
             n = len(t)
-            b = _chebyshev_basis(omega * (t + 0.5 * dt), degrees, out=basis[:n])
-            np.matmul(b, parts, out=stacks[:n])
+            theta = omega * (t + 0.5 * dt)
+            z = powers[:n]
+            z[:, 0] = np.cos(0.0 * theta)  # 1, or NaN where the phase overflowed
+            z[:, 1:] = np.exp(1j * theta)[:, None]
+            np.copyto(basis[:n], np.cumprod(z, axis=1, out=z).real)
+            np.matmul(basis[:n], parts, out=stacks[:n])
             return work[:n]
 
         return direct
@@ -458,7 +460,6 @@ def _magnus_nodes(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
     return np.concatenate([half, half[:m // 2][::-1, ::-1, ::-1]])
 
 
-@lru_cache(maxsize=16)
 def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int) -> np.ndarray:
     """(m, d*d) Chebyshev coefficients C_k in x of exp(-1j*dt*(K + beta*x*R)) on [-1, 1].
 
@@ -469,7 +470,6 @@ def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int) -> np.ndarr
     u = _magnus_nodes(Lattice(q), mu, beta * np.cos(theta[:(m + 1) // 2]), dt, m)
     table = (2.0 / m) * _chebyshev_basis(theta, np.arange(m)).T @ u.reshape(m, -1)
     table[0] *= 0.5
-    table.flags.writeable = False
     return table
 
 

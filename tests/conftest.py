@@ -1,7 +1,9 @@
 import contextlib
+import math
 import signal
 import time
 
+import numpy as np
 import pytest
 
 from qlimit import SimulationConfig, Trajectory, evolve
@@ -61,3 +63,21 @@ def time_limit():
             signal.signal(signal.SIGALRM, previous)
 
     return limit
+
+
+@pytest.fixture
+def eigh_matrices(monkeypatch):
+    """The matrices each numpy.linalg.eigh call takes from here on, one count per call.
+
+    A batched call on an (..., n, n) stack counts its leading sizes' product,
+    as perfbench's tracer counts propagator.eigh_matrices.
+    """
+    counts = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        counts.append(math.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return counts

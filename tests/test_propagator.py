@@ -39,7 +39,6 @@ from qlimit.propagator import (
     NORM_TOLERANCE,
     _chebyshev_basis,
     _chebyshev_nodes,
-    _free_step,
     _magnus_nodes,
     _magnus_stepper,
     _magnus_table,
@@ -461,8 +460,8 @@ for method in ("strang", "magnus2"):
 
 
 def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
-    # Minor page faults of a second fig2 day per method, once the caches
-    # are filled. Fresh (32, 21, 21) complex temporaries per chunk cost
+    # Minor page faults of a second fig2 day per method, once the lattice
+    # caches are filled. Fresh (32, 21, 21) complex temporaries per chunk cost
     # 35 000 to 40 000 of them a day when the allocator hands the freed
     # memory back to the system and maps it again; whether it does depends
     # on the heap's history, so the probe runs in a fresh interpreter. This
@@ -489,7 +488,7 @@ def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
     ("reference", 1.5, 8.0, _CHUNK, 4, 2e-4),
 ])
 def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk_time, nodes,
-                                                             stacks, omega):
+                                                             stacks, omega, eigh_matrices):
     # MAX_Q keeps _PEAK_STACKS (_CHUNK, d, d) complex stacks within 1 GiB;
     # a run that held more would break that bound. The allowance on top of
     # each path's stacks is a few (_CHUNK, d) blocks of vectors: states,
@@ -500,8 +499,6 @@ def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk
                   snapshots=None)
     assert chunk_time * _REFINE[method] == _STATES * cfg.dt
     d = cfg.lattice.d
-    _free_step.cache_clear()
-    _magnus_table.cache_clear()
     tracemalloc.start()
     try:
         evolve(cfg)
@@ -510,11 +507,14 @@ def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk
         tracemalloc.stop()
     stack = 16 * _CHUNK * d * d
     assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
-    if method != "strang":
+    if method == "strang":
+        assert not eigh_matrices
+    else:
         m = _chebyshev_nodes(beta * cfg.dt / _REFINE[method] * cfg.q)
         assert (m if m <= _CHUNK else None) == nodes
-        # the one table of a tabled run, none for one eigh per step
-        assert _magnus_table.cache_info().currsize == (nodes is not None)
+        # the run's own table, one eigh per node pair, or one eigh per step
+        steps = cfg.n_steps * _REFINE[method]
+        assert sum(eigh_matrices) == ((m + 1) // 2 if nodes else steps)
 
 
 def test_magnus_evolve_at_large_q_matches_single_steps():
@@ -633,7 +633,7 @@ def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, 
     (30, 0.2, 2e-4, 100000, 256, 11),
     (20, 0.3, 0.004, 100000, 32, 15),   # 64 steps would take 19 terms, past W table's 15 rows
     (40, 0.1875, 2e-4, 100000, 256, 12),  # K = 32, the largest table
-    (10, 0.1, 0.0, 100000, 512, 2),     # one phase: spans up to 2 d^2 = 882 steps
+    (10, 0.1, 0.0, 100000, 32, 0),      # one phase: every span would repeat one centre term
     (1, 0.1, 2e-4, 100000, 32, 6),      # 2 d^2 = 18: one-stack spans only
     (10, 0.1, 2e-4, 100, 64, 7),        # spans up to the run's length
 ])
@@ -650,19 +650,26 @@ def test_span_rule_keeps_the_cheapest_span_that_pays(q, beta, omega, n_steps, sp
         assert _taylor_order(sizes, degrees, omega, length) <= 15, length
 
 
+def _power_basis(theta, m):
+    """(len(theta), m) Chebyshev basis cos(k theta) as Re(exp(1j theta)^k), by a running product."""
+    z = np.ones((len(theta), m), dtype=complex)
+    z[:, 1:] = np.exp(1j * theta)[:, None]
+    return np.cumprod(z, axis=1).real
+
+
 @pytest.mark.parametrize("omega", [1.0, 0.01])
 def test_wide_phase_and_two_step_runs_take_the_direct_build(omega):
     # A run whose stacks sweep a wide phase would take more Taylor terms
     # than the factorization saves at any span, and a run of two steps has
-    # no span that pays: both get the Chebyshev basis times the table, bit
-    # for bit.
+    # no span that pays: both get the Chebyshev basis, the powers of each
+    # step's exp(1j theta), times the table, bit for bit.
     cfg = _config(omega=omega)
     d = cfg.lattice.d
     for dt in (1.0, -1.0):
         table, degrees = _tabled(cfg, dt)
         assert _taylor_span(table, degrees, omega * dt, 60)[1] == 0
         t = np.arange(60) * dt
-        expected = [np.matmul(_chebyshev_basis(omega * (t[i:i + _CHUNK] + 0.5 * dt), degrees),
+        expected = [np.matmul(_power_basis(omega * (t[i:i + _CHUNK] + 0.5 * dt), len(table)),
                               table.view(float)) for i in range(0, len(t), _CHUNK)]
         np.testing.assert_array_equal(_tabled_stacks(cfg, t, dt),
                                       np.concatenate(expected).view(complex).reshape(-1, d, d))
@@ -670,9 +677,25 @@ def test_wide_phase_and_two_step_runs_take_the_direct_build(omega):
     table, degrees = _tabled(cfg, 1.0)
     assert _taylor_span(table, degrees, cfg.omega, 2) == (2, 0)
     t = np.array([0.0, 1.0])
-    expected = np.matmul(_chebyshev_basis(cfg.omega * (t + 0.5), degrees), table.view(float))
+    expected = np.matmul(_power_basis(cfg.omega * (t + 0.5), len(table)), table.view(float))
     np.testing.assert_array_equal(_tabled_stacks(cfg, t, 1.0),
                                   expected.view(complex).reshape(-1, d, d))
+
+
+def test_direct_build_at_a_large_phase_stays_on_eigh_and_unitary():
+    # From t0 = 1e6 at omega = 0.7 the phase theta is near 7e5: cos(k theta)
+    # with each k theta rounded on its own gives values of no one angle,
+    # 8.6e-13 off eigh and 1.3e-12 off unitary; the powers of exp(1j theta)
+    # keep both near 1e-14.
+    cfg = _config(omega=0.7)
+    table, degrees = _tabled(cfg, 1.0)
+    assert _taylor_span(table, degrees, cfg.omega, _CHUNK)[1] == 0
+    t = 1e6 + np.arange(float(_CHUNK))
+    u = _tabled_stacks(cfg, t, 1.0)
+    direct = _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(cfg.omega * (t + 0.5)), 1.0)
+    assert np.abs(u - direct).max() <= 1e-13
+    defect = np.matmul(u.conj().transpose(0, 2, 1), u) - np.eye(cfg.lattice.d)
+    assert np.abs(defect).max() <= 1e-13
 
 
 def test_fig2_day_keeps_norm_drift_small(fig2_config):
@@ -691,20 +714,44 @@ def test_polished_long_run_keeps_norm_drift_small(fig2_config):
     assert evolve(cfg).norm_drift <= 1e-13
 
 
+def _drift_at_the_step_limit(cfg, lengths):
+    """norm_drift of cfg's runs of the two lengths, and their line continued to _MAX_STEPS."""
+    drifts = [evolve(replace(cfg, t_end=n * cfg.dt, snapshots=None)).norm_drift for n in lengths]
+    slope = max(drifts[1] - drifts[0], 0.0) / (lengths[1] - lengths[0])
+    return drifts, drifts[1] + slope * (_MAX_STEPS - lengths[1])
+
+
 def test_factorized_drift_extrapolates_within_tolerance_at_the_step_limit(fig2_config):
     # A polished span centre leaves rounding that changes from span to span,
     # but the drift of the fig2 rate grows about linearly from 1e5 to 1e6
     # steps: the line through two run lengths, continued to _MAX_STEPS,
     # must stay below the tolerance that observables_series enforces.
     # 1.7e-14 and 8.1e-14 here, which extrapolate to 2.2e-11.
-    drifts = []
+    cfg = replace(fig2_config, method="magnus2")
+    table, degrees = _tabled(cfg, cfg.dt)
     for n in (3200, 32000):
-        cfg = replace(fig2_config, method="magnus2", t_end=float(n), snapshots=None)
-        table, degrees = _tabled(cfg, cfg.dt)
         assert _taylor_span(table, degrees, cfg.omega, n)[0] > _CHUNK
-        drifts.append(evolve(cfg).norm_drift)
-    slope = max(drifts[1] - drifts[0], 0.0) / (32000 - 3200)
-    assert drifts[1] + slope * (_MAX_STEPS - 32000) < NORM_TOLERANCE, drifts
+    drifts, limit = _drift_at_the_step_limit(cfg, (3200, 32000))
+    assert limit < NORM_TOLERANCE, drifts
+
+
+@pytest.mark.parametrize("omega, lengths, span", [
+    # one phase: spans would repeat one polished centre term, 1.3e-13 at
+    # 3 200 steps and 1.3e-12 at 32 000 (4.1e-10 at the limit); the
+    # polished states give 3.1e-15 and 5.3e-15
+    (0.0, (3200, 32000), (_CHUNK, 0)),
+    # the longest spans the rule picks at q = 10: 3.4e-14 and 4.2e-13,
+    # which extrapolate to 4.3e-11
+    (1e-7, (10000, 100000), (512, 4)),
+], ids=["constant", "longest-span"])
+def test_slow_coupling_drift_extrapolates_within_tolerance_at_the_step_limit(omega, lengths,
+                                                                             span):
+    cfg = _config(method="magnus2", beta=0.2, omega=omega)
+    table, degrees = _tabled(cfg, cfg.dt)
+    for n in lengths:
+        assert _taylor_span(table, degrees, omega * cfg.dt, n) == span
+    drifts, limit = _drift_at_the_step_limit(cfg, lengths)
+    assert limit < NORM_TOLERANCE, drifts
 
 
 @pytest.mark.parametrize("beta, omega", [(0.0, 2e-4), (0.1, 0.01)])
@@ -719,21 +766,41 @@ def test_long_run_that_does_not_factorize_polishes_its_states(beta, omega):
     assert evolve(cfg).norm_drift <= 1e-13
 
 
-def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes():
+def test_runs_leave_no_step_operators_behind():
+    # A run's table and free step are its own and go with it: once a
+    # warm-up run has filled the lattice caches (DFT, kinetic matrix),
+    # runs at new couplings leave the traced memory where it was.
+    base = _config(q=40, t_end=2.0 * _CHUNK, snapshots=None)
+    for method in ("magnus2", "strang"):
+        evolve(replace(base, beta=0.05, method=method))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for beta in (0.1, 0.15, 0.1875):
+            for method in ("magnus2", "strang"):
+                evolve(replace(base, beta=beta, method=method))
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    stack = 16 * _CHUNK * base.lattice.d ** 2
+    assert left <= 0.05 * stack, left / stack
+
+
+def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes(eigh_matrices):
     # 32 nodes at q = 40, factorized: the table, one buffer, W table and
     # the span's S, in the first stack of a 100 000-step run
     cfg = _config(q=40, beta=0.1875, method="magnus2")
     d = cfg.lattice.d
     psi = initial_state(cfg).amplitudes
-    _magnus_table.cache_clear()
     tracemalloc.start()
     try:
         _states(_magnus_stepper(cfg, 0.0, cfg.dt, 100000), np.arange(float(_CHUNK)), psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert eigh_matrices == [_CHUNK // 2]  # the stepper's own table: one eigh per node pair
     table, degrees = _tabled(cfg, cfg.dt)
-    assert len(table) == _CHUNK and _magnus_table.cache_info().currsize == 1
+    assert len(table) == _CHUNK
     span, order = _taylor_span(table, degrees, cfg.omega * cfg.dt, 100000)
     assert order and span > _CHUNK
     stacks = 2 + order / _CHUNK
@@ -743,7 +810,7 @@ def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes():
 
 
 @pytest.mark.parametrize("q", [1, 10, 30])
-def test_magnus_table_takes_one_eigh_per_node_pair(q, monkeypatch):
+def test_magnus_table_takes_one_eigh_per_node_pair(q, eigh_matrices):
     # J H(c) J = H(-c) bit for bit, J the flip n -> -n, so the node unitary
     # at -x is J U(x) J, exactly: node m - 1 - i mirrors node i
     cfg = _config(q=q)
@@ -757,12 +824,9 @@ def test_magnus_table_takes_one_eigh_per_node_pair(q, monkeypatch):
             np.testing.assert_array_equal(u[m - 1 - i], u[i][::-1, ::-1])
         direct = _magnus_unitaries(cfg.lattice, cfg.mu, beta * np.cos(theta), 1.0)
         assert np.abs(u - direct).max() <= 1e-13, beta
-        eigh, sizes = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
-        _magnus_table.cache_clear()
+        eigh_matrices.clear()
         assert len(_magnus_table(q, cfg.mu, beta, 1.0, m)) == m
-        monkeypatch.undo()
-        assert sizes == [(m + 1) // 2], (beta, m)
+        assert eigh_matrices == [(m + 1) // 2], (beta, m)
 
 
 def test_magnus_steps_above_chunk_nodes_use_eigh(monkeypatch):
