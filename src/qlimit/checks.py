@@ -11,7 +11,8 @@ suite runs ``ALL_CHECKS`` as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float | None = None  # wall time of the check, as run_all_checks measures it
 
 
 def _bounded(name: str, err: float, bound: float) -> CheckResult:
@@ -145,56 +147,53 @@ def check_trend_mean_parseval() -> CheckResult:
 
 def check_theta_periodicity() -> CheckResult:
     rng = np.random.default_rng(13)
-    err = 0.0
-    for _ in range(25):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3))
-        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.0))
-        err = max(err, abs(theta3(ThetaArgs(z + 1, tau), 1e-12) - theta3(ThetaArgs(z, tau), 1e-12)))
-    return _bounded("theta_periodicity", err, 1e-10)
+    z, tau = np.empty((2, 25), dtype=complex)
+    for i in range(25):
+        z[i] = complex(rng.uniform(-2, 2), rng.uniform(-0.3, 0.3))
+        tau[i] = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.0))
+    shifted, plain = theta3(ThetaArgs(np.stack([z + 1, z]), tau), 1e-12)
+    return _bounded("theta_periodicity", np.abs(shifted - plain).max(), 1e-10)
 
 
 def check_theta_modular() -> CheckResult:
     rng = np.random.default_rng(14)
-    err = 0.0
-    for _ in range(25):
-        z = rng.uniform(-1.5, 1.5)
-        tau = rng.uniform(0.2, 3.0)
-        lhs = theta3(ThetaArgs(z, 1j * tau), 1e-12)
-        rhs = (
-            tau ** -0.5
-            * np.exp(-math.pi * z * z / tau)
-            * theta3(ThetaArgs(z / (1j * tau), 1j / tau), 1e-12)
-        )
-        err = max(err, abs(lhs - rhs))
-    return _bounded("theta_modular_identity", err, 1e-10)
+    z, tau = np.empty((2, 25))
+    for i in range(25):
+        z[i] = rng.uniform(-1.5, 1.5)
+        tau[i] = rng.uniform(0.2, 3.0)
+    lhs, dual = theta3(ThetaArgs(np.stack([z, z / (1j * tau)]), np.stack([1j * tau, 1j / tau])),
+                       1e-12)
+    rhs = tau ** -0.5 * np.exp(-math.pi * z * z / tau) * dual
+    return _bounded("theta_modular_identity", np.abs(lhs - rhs).max(), 1e-10)
+
+
+def _theta_rows(tau: Callable[[float, int], complex], tol: float) -> dict:
+    """theta3(n / d, tau(kappa, d)), n = -q .. q, for each (q, kappa) of the grids, by one call."""
+    keys = [(q, kappa) for q in Q_GRID for kappa in KAPPA_GRID]
+    sizes = [2 * q + 1 for q, _ in keys]
+    z = np.concatenate([np.arange(-q, q + 1) / d for (q, _), d in zip(keys, sizes)])
+    taus = np.concatenate([np.full(d, tau(kappa, d)) for (_, kappa), d in zip(keys, sizes)])
+    return dict(zip(keys, np.split(theta3(ThetaArgs(z, taus), tol), np.cumsum(sizes)[:-1])))
 
 
 def check_theta_poisson_dft() -> CheckResult:
     err = 0.0
-    for q in Q_GRID:
+    direct = _theta_rows(lambda kappa, d: 1j * kappa / d, 1e-13)
+    for (q, kappa), dual in _theta_rows(lambda kappa, d: 1j / (kappa * d), 1e-13).items():
         d = 2 * q + 1
-        for kappa in KAPPA_GRID:
-            dual = np.array(
-                [theta3(ThetaArgs(n / d, 1j / (kappa * d)), 1e-13) for n in range(-q, q + 1)]
-            )
-            for k in range(-q, q + 1):
-                n = np.arange(-q, q + 1)
-                rhs = np.sum(np.exp(-2j * math.pi * k * n / d) * dual) / math.sqrt(kappa * d)
-                lhs = theta3(ThetaArgs(k / d, 1j * kappa / d), 1e-13)
-                err = max(err, abs(lhs - rhs))
+        n = np.arange(-q, q + 1)
+        rhs = np.exp(-2j * math.pi * np.outer(n, n) / d) @ dual / math.sqrt(kappa * d)
+        err = max(err, np.abs(direct[q, kappa] - rhs).max())
     return _bounded("theta_poisson_dft_identity", err, 1e-10)
 
 
 def check_gamma_theta_closed_form() -> CheckResult:
     err = 0.0
-    for q in Q_GRID:
+    for (q, kappa), row in _theta_rows(lambda kappa, d: 1j / (kappa * d), 1e-13).items():
         lattice = new_lattice(q)
-        d = lattice.d
-        for kappa in KAPPA_GRID:
-            g = gamma_kappa(lattice, GaussianParams(kappa))
-            for n in range(-q, q + 1):
-                via_theta = theta3(ThetaArgs(n / d, 1j / (kappa * d)), 1e-13) / math.sqrt(kappa * d)
-                err = max(err, abs(g.amplitude(n) - via_theta))
+        via_theta = row / math.sqrt(kappa * lattice.d)
+        g = gamma_kappa(lattice, GaussianParams(kappa))
+        err = max(err, np.abs(g.amplitudes - via_theta).max())
     return _bounded("gamma_theta_closed_form", err, 1e-12)
 
 
@@ -349,4 +348,9 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
 
 
 def run_all_checks() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    results = []
+    for check in ALL_CHECKS:
+        begun = time.perf_counter()
+        result = check()
+        results.append(replace(result, seconds=time.perf_counter() - begun))
+    return results

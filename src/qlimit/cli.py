@@ -207,8 +207,10 @@ def cmd_evolve(
     """Run one evolution and write snapshot CSVs, observables and manifest.
 
     Returns the manifest dict. Its ``timings`` give each phase's wall time
-    in seconds (the manifest's own write is not timed), and
-    ``steps_per_second`` the integration steps over the propagate time.
+    in seconds (the manifest's own write is not timed; ``table`` is the
+    build of the run's step operators), ``steps_per_second`` the
+    integration steps over the propagate time, and ``step_map`` the grid
+    steps each loop step takes and the nodes of the run's table.
     Partial outputs are removed if writing fails midway.
     """
     started = datetime.now(timezone.utc).isoformat()
@@ -241,6 +243,7 @@ def cmd_evolve(
         "snapshot_adjustments": adjustments,
         "timings": timings,
         "steps_per_second": steps / timings["propagate"] if timings.get("propagate") else None,
+        "step_map": traj.step_map or None,
     }
     if figure_targets:
         states = {t: psi.amplitudes for t, psi in traj.states}
@@ -329,17 +332,24 @@ def cmd_operators(
     return path
 
 
-def cmd_check(stream=None) -> int:
-    """Run the invariant suite; print one line per check; 0 iff all pass."""
+def cmd_check(stream=None, as_json: bool = False) -> int:
+    """Run the invariant suite; print one line per check; 0 iff all pass.
+
+    With as_json each line is a JSON object with the check's name,
+    passed, detail and wall seconds, and no summary line follows.
+    """
     stream = stream or sys.stdout
     results = run_all_checks()
+    failed = [r.name for r in results if not r.passed]
+    if as_json:
+        for r in results:
+            print(json.dumps({"name": r.name, "passed": bool(r.passed), "detail": r.detail,
+                              "seconds": r.seconds}), file=stream)
+        return 3 if failed else 0
     width = max(len(r.name) for r in results)
-    failed = []
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
         print(f"[{tag}] {r.name:<{width}}  {r.detail}", file=stream)
-        if not r.passed:
-            failed.append(r.name)
     if failed:
         print(f"{len(failed)} check(s) failed: {', '.join(failed)}", file=stream)
         return 3
@@ -386,12 +396,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=0.0002)
     p.add_argument("--t", type=float, default=0.0, help="time at which to sample the Hamiltonian")
 
-    sub.add_parser("check", help="run the invariant self-check suite")
+    p = sub.add_parser("check", help="run the invariant self-check suite")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object per check: name, passed, detail, seconds")
     return parser
 
 
 def _run_gaussian(args) -> int:
     if args.preset == "fig1":
+        given = [f"--{key}" for key in ("q", "kappa") if getattr(args, key) is not None]
+        if given:
+            raise ConfigError(f"--preset fig1 fixes q and kappa; drop {' and '.join(given)}")
         outdir = _default_outdir(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for kappa in FIG1_PRESET["kappas"]:
@@ -451,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "operators":
             return _run_operators(args)
         if args.command == "check":
-            return cmd_check()
+            return cmd_check(as_json=args.json)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

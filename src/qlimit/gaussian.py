@@ -19,7 +19,6 @@ cross-checks and state construction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,42 +53,53 @@ class GaussianParams:
 
 @dataclass(frozen=True)
 class ThetaArgs:
-    """Arguments of theta3; the series converges only for Im(tau) > 0."""
+    """Arguments of theta3, numbers or arrays that broadcast together; the
+    series converges only for Im(tau) > 0, in every element."""
 
-    z: complex
-    tau: complex
+    z: complex | np.ndarray
+    tau: complex | np.ndarray
 
     def __post_init__(self) -> None:
-        if not complex(self.tau).imag > 0:
+        if not np.all(np.imag(self.tau) > 0):
             raise ValueError(f"Im(tau) must be > 0, got tau={self.tau}")
 
 
-def theta3(args: ThetaArgs, tol: float = 1e-12) -> complex:
+def theta3(args: ThetaArgs, tol: float = 1e-12) -> complex | np.ndarray:
     """Partial sum of the theta series, accurate to tol relative to the total.
 
     Terms with index a and -a are paired; |term_a| <= 2*exp(-pi*Im(tau)*a^2
     + 2*pi*|Im(z)|*a), so once past the peak of that bound the tail is
     dominated by a geometric series and summation stops as soon as the
-    bound times its geometric tail factor is below tolerance. Raises
-    ValueError past _THETA_MAX_PAIRS pairs.
+    bound times its geometric tail factor is below tolerance. Arrays of z
+    and tau broadcast, and each element stops by that rule on its own:
+    terms past its stopping index are not computed. Returns a complex for
+    numbers, an array of the broadcast shape otherwise. Raises ValueError
+    past _THETA_MAX_PAIRS pairs.
     """
     if not 0 < tol <= 1e-6:
         raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
-    z = complex(args.z)
-    tau = complex(args.tau)
-    im_tau = tau.imag
-    im_z = abs(z.imag)
-
-    total = 1.0 + 0j
+    shape = np.broadcast_shapes(np.shape(args.z), np.shape(args.tau))
+    z, tau = (np.broadcast_to(np.asarray(x, dtype=complex), shape).ravel()
+              for x in (args.z, args.tau))
+    total = np.ones(len(z), dtype=complex)
+    # the elements still summing: their indices, arguments and partial sums
+    index, sums = np.arange(len(z)), total.copy()
+    decay, growth = -math.pi * tau.imag, 2.0 * math.pi * np.abs(z.imag)
     for a in range(1, _THETA_MAX_PAIRS + 1):
-        quad = cmath.exp(1j * math.pi * tau * a * a)
-        total += quad * (cmath.exp(2j * math.pi * a * z) + cmath.exp(-2j * math.pi * a * z))
+        quad = np.exp(1j * math.pi * tau * a * a)
+        sums += quad * (np.exp(2j * math.pi * a * z) + np.exp(-2j * math.pi * a * z))
         # bound on the next pair of terms, and the ratio of consecutive bounds
-        bound = 2.0 * math.exp(-math.pi * im_tau * (a + 1) ** 2 + 2.0 * math.pi * im_z * (a + 1))
-        ratio = math.exp(-math.pi * im_tau * (2 * a + 3) + 2.0 * math.pi * im_z)
-        if ratio < 1.0 and bound / (1.0 - ratio) <= tol * max(abs(total), 1e-300):
-            return complex(total)
-    raise ValueError(f"theta3 at tau={tau} needs over {_THETA_MAX_PAIRS} term pairs")
+        bound = 2.0 * np.exp(decay * (a + 1) ** 2 + growth * (a + 1))
+        ratio = np.exp(decay * (2 * a + 3) + growth)
+        done = (ratio < 1.0) & (bound <= tol * np.maximum(np.abs(sums), 1e-300) * (1.0 - ratio))
+        if done.any():
+            total[index[done]] = sums[done]
+            left = ~done
+            if not left.any():
+                return total.reshape(shape) if shape else complex(total[0])
+            index, sums, z, tau, decay, growth = (x[left] for x in (index, sums, z, tau, decay,
+                                                                    growth))
+    raise ValueError(f"theta3 at tau={complex(tau[0])} needs over {_THETA_MAX_PAIRS} term pairs")
 
 
 @np.errstate(over="ignore")  # exponents beyond the float range give exp(-inf) = 0

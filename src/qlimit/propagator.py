@@ -53,14 +53,26 @@ magnus2
     M_0 = U(c), M_0 <- M_0 (3 - M_0^H M_0) / 2, or, where no span pays or
     omega = 0 (spans would repeat one centre term), per step on the state,
     psi <- 1.5 v - 0.5 U (U^H v), v = U psi. Direct builds take cos(k theta)
-    as Re(exp(1j theta)^k). ``operators.hamiltonians`` gives the Hamiltonians.
+    as Re(exp(1j theta)^k). ``tables`` builds the tables and their stacks;
+    ``operators.hamiltonians`` gives the Hamiltonians. Step maps: as H(t) is periodic, the product of Delta = 2^i steps is a
+    2 pi-periodic, analytic function of its midpoint phase. Where Delta
+    divides the run's steps and every recorded step, and a cost rule
+    (_step_map) finds that its build pays, the run tables that map instead:
+    its 2D + 1 <= 2 _CHUNK node values, products of the Chebyshev table's
+    unitaries each polished once, fitted as cos k phi and sin k phi rows
+    (D bounded from the table's norms), and steps the grid Delta steps at
+    a time with the same builder, spans and polish. No new eigh: the fig2
+    day takes 3 600 loop steps of an 8-step map at 57 nodes.
 
 reference
-    magnus2 run at dt/8, used as the convergence yardstick.
+    magnus2 run at dt/8, used as the convergence yardstick (the fig2 day:
+    7 200 loop steps of a 32-step map at 47 nodes).
 
 The step unitaries are unitary up to roundoff, so norms are conserved;
-``norm_drift`` is the worst per-step defect |1 - ||psi|||, and the first
-step whose state is non-finite raises ``PropagationError``.
+``norm_drift`` is the worst per-step defect |1 - ||psi||| over the states
+the loop computes, and the first of them that is non-finite raises
+``PropagationError`` with its grid step, found by rerunning a step map's
+loop step a grid step at a time.
 ``observables_series`` raises ``NumericalError`` for a recorded state
 further from unit norm than ``NORM_TOLERANCE``.
 A single run is strictly sequential; distinct runs share nothing and may
@@ -72,7 +84,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Collection
+from typing import Callable, Collection, NamedTuple
 
 import numpy as np
 
@@ -80,14 +92,13 @@ from .errors import ConfigError, NumericalError, PropagationError
 from .fourier import dft_matrices, even_dual_matrix
 from .gaussian import GaussianParams, upsilon_kappa
 from .lattice import NORM_TOLERANCE, Lattice, StateVector
-from .operators import expectation, hamiltonians, rate_operator, trend_operator
+from .operators import expectation, rate_operator, trend_operator
+from .tables import (_CHUNK, _chebyshev_nodes, _magnus_table, _magnus_unitaries, _step_map,
+                     _step_table, _tabled_builder, _taylor_span)
 
 #: Integration steps each method takes per dt.
 _REFINE = {"strang": 1, "magnus2": 1, "reference": 8}
 METHODS = tuple(_REFINE)
-
-#: Steps per stack: magnus2 builds its step unitaries this many at a time.
-_CHUNK = 32
 
 #: States per chunk: evolve runs a method's stepper on, and checks the
 #: norms of, this many steps at a time. Beside its stacks a run holds
@@ -106,7 +117,10 @@ _MAX_STEPS = 10**7
 #: table of at most _CHUNK matrices plus two stacks, the step unitaries and
 #: their conjugates. A factorized run takes under 3: the table, one stack,
 #: W table, whose p <= 15 rows are at most 15/32 of a stack, and S, no larger.
-#: strang holds no stack: its one matrix, F, is 1/_CHUNK of one.
+#: A step map's table has at most 2 _CHUNK rows: stepping it takes 4 stacks
+#: at most, and building it under 4, the Chebyshev table, the node maps and
+#: two half-stack blocks. strang holds no stack: its one matrix, F, is
+#: 1/_CHUNK of one.
 _PEAK_STACKS = 5
 
 #: Largest price limit q. evolve's memory grows as d^2, d = 2q + 1: its
@@ -213,12 +227,14 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States recorded at the snapshot times of one run, and its phases' wall times in seconds."""
+    """States recorded at the snapshot times of one run, its phases' wall times in seconds
+    and its step map: the grid steps each loop step takes and its table's nodes (0: none)."""
 
     config: SimulationConfig
     states: tuple[tuple[float, StateVector], ...]
     norm_drift: float
     timings: dict[str, float] = field(default_factory=dict)
+    step_map: dict[str, int] = field(default_factory=dict)
 
 
 def initial_state(config: SimulationConfig) -> StateVector:
@@ -287,192 +303,6 @@ def _strang_closing_kick(config: SimulationConfig, psi: np.ndarray, t: float,
     return psi * _half_kicks(config, np.cos(config.omega * (t - 0.25 * dt)), dt)
 
 
-def _magnus_unitaries(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float) -> np.ndarray:
-    """(m, d, d) exp(-1j*dt*(K + c*R)) for the couplings c, by one batched eigh."""
-    try:
-        w, vec = np.linalg.eigh(hamiltonians(lattice, mu, coupling))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hamiltonian eigendecomposition failed: {exc}") from exc
-    return (vec * np.exp(w * (-1j * dt))[:, None, :]) @ vec.transpose(0, 2, 1)
-
-
-def _chebyshev_nodes(a: float) -> int:
-    """Fewest Chebyshev nodes M with 2 (a/2)^M / M! < 1e-16, or _CHUNK + 1 if above _CHUNK.
-
-    The M-th derivative of x -> exp(-1j*dt*(K + beta*x*R)) is bounded by
-    a^M with a = |beta*dt|*q, which bounds the interpolation error in x.
-    """
-    bound = 2.0
-    for m in range(1, _CHUNK + 1):
-        bound *= 0.5 * a / m
-        if bound < 1e-16:
-            return m
-    return _CHUNK + 1
-
-
-def _chebyshev_basis(theta: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """(len(theta), len(degrees)) Chebyshev polynomials T_k(cos theta) = cos(k theta)."""
-    return np.cos(np.outer(theta, degrees))
-
-
-def _taylor_order(sizes: np.ndarray, degrees: np.ndarray, omega_dt: float, length: int) -> int:
-    """Taylor terms p that keep a span's factorized table sum within 1e-17; 0 if it saves nothing.
-
-    A span of length steps sweeps phase offsets |s| <= (length - 1)/2
-    |omega dt| about its centre. Cut after p terms, the Taylor series of
-    cos(k (c + s)) in s is off by at most (k |s|)^p / p!, so the sum over
-    the table's rows C_k, of maxima sizes, by sum_k max|C_k| (k |s|)^p / p!:
-    p is the fewest terms that bring this below 1e-17, and 0 when they take
-    p (K + length) >= length K products per entry or are more than 15, the
-    rows W table may keep. p >= 2: np.matmul leaves BLAS for inner size 1.
-    At omega dt = 0, 0: every span would repeat one centre term and its rounding.
-    """
-    most = min((length * len(sizes) - 1) // (length + len(sizes)), _CHUNK // 2 - 1)
-    if most < 2 or not omega_dt:
-        return 0
-    reach = degrees * (0.5 * (length - 1) * abs(omega_dt))
-    terms = np.cumprod(np.outer(1.0 / np.arange(1, most + 1), reach), axis=0)  # (k|s|)^p / p!
-    below = terms[1:] @ sizes < 1e-17
-    return int(below.argmax()) + 2 if below.any() else 0
-
-
-def _taylor_span(table: np.ndarray, degrees: np.ndarray, omega_dt: float,
-                 n_steps: int) -> tuple[int, int]:
-    """(L, p): the span of steps and Taylor terms of an n_steps run's factorization; p = 0: none.
-
-    A span costs p (K + L) products per entry for W table and the stacks,
-    and 4d for the polish of its centre term. Spans of _CHUNK 2^i steps,
-    capped at n_steps, are tried while L <= 2 d^2, so that S takes no more
-    memory than W table; the fewest products per entry and step are kept.
-    """
-    sizes = np.array([np.abs(row).max() for row in table])  # no table-sized temporary
-    polish = 4 * math.isqrt(table.shape[1])
-    best, choice, length = math.inf, (min(_CHUNK, n_steps), 0), _CHUNK
-    while True:
-        span = min(length, n_steps)
-        p = _taylor_order(sizes, degrees, omega_dt, span)
-        cost = (p * (len(table) + span) + polish) / span
-        if p and cost < best:
-            best, choice = cost, (span, p)
-        length *= 2
-        if span == n_steps or length > 2 * table.shape[1]:
-            return choice
-
-
-def _taylor_factors(degrees: np.ndarray, omega: float, dt: float, length: int,
-                    order: int) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
-    """S and t -> W(c) of the factorized basis S W(c) of spans of length steps (_tabled_builder).
-
-    S_jl = s_j^l, s_j = (j - (length - 1)/2) omega dt, is fixed per run;
-    W(c)_lk = k^l cos(kc + l pi/2) / l!, c = omega (t + length dt / 2) the
-    centre phase of a span from t, is written into one (order, K) buffer.
-    """
-    powers = np.ones((length, order))
-    powers[:, 1:] = ((np.arange(length) - 0.5 * (length - 1)) * (omega * dt))[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    # k^l / l!, k and l pi/2 as full (p, K) operands: a broadcast one would
-    # make the ufuncs allocate buffers
-    scale = np.ones((order, len(degrees)))
-    scale[1:] = degrees / np.arange(1.0, order)[:, None]
-    np.cumprod(scale, axis=0, out=scale)
-    rows = np.empty_like(scale)
-    rows[:] = degrees
-    shift = np.empty_like(scale)
-    shift[:] = 0.5 * np.pi * np.arange(order)[:, None]
-    out = np.empty_like(scale)
-    centre = 0.5 * length * dt
-
-    def weights(t: float) -> np.ndarray:
-        w = np.multiply(rows, omega * (t + centre), out=out)
-        np.cos(np.add(w, shift, out=w), out=w)
-        return np.multiply(w, scale, out=w)
-
-    return powers, weights
-
-
-def _tabled_builder(table: np.ndarray, degrees: np.ndarray, omega: float, dt: float, t0: float,
-                    work: np.ndarray, span: int, order: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The builder of a tabled magnus2 run's step unitaries: t -> work[:n], the stack at t.
-
-    Step j of the n = len(t) has the phase theta_j = omega (t_j + dt/2) and
-    U_j = sum_k cos(k theta_j) C_k: the stack is B table, B its (n, K)
-    Chebyshev basis, as a real product on the interleaved (re, im) pairs,
-    3x faster than a complex one. With order p > 0 the run's grid t0 + i dt
-    falls into spans of L = span steps, and a stack from step i, at
-    offset o = i mod L in its span, takes B = S[o:o + n] W(c) instead:
-    the span's phases are c + s_j about its centre c, and, as
-    d^l/dtheta^l cos(k theta) = k^l cos(k theta + l pi/2),
-    cos(k (c + s)) = sum_l s^l k^l cos(kc + l pi/2) / l!, cut after p
-    terms (_taylor_factors). W table, and one Newton-Schulz step on its
-    row 0, M_0 = U(c), which S weights by 1 at every step, are formed once
-    per span; each stack is then S[o:o + n] (W table).
-    """
-    parts = table.view(float)
-    stacks = work.reshape(len(work), -1).view(float)
-    if not order:
-        powers = np.empty((len(work), len(table)), dtype=complex)
-        basis = np.empty(powers.shape)
-
-        def direct(t: np.ndarray) -> np.ndarray:
-            # cos(k theta) = Re(exp(1j theta)^k): rounding each k theta on
-            # its own would leave, at large theta, values of no one angle
-            n = len(t)
-            theta = omega * (t + 0.5 * dt)
-            z = powers[:n]
-            z[:, 0] = np.cos(0.0 * theta)  # 1, or NaN where the phase overflowed
-            z[:, 1:] = np.exp(1j * theta)[:, None]
-            np.copyto(basis[:n], np.cumprod(z, axis=1, out=z).real)
-            np.matmul(basis[:n], parts, out=stacks[:n])
-            return work[:n]
-
-        return direct
-    powers, weights = _taylor_factors(degrees, omega, dt, span, order)
-    terms = np.empty((order, parts.shape[1]))  # W table
-    m_0 = terms[0].view(complex).reshape(work.shape[1:])
-    conj, gram, cubed = work[:3]  # scratch until the stack is formed over them
-    centred = None  # the span whose W table terms holds
-
-    def build(t: np.ndarray) -> np.ndarray:
-        nonlocal centred
-        n = len(t)
-        first, offset = divmod(round((t[0] - t0) / dt), span)
-        if first != centred:
-            centred = first
-            np.matmul(weights(t0 + first * span * dt), parts, out=terms)
-            # M_0 <- 1.5 M_0 - 0.5 M_0 (M_0^H M_0)
-            np.matmul(np.conjugate(m_0, out=conj).T, m_0, out=gram)
-            np.multiply(np.matmul(m_0, gram, out=cubed), 0.5, out=cubed)
-            np.subtract(np.multiply(m_0, 1.5, out=m_0), cubed, out=m_0)
-        np.matmul(powers[offset:offset + n], terms, out=stacks[:n])
-        return work[:n]
-
-    return build
-
-
-def _magnus_nodes(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
-                  m: int) -> np.ndarray:
-    """(m, d, d) unitaries at the m Chebyshev nodes, given the couplings of the first ceil(m/2).
-
-    Node m - 1 - i has the coupling -c_i, and J H(c) J = H(-c) exactly,
-    J the flip n -> -n, so U(-c) = J U(c) J: one eigh per pair.
-    """
-    half = _magnus_unitaries(lattice, mu, coupling, dt)
-    return np.concatenate([half, half[:m // 2][::-1, ::-1, ::-1]])
-
-
-def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int) -> np.ndarray:
-    """(m, d*d) Chebyshev coefficients C_k in x of exp(-1j*dt*(K + beta*x*R)) on [-1, 1].
-
-    U(x) = sum_k T_k(x) C_k interpolates m node unitaries,
-    m = _chebyshev_nodes(|beta*dt|*q).
-    """
-    theta = np.pi * (np.arange(m) + 0.5) / m
-    u = _magnus_nodes(Lattice(q), mu, beta * np.cos(theta[:(m + 1) // 2]), dt, m)
-    table = (2.0 / m) * _chebyshev_basis(theta, np.arange(m)).T @ u.reshape(m, -1)
-    table[0] *= 0.5
-    return table
-
-
 def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
     """Closed-form propagator for beta = 0: phases n^2 t/(2 mu) in the dual basis.
 
@@ -489,48 +319,49 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 # ---------------------------------------------------------------------------
 # full runs
 
-def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int) -> _Stepper:
-    """The stepper of an n_steps magnus2 run from t0: psi <- U_j psi, _CHUNK-step stacks.
+def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int,
+                    stride: int = 1) -> tuple[_Stepper, int, int]:
+    """The stepper of an n_steps magnus2 run from t0, the grid steps of its step, and its nodes.
 
     Above _CHUNK Chebyshev nodes each stack comes from its own eigh: a table
-    would cost more eigh work and memory than one chunk of direct steps.
-    Otherwise _tabled_builder writes each stack from the run's table into
-    a buffer allocated here, once, in spans of the run's grid t0 + i dt
-    where _taylor_span finds one that pays, and the steps go through views
-    of it made once per run. The table's unitarity defect, nearly the same
-    from step to step, would add up linearly, past the 1e-10 expectation()
+    would cost more eigh work and memory than one chunk of direct steps,
+    and each step is one grid step. Otherwise the run builds its Chebyshev
+    table, and _step_map may replace it by the table of a map of 2^i grid
+    steps, i up to stride's power of two (_step_table); the stepper then
+    takes one such map a step, on the grid t0 + i 2^i dt, and the nodes
+    are the map's. _tabled_builder writes each stack from the table into
+    a buffer allocated here, once, in spans of the run's grid where
+    _taylor_span finds one that pays, and the steps go through views of it
+    made once per run. The table's unitarity defect, nearly the same from
+    step to step, would add up linearly, past the 1e-10 expectation()
     accepts after about a million steps: the builder polishes each span's
     centre term, and a run without spans each state, U (3 - U^H U) psi / 2.
     """
     d = config.lattice.d
     m = _chebyshev_nodes(abs(config.beta * dt) * config.q)
     if m > _CHUNK:
-        plain = True  # no polish
-
         def unitaries(t: np.ndarray) -> np.ndarray:
             coupling = config.beta * np.cos(config.omega * (t + 0.5 * dt))
             return _magnus_unitaries(config.lattice, config.mu, coupling, dt)
-    else:
-        table = _magnus_table(config.q, config.mu, config.beta, dt, m)
-        degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
-        work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
-        span, order = _taylor_span(table, degrees, config.omega * dt, n_steps)
-        plain = order > 0  # the builder polishes the centre term
-        build = _tabled_builder(table, degrees, config.omega, dt, t0, work, span, order)
-        views = list(work)  # iterating work would make a view object per step
 
+        return _plain_stepper(unitaries), 1, 0
+    table = _magnus_table(config.q, config.mu, config.beta, dt, m)
+    degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
+    shifts = np.zeros(m)
+    steps, degree = _step_map(table, degrees, config.omega * dt, n_steps, stride)
+    if steps > 1:
+        table, degrees, shifts = _step_table(table, config.omega * dt, steps, degree)
+    dt, n_steps = steps * dt, n_steps // steps
+    work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
+    span, order = _taylor_span(table, degrees, config.omega * dt, n_steps)
+    build = _tabled_builder(table, degrees, shifts, config.omega, dt, t0, work, span, order)
+    views = list(work)  # iterating work would make a view object per step
+    if order:  # the builder polishes the centre term
         def unitaries(t: np.ndarray) -> list:
             build(t)
             return views[:len(t)]
 
-    if plain:
-        def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
-            for start in range(0, len(t), _CHUNK):
-                for u, row in zip(unitaries(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
-                    psi = u.dot(psi, out=row)
-            return psi
-
-        return step
+        return _plain_stepper(unitaries), steps, len(table)
 
     conj = np.empty_like(work)
     adjoints = list(conj.transpose(0, 2, 1))  # U_j^H once conj holds the conjugates
@@ -547,51 +378,82 @@ def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
                 psi = np.subtract(np.multiply(v, 1.5, out=row), x, out=row)
         return psi
 
-    return polished
+    return polished, steps, len(table)
 
 
-#: Per method: the maker of the stepper, called with (config, t0, dt, steps
-#: of the run), and the map from a carried state at time t to the state
-#: recorded there (None: the carried state is the state).
-_LOOP = {
-    "strang": (_strang_stepper, _strang_closing_kick),
-    "magnus2": (_magnus_stepper, None),
-    "reference": (_magnus_stepper, None),
-}
+def _plain_stepper(unitaries: Callable[[np.ndarray], list]) -> _Stepper:
+    """psi <- U_j psi, with no polish, for the stacks unitaries(t) of _CHUNK steps at a time."""
+    def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
+        for start in range(0, len(t), _CHUNK):
+            for u, row in zip(unitaries(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
+                psi = u.dot(psi, out=row)
+        return psi
+
+    return step
+
+
+class _Run(NamedTuple):
+    """What _propagate returns."""
+
+    states: dict[int, np.ndarray]  # the recorded states, by step
+    drift: float  # the worst per-step norm defect
+    steps: int  # grid steps per loop step
+    nodes: int  # nodes of the run's table; 0 without one
+    table_seconds: float  # wall seconds of building the stepper
 
 
 def _propagate(config: SimulationConfig, psi: np.ndarray, t0: float, dt: float, n_steps: int,
-               record_at: Collection[int]) -> tuple[dict[int, np.ndarray], float]:
+               record_at: Collection[int]) -> _Run:
     """Run config.method for n_steps steps of dt from the state psi at t0.
 
-    dt may be negative, to run backward in time. Returns the states after
-    the steps k in record_at (k = 0 is psi itself), keyed by k, and the
-    worst per-step norm defect.
+    dt may be negative, to run backward in time. Records the states after
+    the steps k in record_at (k = 0 is psi itself), keyed by k. A magnus2
+    or reference run may take a map of 2^i grid steps per loop step, where
+    2^i divides n_steps and every k; the norm check covers every state the
+    loop computes, and a non-finite one is traced back to its grid step by
+    rerunning that loop step a grid step at a time.
     """
     record_at = set(record_at)
     recorded = {0: psi} if 0 in record_at else {}
     if not n_steps:  # no stepper: its buffers would be empty and its free step unused
-        return recorded, 0.0
-    make_stepper, record = _LOOP[config.method]
-    step = make_stepper(config, t0, dt, n_steps)
+        return _Run(recorded, 0.0, 1, 0, 0.0)
+    begun = time.perf_counter()
+    if config.method == "strang":
+        step, steps, nodes = _strang_stepper(config, t0, dt, n_steps), 1, 0
+        record = _strang_closing_kick
+    else:
+        stride = math.gcd(n_steps, *record_at)
+        step, steps, nodes = _magnus_stepper(config, t0, dt, n_steps, stride & -stride)
+        record = None  # the carried state is the state
+    built = time.perf_counter() - begun
+    loops, h = n_steps // steps, steps * dt
     drift = 0.0
-    chunk = np.empty((min(_STATES, n_steps), config.lattice.d), dtype=complex)
+    chunk = np.empty((min(_STATES, loops), config.lattice.d), dtype=complex)
     rows = list(chunk)
-    for start in range(0, n_steps, _STATES):
-        m = min(_STATES, n_steps - start)
-        psi = step(t0 + (start + np.arange(m)) * dt, psi, rows)
+    for start in range(0, loops, _STATES):
+        m = min(_STATES, loops - start)
+        before = psi.copy() if steps > 1 else None
+        psi = step(t0 + (start + np.arange(m)) * h, psi, rows)
         parts = chunk[:m].view(float)
         norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
         defect = float(np.abs(1.0 - norms).max())  # not finite if any state is not
         if not math.isfinite(defect):
-            bad = np.flatnonzero(~np.isfinite(norms))
-            raise PropagationError(start + int(bad[0]), "state became non-finite")
+            bad = int(np.flatnonzero(~np.isfinite(norms))[0])
+            if steps > 1:  # recording each of its states takes single steps
+                origin = chunk[bad - 1] if bad else before
+                try:
+                    _propagate(config, origin, t0 + (start + bad) * h, dt, steps,
+                               range(1, steps + 1))
+                except PropagationError as exc:
+                    raise PropagationError((start + bad) * steps + exc.step,
+                                           "state became non-finite") from None
+            raise PropagationError((start + bad + 1) * steps - 1, "state became non-finite")
         drift = max(drift, defect)
-        for k in record_at.intersection(range(start + 1, start + m + 1)):
-            state = chunk[k - start - 1]
+        for k in record_at.intersection(range((start + 1) * steps, (start + m) * steps + 1, steps)):
+            state = chunk[k // steps - start - 1]
             recorded[k] = (state.copy() if record is None
                            else record(config, state, t0 + k * dt, dt))
-    return recorded, drift
+    return _Run(recorded, drift, steps, nodes, built)
 
 
 def evolve(config: SimulationConfig) -> Trajectory:
@@ -601,12 +463,12 @@ def evolve(config: SimulationConfig) -> Trajectory:
     begun = time.perf_counter()
     psi = initial_state(config).amplitudes
     ready = time.perf_counter()
-    recorded, drift = _propagate(config, psi, 0.0, config.dt / refine, config.n_steps * refine,
-                                 snap_at)
+    run = _propagate(config, psi, 0.0, config.dt / refine, config.n_steps * refine, snap_at)
     lattice = config.lattice
-    states = tuple((snap_at[k], StateVector(lattice, recorded[k])) for k in sorted(recorded))
-    timings = {"initial_state": ready - begun, "propagate": time.perf_counter() - ready}
-    return Trajectory(config, states, drift, timings)
+    states = tuple((snap_at[k], StateVector(lattice, run.states[k])) for k in sorted(run.states))
+    timings = {"initial_state": ready - begun, "table": run.table_seconds,
+               "propagate": time.perf_counter() - ready - run.table_seconds}
+    return Trajectory(config, states, run.drift, timings, {"steps": run.steps, "nodes": run.nodes})
 
 
 def observables_series(traj: Trajectory) -> list[tuple[float, float, float, float]]:

@@ -136,6 +136,15 @@ def test_gaussian_preset_writes_three_files(tmp_path):
     ]
 
 
+def test_gaussian_preset_with_q_or_kappa_exits_2(tmp_path, capsys):
+    # the preset fixes both: an explicit value was ignored, and the run
+    # wrote the q = 10 tables with exit 0
+    for extra in (["--q", "3"], ["--kappa", "0.5"], ["--q", "10", "--kappa", "1"]):
+        assert main(["gaussian", "--preset", "fig1", *extra, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_gaussian_requires_parameters(tmp_path, time_limit):
     assert main(["gaussian"]) == 2
     for kappa in ("inf", "1e-20"):
@@ -214,8 +223,9 @@ def test_evolve_is_byte_deterministic(tmp_path):
 
 
 def test_evolve_manifest_times_its_phases(tmp_path):
-    # wall seconds per phase and the integration steps (50 steps of dt / 8
-    # for reference) per second of propagation; a run of no steps makes none
+    # wall seconds per phase, the build of the step operators among them,
+    # and the integration steps (50 steps of dt / 8 for reference) per
+    # second of propagation; a run of no steps makes none
     for method, t_end, steps in (("reference", 50.0, 400), ("magnus2", 0.0, 0)):
         config_path = _write_config(tmp_path / f"{method}.json", method=method, t_end=t_end,
                                     snapshots=None)
@@ -223,9 +233,23 @@ def test_evolve_manifest_times_its_phases(tmp_path):
         assert main(["evolve", "--config", str(config_path), "--out", str(outdir)]) == 0
         manifest = json.loads((outdir / "manifest.json").read_text())
         timings = manifest["timings"]
-        assert set(timings) == {"initial_state", "propagate", "observables", "write"}
+        assert set(timings) == {"initial_state", "table", "propagate", "observables", "write"}
         assert all(0.0 <= s < 60.0 for s in timings.values()), timings
         assert manifest["steps_per_second"] == pytest.approx(steps / timings["propagate"])
+    assert manifest["step_map"] == {"steps": 1, "nodes": 0}
+
+
+def test_evolve_fig2_day_takes_eight_step_maps(tmp_path):
+    # snapshot steps 1800 ... 28800 share the factor 8: the day takes 3 600
+    # loop steps of an 8-step map tabled at 57 phase nodes, and its
+    # steps_per_second still counts the 28 800 grid steps
+    assert main(["evolve", "--preset", "fig2", "--method", "magnus2", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["step_map"] == {"steps": 8, "nodes": 57}
+    timings = manifest["timings"]
+    assert timings["table"] > 0.0
+    assert manifest["steps_per_second"] == pytest.approx(28800 / timings["propagate"])
+    assert manifest["norm_drift"] <= 1e-13
 
 
 def test_evolve_free_run_probabilities_are_even(tmp_path):
@@ -505,6 +529,23 @@ def test_check_command_passes(capsys):
     assert "[FAIL]" not in out
     assert "gaussian_dft_covariance" in out
     assert "dft_fourth_power_identity" in out
+
+
+def test_check_command_prints_one_json_object_per_check(monkeypatch, capsys):
+    assert main(["check", "--json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(records) == len(ALL_CHECKS)
+    assert "gaussian_dft_covariance" in [r["name"] for r in records]
+    for r in records:
+        assert set(r) == {"name", "passed", "detail", "seconds"}
+        assert r["passed"] is True and r["detail"]
+        assert 0.0 <= r["seconds"] < 60.0
+    monkeypatch.setattr(checks, "ALL_CHECKS",
+                        (lambda: CheckResult("bad", False, "max defect 1.00e+00 (bound 1e-12)"),))
+    assert main(["check", "--json"]) == 3
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["name"] == "bad" and json.loads(line)["passed"] is False
 
 
 def test_check_command_reports_failing_check(monkeypatch, capsys):

@@ -57,6 +57,34 @@ def test_theta_matches_oracle_for_complex_arguments():
         )
 
 
+def test_theta_over_arrays_equals_its_scalar_calls():
+    # each element stops by its own rule: z = 2j stops after 3 pairs, and
+    # its terms would overflow exp (and warn, an error here) if computed
+    # for the 300 pairs that tau = 1e-4j needs
+    rng = np.random.default_rng(32)
+    z = rng.uniform(-2, 2, (3, 4)) + 1j * rng.uniform(-0.3, 0.3, (3, 4))
+    tau = rng.uniform(-0.5, 0.5, 4) + 1j * rng.uniform(0.05, 2.0, 4)
+    cases = [(z, tau), (np.array([2j, 0.3]), np.array([2j, 1e-4j])), (np.arange(3) / 3, 0.5j)]
+    for zs, taus in cases:
+        values = theta3(ThetaArgs(zs, taus), tol=1e-12)
+        assert values.shape == np.broadcast_shapes(np.shape(zs), np.shape(taus))
+        for index in np.ndindex(values.shape):
+            z_i = complex(np.broadcast_to(zs, values.shape)[index])
+            tau_i = complex(np.broadcast_to(taus, values.shape)[index])
+            assert values[index] == theta3(ThetaArgs(z_i, tau_i), tol=1e-12), index
+    assert isinstance(theta3(ThetaArgs(0.3, 1j)), complex)
+
+
+def test_theta_over_arrays_rejects_any_element_outside_its_domain(time_limit):
+    with pytest.raises(ValueError, match="Im"):
+        ThetaArgs(np.zeros(3), np.array([1j, 0.5j, -1e-3j]))
+    with pytest.raises(ValueError, match="Im"):
+        ThetaArgs(0.0, np.array([1j, np.nan]))
+    with time_limit(10):
+        with pytest.raises(ValueError, match="10000 term pairs"):
+            theta3(ThetaArgs(np.array([0.3, 0.3]), np.array([1j, 0.1 + 1e-20j])))
+
+
 def test_theta_args_require_upper_half_plane():
     with pytest.raises(ValueError, match="Im"):
         ThetaArgs(0.0, 1.0)

@@ -29,7 +29,6 @@ from qlimit import (
 from qlimit import propagator
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
 from qlimit.propagator import (
-    _CHUNK,
     _MAX_STEPS,
     _PEAK_STACKS,
     _REFINE,
@@ -37,15 +36,18 @@ from qlimit.propagator import (
     MAX_Q,
     METHODS,
     NORM_TOLERANCE,
-    _chebyshev_basis,
-    _chebyshev_nodes,
-    _magnus_nodes,
     _magnus_stepper,
-    _magnus_table,
-    _magnus_unitaries,
     _propagate,
     _strang_closing_kick,
     _strang_stepper,
+)
+from qlimit.tables import (
+    _CHUNK,
+    _chebyshev_basis,
+    _chebyshev_nodes,
+    _magnus_nodes,
+    _magnus_table,
+    _magnus_unitaries,
     _tabled_builder,
     _taylor_factors,
     _taylor_order,
@@ -170,8 +172,15 @@ def _strang_step(cfg, psi, t, dt):
     return StateVector(cfg.lattice, _strang_closing_kick(cfg, opened, t + dt, dt))
 
 
+def _grid_magnus_stepper(cfg, t0, dt, n_steps):
+    """magnus2's stepper of an n_steps run without a step map: one grid step per step."""
+    step, steps, _ = _magnus_stepper(cfg, t0, dt, n_steps)
+    assert steps == 1
+    return step
+
+
 def _magnus_step(cfg, psi, t, dt):
-    return StateVector(cfg.lattice, _one_step(_magnus_stepper, cfg, psi, t, dt))
+    return StateVector(cfg.lattice, _one_step(_grid_magnus_stepper, cfg, psi, t, dt))
 
 
 def test_strang_step_is_exact_for_free_evolution():
@@ -229,7 +238,7 @@ def test_magnus_step_matches_taylor_exponential():
     for t in (0.0, 250.0):
         h = hamiltonian_at(cfg.lattice, t + dt / 2, cfg.mu, cfg.beta, cfg.omega).matrix
         oracle = _taylor_expm_apply(h, dt, psi.amplitudes)
-        stepped = _one_step(_magnus_stepper, cfg, psi, t, dt)
+        stepped = _one_step(_grid_magnus_stepper, cfg, psi, t, dt)
         assert np.abs(stepped - oracle).max() < 1e-13
 
 
@@ -237,7 +246,7 @@ def test_magnus_step_is_exact_for_time_independent_hamiltonian():
     cfg = _config(beta=0.0)
     psi = initial_state(cfg)
     for dt in (1.0, 13.7):
-        stepped = _one_step(_magnus_stepper, cfg, psi, 5.0, dt)
+        stepped = _one_step(_grid_magnus_stepper, cfg, psi, 5.0, dt)
         exact = exact_free_evolution(psi, dt, cfg.mu)
         assert np.abs(stepped - exact.amplitudes).max() < 1e-12
 
@@ -327,27 +336,36 @@ def test_evolve_magnus_equals_repeated_steps():
     assert np.abs(final.amplitudes - psi.amplitudes).max() < 1e-12
 
 
-def _assert_magnus_run_gives(cfg, expected):
+def _assert_magnus_run_gives(cfg, expected, steps=1, atol=0.0):
     """The stepper's state after each step, and evolve's snapshots, equal expected bit for bit.
 
     expected[k] is the state after k steps of cfg's run; the stepper takes
     .dot into preallocated rows, _CHUNK steps per stack, _STATES per call.
+    evolve takes maps of steps grid steps; where steps > 1 its snapshots
+    lie within atol of expected instead.
     """
     dt, n_steps = cfg.dt / _REFINE[cfg.method], cfg.n_steps * _REFINE[cfg.method]
-    states = _states(_magnus_stepper(cfg, 0.0, dt, n_steps), np.arange(n_steps) * dt,
+    states = _states(_grid_magnus_stepper(cfg, 0.0, dt, n_steps), np.arange(n_steps) * dt,
                      expected[0])
     np.testing.assert_array_equal(states, expected[1:])
-    states = evolve(cfg).states
-    assert [t for t, _ in states] == list(cfg.snapshots)
-    for t, state in states:
-        np.testing.assert_array_equal(state.amplitudes, expected[round(t / dt)])
+    traj = evolve(cfg)
+    assert traj.step_map["steps"] == steps
+    assert [t for t, _ in traj.states] == list(cfg.snapshots)
+    for t, state in traj.states:
+        if steps == 1:
+            np.testing.assert_array_equal(state.amplitudes, expected[round(t / dt)])
+        else:
+            assert np.abs(state.amplitudes - expected[round(t / dt)]).max() <= atol, t
 
 
-@pytest.mark.parametrize("method", ["magnus2", "reference"])
-def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
+@pytest.mark.parametrize("method, steps, atol", [("magnus2", 1, 0.0), ("reference", 2, 1e-13)],
+                         ids=["magnus2", "reference"])
+def test_magnus_evolve_equals_plain_application_of_step_stacks(method, steps, atol):
     # 520 steps factorize in spans of several stacks and end in a partial
     # span and stack: the stacks the stepper's builder forms, each span's
-    # centre term polished, applied one by one by plain matmul.
+    # centre term polished, applied one by one by plain matmul. The odd
+    # snapshot step 17 keeps magnus2 on the grid; the reference run, whose
+    # steps are all multiples of 8, takes 2-step maps: 9.3e-15 off here.
     t_end = 520.0 / _REFINE[method]
     cfg = _config(method=method, t_end=t_end, snapshots=(0.0, 17.0, 32.0, 64.0, t_end))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
@@ -357,7 +375,7 @@ def test_magnus_evolve_equals_plain_application_of_step_stacks(method):
     expected = [initial_state(cfg).amplitudes]
     for u in _tabled_stacks(cfg, np.arange(n_steps) * dt, dt):
         expected.append(np.matmul(u, expected[-1]))
-    _assert_magnus_run_gives(cfg, expected)
+    _assert_magnus_run_gives(cfg, expected, steps, atol)
 
 
 def test_short_magnus_run_polishes_each_state():
@@ -397,7 +415,7 @@ def test_backward_strang_run_matches_single_steps():
     # first step (at t0) has only its opening half kick, whatever the sign of dt
     cfg = _config()
     psi = initial_state(cfg)
-    recorded, _ = _propagate(cfg, psi.amplitudes, 200.0, -1.0, 150, {1, _STATES, 150})
+    recorded = _propagate(cfg, psi.amplitudes, 200.0, -1.0, 150, {1, _STATES, 150}).states
     for i in range(150):
         psi = _unmerged_strang_step(cfg, psi, 200.0 - i, -1.0)
         if i + 1 in recorded:
@@ -434,7 +452,7 @@ def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(factorized):
     table, degrees = _tabled(cfg, 1.0)
     span, order = _taylor_span(table, degrees, cfg.omega, 4 * _STATES)
     assert bool(order) == factorized and 2 * _STATES % span == 0
-    step = _magnus_stepper(cfg, 0.0, 1.0, 4 * _STATES)
+    step = _grid_magnus_stepper(cfg, 0.0, 1.0, 4 * _STATES)
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = _states(step, np.arange(2.0 * _STATES), initial_state(cfg).amplitudes)[-1]
     tracemalloc.start()
@@ -544,7 +562,8 @@ def _tabled_stacks(cfg, t, dt, n_steps=None):
     table, degrees = _tabled(cfg, dt)
     work = np.empty((min(_CHUNK, n_steps), cfg.lattice.d, cfg.lattice.d), dtype=complex)
     span, order = _taylor_span(table, degrees, cfg.omega * dt, n_steps)
-    build = _tabled_builder(table, degrees, cfg.omega, dt, 0.0, work, span, order)
+    build = _tabled_builder(table, degrees, np.zeros(len(table)), cfg.omega, dt, 0.0, work, span,
+                            order)
     return np.concatenate([build(t[i:i + _CHUNK]).copy() for i in range(0, len(t), _CHUNK)])
 
 
@@ -609,8 +628,8 @@ def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, 
         sizes = np.array([np.abs(row).max() for row in table])
         reach = degrees * (0.5 * (span - 1) * abs(omega * h))
         assert sizes @ reach**p / math.factorial(p) < 1e-17
-        powers, weights = _taylor_factors(degrees, omega, h, span, p)
-        build = _tabled_builder(table, degrees, omega, h, 0.0,
+        powers, weights = _taylor_factors(degrees, np.zeros(len(table)), omega, h, span, p)
+        build = _tabled_builder(table, degrees, np.zeros(len(table)), omega, h, 0.0,
                                 np.empty((min(_CHUNK, n_steps), d, d), dtype=complex), span, p)
         for first in (0, late):
             for offset in range(0, span, _CHUNK):
@@ -698,25 +717,37 @@ def test_direct_build_at_a_large_phase_stays_on_eigh_and_unitary():
     assert np.abs(defect).max() <= 1e-13
 
 
+def _on_grid(cfg):
+    """cfg with a snapshot after its first step, which no step map divides: its run takes grid steps."""
+    return replace(cfg, snapshots=(0.0, cfg.dt, cfg.t_end))
+
+
 def test_fig2_day_keeps_norm_drift_small(fig2_config):
-    # a factorized run: polishing each 128-step span's centre term gives
-    # 8.1e-14 here (2.6e-14 with 32-step spans), the table as stored 8.2e-12
+    # on its grid the day factorizes: polishing each 128-step span's centre
+    # term gives 8.1e-14 here (2.6e-14 with 32-step spans), the table as
+    # stored 8.2e-12; its 8-step maps, in spans of 64 polished centres, 1.7e-14
     cfg = replace(fig2_config, method="magnus2")
     table, degrees = _tabled(cfg, cfg.dt)
     assert _taylor_span(table, degrees, cfg.omega * cfg.dt, cfg.n_steps)[1]
-    assert evolve(cfg).norm_drift <= 1e-13
+    for run, steps in ((_on_grid(cfg), 1), (cfg, 8)):
+        traj = evolve(run)
+        assert traj.step_map["steps"] == steps and traj.norm_drift <= 1e-13
 
 
 def test_polished_long_run_keeps_norm_drift_small(fig2_config):
-    # 3 000 fig2 steps, factorized: the centre polish gives 1.5e-14
-    # here, the table as stored 1.05e-12
+    # 3 000 fig2 steps, factorized: the centre polish gives 1.5e-14 on the
+    # grid and 1.1e-14 with 4-step maps, the table as stored 1.05e-12
     cfg = replace(fig2_config, method="magnus2", t_end=3000.0, snapshots=None)
-    assert evolve(cfg).norm_drift <= 1e-13
+    for run, steps in ((_on_grid(cfg), 1), (cfg, 4)):
+        traj = evolve(run)
+        assert traj.step_map["steps"] == steps and traj.norm_drift <= 1e-13
 
 
-def _drift_at_the_step_limit(cfg, lengths):
-    """norm_drift of cfg's runs of the two lengths, and their line continued to _MAX_STEPS."""
-    drifts = [evolve(replace(cfg, t_end=n * cfg.dt, snapshots=None)).norm_drift for n in lengths]
+def _drift_at_the_step_limit(cfg, lengths, grid):
+    """norm_drift of cfg's runs of the two lengths, on the grid or with the step maps evolve picks,
+    and their line continued to _MAX_STEPS."""
+    runs = [replace(cfg, t_end=n * cfg.dt, snapshots=None) for n in lengths]
+    drifts = [evolve(_on_grid(run) if grid else run).norm_drift for run in runs]
     slope = max(drifts[1] - drifts[0], 0.0) / (lengths[1] - lengths[0])
     return drifts, drifts[1] + slope * (_MAX_STEPS - lengths[1])
 
@@ -726,22 +757,26 @@ def test_factorized_drift_extrapolates_within_tolerance_at_the_step_limit(fig2_c
     # but the drift of the fig2 rate grows about linearly from 1e5 to 1e6
     # steps: the line through two run lengths, continued to _MAX_STEPS,
     # must stay below the tolerance that observables_series enforces.
-    # 1.7e-14 and 8.1e-14 here, which extrapolate to 2.2e-11.
+    # 1.7e-14 and 8.1e-14 on the grid, which extrapolate to 2.2e-11;
+    # 1.2e-14 and 2.0e-14 with 4- and 8-step maps, 3.0e-12.
     cfg = replace(fig2_config, method="magnus2")
     table, degrees = _tabled(cfg, cfg.dt)
     for n in (3200, 32000):
         assert _taylor_span(table, degrees, cfg.omega, n)[0] > _CHUNK
-    drifts, limit = _drift_at_the_step_limit(cfg, (3200, 32000))
-    assert limit < NORM_TOLERANCE, drifts
+    for grid in (True, False):
+        drifts, limit = _drift_at_the_step_limit(cfg, (3200, 32000), grid)
+        assert limit < NORM_TOLERANCE, (grid, drifts)
 
 
 @pytest.mark.parametrize("omega, lengths, span", [
     # one phase: spans would repeat one polished centre term, 1.3e-13 at
     # 3 200 steps and 1.3e-12 at 32 000 (4.1e-10 at the limit); the
-    # polished states give 3.1e-15 and 5.3e-15
+    # polished states give 3.1e-15 and 5.3e-15, and 2.2e-15 and 3.6e-15
+    # with 4-step maps, which do not factorize at omega = 0 either
     (0.0, (3200, 32000), (_CHUNK, 0)),
     # the longest spans the rule picks at q = 10: 3.4e-14 and 4.2e-13,
-    # which extrapolate to 4.3e-11
+    # which extrapolate to 4.3e-11; with 4-step maps 1.3e-14 and 2.4e-13,
+    # 2.5e-11
     (1e-7, (10000, 100000), (512, 4)),
 ], ids=["constant", "longest-span"])
 def test_slow_coupling_drift_extrapolates_within_tolerance_at_the_step_limit(omega, lengths,
@@ -750,20 +785,23 @@ def test_slow_coupling_drift_extrapolates_within_tolerance_at_the_step_limit(ome
     table, degrees = _tabled(cfg, cfg.dt)
     for n in lengths:
         assert _taylor_span(table, degrees, omega * cfg.dt, n) == span
-    drifts, limit = _drift_at_the_step_limit(cfg, lengths)
-    assert limit < NORM_TOLERANCE, drifts
+    for grid in (True, False):
+        drifts, limit = _drift_at_the_step_limit(cfg, lengths, grid)
+        assert limit < NORM_TOLERANCE, (grid, drifts)
 
 
 @pytest.mark.parametrize("beta, omega", [(0.0, 2e-4), (0.1, 0.01)])
 def test_long_run_that_does_not_factorize_polishes_its_states(beta, omega):
     # 3 000 steps without a centre term to polish, as beta = 0 (one table
     # row) or a wide phase per chunk gives: the state polish keeps the
-    # drift at 4.8e-15 and 3.7e-15, against 2.1e-13 and 6.7e-13 with the
-    # table as stored
+    # drift at 4.8e-15 and 2.0e-15 on the grid, against 2.1e-13 and
+    # 6.7e-13 with the table as stored, and at 1.3e-15 with 8- and 4-step
+    # maps
     cfg = _config(method="magnus2", beta=beta, omega=omega, t_end=3000.0, snapshots=None)
     table, degrees = _tabled(cfg, cfg.dt)
     assert _taylor_span(table, degrees, omega * cfg.dt, cfg.n_steps)[1] == 0
-    assert evolve(cfg).norm_drift <= 1e-13
+    for run in (_on_grid(cfg), cfg):
+        assert evolve(run).norm_drift <= 1e-13
 
 
 def test_runs_leave_no_step_operators_behind():
@@ -794,7 +832,7 @@ def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes(eigh_matric
     psi = initial_state(cfg).amplitudes
     tracemalloc.start()
     try:
-        _states(_magnus_stepper(cfg, 0.0, cfg.dt, 100000), np.arange(float(_CHUNK)), psi)
+        _states(_grid_magnus_stepper(cfg, 0.0, cfg.dt, 100000), np.arange(float(_CHUNK)), psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -839,8 +877,135 @@ def test_magnus_steps_above_chunk_nodes_use_eigh(monkeypatch):
     expected = [initial_state(cfg).amplitudes]
     for u in _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(t + 0.5), 1.0):
         expected.append(u.dot(expected[-1]))
-    np.testing.assert_array_equal(_states(_magnus_stepper(cfg, 0.0, 1.0, len(t)), t, expected[0]),
+    np.testing.assert_array_equal(_states(_grid_magnus_stepper(cfg, 0.0, 1.0, len(t)), t,
+                                          expected[0]),
                                   expected[1:])
+
+
+def _eigh_states(cfg, t0, dt, n_steps, psi, record_at):
+    """The states after the steps k in record_at of per-step eigh unitaries from psi at t0."""
+    states = {}
+    for start in range(0, n_steps, 512):
+        t = t0 + np.arange(start, min(start + 512, n_steps)) * dt
+        coupling = cfg.beta * np.cos(cfg.omega * (t + 0.5 * dt))
+        for k, u in enumerate(_magnus_unitaries(cfg.lattice, cfg.mu, coupling, dt), start + 1):
+            psi = u @ psi
+            if k in record_at:
+                states[k] = psi
+    return states
+
+
+@pytest.mark.parametrize("omega, n_steps, steps", [
+    (2e-4, 4096, 4),   # the fig2 coupling
+    (0.01, 2048, 4),   # the phase wraps past 2 pi: the map's table is periodic
+])
+@pytest.mark.parametrize("dt", [1.0, -1.0])
+def test_step_map_run_matches_eigh_products(omega, n_steps, steps, dt):
+    # A run whose record steps share a power of two takes maps of that many
+    # grid steps, tabled in the phase. Its states must match the product of
+    # per-step eigh unitaries, forward and backward in time. The Chebyshev
+    # table's own few 1e-15 per step add up to 3.3e-12 here at most, on the
+    # grid path as well; the maps add at most 2.4e-14 to that.
+    cfg = _config(omega=omega, method="magnus2")
+    psi = initial_state(cfg).amplitudes
+    t0 = 0.0 if dt > 0 else n_steps * 1.0
+    record_at = {n_steps // 2, n_steps}
+    run = _propagate(cfg, psi, t0, dt, n_steps, record_at)
+    assert run.steps == steps and sorted(run.states) == sorted(record_at)
+    grid = _propagate(cfg, psi, t0, dt, n_steps, record_at | {1})  # step 1: no map divides it
+    assert grid.steps == 1
+    expected = _eigh_states(cfg, t0, dt, n_steps, psi, record_at)
+    for k in record_at:
+        error = np.abs(run.states[k] - expected[k]).max()
+        assert error <= 1e-11, k
+        assert error <= np.abs(grid.states[k] - expected[k]).max() + 1e-13, k
+    assert run.drift <= 1e-13
+
+
+def test_odd_snapshot_step_keeps_the_grid_stepper_bit_for_bit(fig2_config):
+    # one odd snapshot step: no map divides every record, so the fig2 day
+    # takes its grid steps, and evolve's states are the grid stepper's
+    cfg = replace(fig2_config, method="magnus2", snapshots=(0.0, 1801.0, 28800.0))
+    traj = evolve(cfg)
+    assert traj.step_map == {"steps": 1, "nodes": 15}
+    grid = _states(_grid_magnus_stepper(cfg, 0.0, 1.0, cfg.n_steps), np.arange(28800.0),
+                   initial_state(cfg).amplitudes)
+    for t, state in traj.states[1:]:
+        np.testing.assert_array_equal(state.amplitudes, grid[round(t) - 1])
+    assert evolve(replace(cfg, snapshots=(0.0, 1800.0, 28800.0))).step_map["steps"] == 8
+
+
+@pytest.mark.parametrize("q", [5, 7, 10, 15, 20, 30])
+def test_short_coupled_runs_take_grid_steps(q):
+    # a 60-step run of the benchmark's sweep records steps 30 and 60, so
+    # 2-step maps would be allowed; no map's build pays for 30 loop steps.
+    # (beta = 0 runs take them: their map, F^2, is one row, two products.)
+    for beta in (0.05, 0.1, 0.2):
+        for omega, mu in ((1e-4, 0.5), (2e-4, 1.0), (5e-4, 2.0)):
+            cfg = _config(q=q, beta=beta, omega=omega, mu=mu, method="magnus2", t_end=60.0,
+                          snapshots=(0.0, 30.0, 60.0))
+            assert evolve(cfg).step_map == {"steps": 1,
+                                            "nodes": _chebyshev_nodes(beta * q)}, (beta, omega)
+    cfg = _config(q=q, beta=0.0, method="magnus2", t_end=60.0, snapshots=(0.0, 30.0, 60.0))
+    traj = evolve(cfg)
+    assert traj.step_map == {"steps": 2, "nodes": 1}
+    exact = exact_free_evolution(initial_state(cfg), 60.0, cfg.mu)
+    # 5.0e-12 at q = 30 (7.2e-14 at q = 10), as on the grid: F's own error
+    assert np.abs(traj.states[-1][1].amplitudes - exact.amplitudes).max() <= 1e-11
+
+
+def test_step_map_run_reports_the_grid_step_of_a_blowup(time_limit):
+    # omega * (t + dt/2) overflows from grid step 1793 on, inside the loop
+    # step of 8-step maps over steps 1792 .. 1799, whose own phase, at its
+    # midpoint, overflows too: rerun at single steps, that loop step names
+    # the grid step, as a run on the grid would
+    cfg = _config(omega=sys.float_info.max / 1793, method="magnus2", t_end=4096.0,
+                  snapshots=None)
+    first = next(j for j in range(4096) if not math.isfinite(cfg.omega * (j + 0.5)))
+    assert first == 1793
+    with time_limit(10), np.errstate(over="ignore", invalid="ignore"):
+        assert _magnus_stepper(cfg, 0.0, 1.0, 4096, 4096)[1] == 8
+        with pytest.raises(PropagationError, match=f"step {first}:"):
+            evolve(cfg)
+        with pytest.raises(PropagationError, match=f"step {first}:"):
+            evolve(replace(cfg, snapshots=(0.0, 1.0, 4096.0)))  # on the grid
+
+
+def test_step_map_run_memory_stays_within_the_stacks_max_q_assumes(eigh_matrices):
+    # q = 40, 4 096 steps: 2-step maps whose table fills its 2 _CHUNK - 1 = 63
+    # rows. Building it holds the Chebyshev table (24 rows), the 63 node maps
+    # and two 16-node blocks, 3.7 stacks (3.78 measured, with the vectors);
+    # stepping holds the table, one stack, W table and S. The nodes come
+    # from the Chebyshev table's 12 eigh matrices alone.
+    cfg = _config(q=40, beta=0.1, method="magnus2", t_end=4096.0, snapshots=None)
+    d = cfg.lattice.d
+    tracemalloc.start()
+    try:
+        traj = evolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.step_map == {"steps": 2, "nodes": 2 * _CHUNK - 1}
+    assert eigh_matrices == [(_chebyshev_nodes(cfg.beta * cfg.q) + 1) // 2]
+    stacks = 4
+    assert stacks <= _PEAK_STACKS
+    stack = 16 * _CHUNK * d * d
+    assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
+
+
+def test_fig2_day_takes_eight_step_maps_within_a_megabyte(fig2_config):
+    # 3 600 loop steps of an 8-step map tabled at 57 phase nodes; the traced
+    # peak of the whole run, table build included, stays under 1 MB
+    # (0.86 MB here, 0.46 MB when the day took 28 800 grid steps)
+    cfg = replace(fig2_config, method="magnus2")
+    tracemalloc.start()
+    try:
+        traj = evolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.step_map == {"steps": 8, "nodes": 57}
+    assert peak < 2**20, peak
 
 
 def test_reference_run_conserves_norm(fig2_reference):
