@@ -51,13 +51,18 @@ magnus2
     Newton-Schulz step cancels it, with rounding of its own each time, so
     the drift grows as a random walk: once per span on its centre term
     M_0 = U(c), M_0 <- M_0 (3 - M_0^H M_0) / 2, or, where no span pays or
-    omega = 0 (spans would repeat one centre term), per step on the state,
+    the span centres lie too close in phase (omega = 0 among them: spans
+    would repeat one centre term), per step on the state,
     psi <- 1.5 v - 0.5 U (U^H v), v = U psi. Direct builds take cos(k theta)
-    as Re(exp(1j theta)^k). ``tables`` builds the tables and their stacks;
-    ``operators.hamiltonians`` gives the Hamiltonians. Step maps: as H(t) is periodic, the product of Delta = 2^i steps is a
-    2 pi-periodic, analytic function of its midpoint phase. Where Delta
-    divides the run's steps and every recorded step, and a cost rule
-    (_step_map) finds that its build pays, the run tables that map instead:
+    as Re(exp(1j theta)^k). One function, ``tables._magnus_plan``, plans a
+    run: eigh or table, step map, spans and which polish; it hands back
+    the stack builder, and the stepper here applies its stacks, with the
+    state polish where the plan asks for it. ``operators.hamiltonians``
+    gives the Hamiltonians. Step maps: as H(t) is periodic, the product of
+    Delta = 2^i steps is a 2 pi-periodic, analytic function of its
+    midpoint phase. Where Delta divides the run's steps and every
+    recorded step, and a cost rule (_step_map) finds that its build
+    pays, the run tables that map instead:
     its 2D + 1 <= 2 _CHUNK node values, products of the Chebyshev table's
     unitaries each polished once, fitted as cos k phi and sin k phi rows
     (D bounded from the table's norms), and steps the grid Delta steps at
@@ -93,8 +98,7 @@ from .fourier import dft_matrices, even_dual_matrix
 from .gaussian import GaussianParams, upsilon_kappa
 from .lattice import NORM_TOLERANCE, Lattice, StateVector
 from .operators import expectation, rate_operator, trend_operator
-from .tables import (_CHUNK, _chebyshev_nodes, _magnus_table, _magnus_unitaries, _step_map,
-                     _step_table, _tabled_builder, _taylor_span)
+from .tables import _CHUNK, _magnus_plan
 
 #: Integration steps each method takes per dt.
 _REFINE = {"strang": 1, "magnus2": 1, "reference": 8}
@@ -113,10 +117,11 @@ _MAX_STEPS = 10**7
 #: Most memory evolve holds at once in (_CHUNK, d, d) complex stacks, besides
 #: vectors: magnus2's per-step eigh fallback keeps the previous chunk's
 #: stack, the real eigenvectors (half a stack), their complex cast and two
-#: complex products, 4.5 in all. A state-polished tabled run takes 3: its
-#: table of at most _CHUNK matrices plus two stacks, the step unitaries and
-#: their conjugates. A factorized run takes under 3: the table, one stack,
-#: W table, whose p <= 15 rows are at most 15/32 of a stack, and S, no larger.
+#: complex products, 4.5 in all. A state-polished tabled run takes 2: its
+#: table of at most _CHUNK matrices and the stack of step unitaries (the
+#: polish conjugates one of them at a time). A factorized run takes under
+#: 3: the table, one stack, W table, whose p <= 15 rows are at most 15/32
+#: of a stack, and S, no larger.
 #: A step map's table has at most 2 _CHUNK rows: stepping it takes 4 stacks
 #: at most, and building it under 4, the Chebyshev table, the node maps and
 #: two half-stack blocks. strang holds no stack: its one matrix, F, is
@@ -323,62 +328,31 @@ def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
                     stride: int = 1) -> tuple[_Stepper, int, int]:
     """The stepper of an n_steps magnus2 run from t0, the grid steps of its step, and its nodes.
 
-    Above _CHUNK Chebyshev nodes each stack comes from its own eigh: a table
-    would cost more eigh work and memory than one chunk of direct steps,
-    and each step is one grid step. Otherwise the run builds its Chebyshev
-    table, and _step_map may replace it by the table of a map of 2^i grid
-    steps, i up to stride's power of two (_step_table); the stepper then
-    takes one such map a step, on the grid t0 + i 2^i dt, and the nodes
-    are the map's. _tabled_builder writes each stack from the table into
-    a buffer allocated here, once, in spans of the run's grid where
-    _taylor_span finds one that pays, and the steps go through views of it
-    made once per run. The table's unitarity defect, nearly the same from
-    step to step, would add up linearly, past the 1e-10 expectation()
-    accepts after about a million steps: the builder polishes each span's
-    centre term, and a run without spans each state, U (3 - U^H U) psi / 2.
+    tables._magnus_plan decides how the run steps; the stepper applies its
+    stacks, psi <- U_j psi, and where the plan asks for it polishes each
+    state, psi <- 1.5 v - 0.5 U (U^H v), v = U psi.
     """
+    plan = _magnus_plan(config.lattice, config.mu, config.beta, config.omega, t0, dt, n_steps,
+                        stride)
+    if not plan.polish:
+        return _plain_stepper(plan.build), plan.steps, plan.nodes
+
     d = config.lattice.d
-    m = _chebyshev_nodes(abs(config.beta * dt) * config.q)
-    if m > _CHUNK:
-        def unitaries(t: np.ndarray) -> np.ndarray:
-            coupling = config.beta * np.cos(config.omega * (t + 0.5 * dt))
-            return _magnus_unitaries(config.lattice, config.mu, coupling, dt)
-
-        return _plain_stepper(unitaries), 1, 0
-    table = _magnus_table(config.q, config.mu, config.beta, dt, m)
-    degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
-    shifts = np.zeros(m)
-    steps, degree = _step_map(table, degrees, config.omega * dt, n_steps, stride)
-    if steps > 1:
-        table, degrees, shifts = _step_table(table, config.omega * dt, steps, degree)
-    dt, n_steps = steps * dt, n_steps // steps
-    work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
-    span, order = _taylor_span(table, degrees, config.omega * dt, n_steps)
-    build = _tabled_builder(table, degrees, shifts, config.omega, dt, t0, work, span, order)
-    views = list(work)  # iterating work would make a view object per step
-    if order:  # the builder polishes the centre term
-        def unitaries(t: np.ndarray) -> list:
-            build(t)
-            return views[:len(t)]
-
-        return _plain_stepper(unitaries), steps, len(table)
-
-    conj = np.empty_like(work)
-    adjoints = list(conj.transpose(0, 2, 1))  # U_j^H once conj holds the conjugates
+    conj = np.empty((d, d), dtype=complex)
+    adjoint = conj.T  # U_j^H once conj holds U_j's conjugate
     v, w, x = np.empty((3, d), dtype=complex)
 
     def polished(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
         for start in range(0, len(t), _CHUNK):
-            u = build(t[start:start + _CHUNK])
-            np.conjugate(u, out=conj[:len(u)])
-            for u_j, g_j, row in zip(views, adjoints, rows[start:start + len(u)]):
+            for u_j, row in zip(plan.build(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
                 u_j.dot(psi, out=v)
-                g_j.dot(v, out=w)
+                np.conjugate(u_j, out=conj)
+                adjoint.dot(v, out=w)
                 np.multiply(u_j.dot(w, out=x), 0.5, out=x)
                 psi = np.subtract(np.multiply(v, 1.5, out=row), x, out=row)
         return psi
 
-    return polished, steps, len(table)
+    return polished, plan.steps, plan.nodes
 
 
 def _plain_stepper(unitaries: Callable[[np.ndarray], list]) -> _Stepper:

@@ -1,8 +1,11 @@
-"""Step-operator tables of magnus2 runs.
+"""Step-operator tables of magnus2 runs, and the plan that picks them.
 
 A magnus2 step is U = exp(-1j*dt*(K + c*R)) with the coupling
-c = beta*cos(theta), theta = omega*(t + dt/2). ``propagator`` steps a run
-from these tables; they hold no state beyond the run that builds them.
+c = beta*cos(theta), theta = omega*(t + dt/2). _magnus_plan alone decides
+how a run steps: eigh per step or a table, a step map, spans, and whether
+the states need the polish. It hands ``propagator`` a builder of the
+run's stacks, which ``propagator`` applies; the tables hold no state
+beyond the run that builds them.
 
 - The Chebyshev table in x = cos(theta) (_magnus_table): M node
   unitaries, one eigh per node pair, fitted as U = sum_k cos(k theta) C_k.
@@ -18,7 +21,7 @@ from these tables; they hold no state beyond the run that builds them.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +31,10 @@ from .operators import hamiltonians
 
 #: Steps per stack: magnus2 builds its step unitaries this many at a time.
 _CHUNK = 32
+
+#: Least phase between consecutive span centres (_taylor_order), from the
+#: drift of runs at q = 1, 10 and 30 (README, Methods).
+_SPAN_SPACING = 2e-5
 
 
 def _magnus_unitaries(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float) -> np.ndarray:
@@ -68,10 +75,14 @@ def _taylor_order(sizes: np.ndarray, degrees: np.ndarray, omega_dt: float, lengt
     p is the fewest terms that bring this below 1e-17, and 0 when they take
     p (K + length) >= length K products per entry or are more than 15, the
     rows W table may keep. p >= 2: np.matmul leaves BLAS for inner size 1.
-    At omega dt = 0, 0: every span would repeat one centre term and its rounding.
+    0 also where consecutive span centres, length |omega dt| apart in phase,
+    lie closer than _SPAN_SPACING: their centre terms barely change, and
+    the drift grows about linearly, as at omega = 0; and where they lie
+    2 pi or more apart: no 15 terms reach 1e-17 over such a span (the
+    terms would overflow at large omega dt).
     """
     most = min((length * len(sizes) - 1) // (length + len(sizes)), _CHUNK // 2 - 1)
-    if most < 2 or not omega_dt:
+    if most < 2 or not _SPAN_SPACING <= length * abs(omega_dt) < 2 * math.pi:
         return 0
     reach = degrees * (0.5 * (length - 1) * abs(omega_dt))
     terms = np.cumprod(np.outer(1.0 / np.arange(1, most + 1), reach), axis=0)  # (k|s|)^p / p!
@@ -352,3 +363,56 @@ def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int) -> np.ndarr
     table = (2.0 / m) * _chebyshev_basis(theta, np.arange(m)).T @ u.reshape(m, -1)
     table[0] *= 0.5
     return table
+
+
+class _Plan(NamedTuple):
+    """How a magnus2 run steps (_magnus_plan)."""
+
+    build: Callable[[np.ndarray], list]  # loop-step start times -> their (d, d) step unitaries
+    steps: int  # grid steps per loop step
+    nodes: int  # rows of the run's table; 0 without one
+    polish: bool  # whether each state takes the Newton-Schulz polish
+
+
+def _magnus_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float, dt: float,
+                 n_steps: int, stride: int) -> _Plan:
+    """The plan of an n_steps magnus2 run from t0 on the grid t0 + i dt.
+
+    Above _CHUNK Chebyshev nodes each stack comes from its own eigh: a table
+    would cost more eigh work and memory than one chunk of direct steps,
+    and each loop step is one grid step. Otherwise the run builds its
+    Chebyshev table, and _step_map may replace it by the table of a map of
+    2^i grid steps, i up to stride's power of two (_step_table); a loop
+    step is then one such map, on the grid t0 + j 2^i dt, and the nodes
+    are the map's. _tabled_builder writes each stack from the table into
+    a buffer allocated here, once, in spans of the loop's grid where
+    _taylor_span finds one that pays, and build hands out views of it
+    made once per run. The table's unitarity defect, nearly the same from
+    step to step, would add up linearly, past the 1e-10 expectation()
+    accepts after about a million steps: the builder polishes each span's
+    centre term, and a run without spans takes the polish of each state,
+    U (3 - U^H U) psi / 2.
+    """
+    m = _chebyshev_nodes(abs(beta * dt) * lattice.q)
+    if m > _CHUNK:
+        def unitaries(t: np.ndarray) -> list:
+            return list(_magnus_unitaries(lattice, mu, beta * np.cos(omega * (t + 0.5 * dt)), dt))
+
+        return _Plan(unitaries, 1, 0, False)
+    table = _magnus_table(lattice.q, mu, beta, dt, m)
+    degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
+    shifts = np.zeros(m)
+    steps, degree = _step_map(table, degrees, omega * dt, n_steps, stride)
+    if steps > 1:
+        table, degrees, shifts = _step_table(table, omega * dt, steps, degree)
+    dt, n_steps = steps * dt, n_steps // steps
+    work = np.empty((min(_CHUNK, n_steps), lattice.d, lattice.d), dtype=complex)
+    span, order = _taylor_span(table, degrees, omega * dt, n_steps)
+    fill = _tabled_builder(table, degrees, shifts, omega, dt, t0, work, span, order)
+    views = list(work)  # iterating work would make a view object per step
+
+    def build(t: np.ndarray) -> list:
+        fill(t)
+        return views[:len(t)]
+
+    return _Plan(build, steps, len(table), not order)

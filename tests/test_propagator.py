@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -26,7 +27,6 @@ from qlimit import (
     tilde_delta,
     upsilon_kappa,
 )
-from qlimit import propagator
 from qlimit.operators import hamiltonian_at, hamiltonians, kinetic_operator
 from qlimit.propagator import (
     _MAX_STEPS,
@@ -38,7 +38,6 @@ from qlimit.propagator import (
     NORM_TOLERANCE,
     _magnus_stepper,
     _propagate,
-    _strang_closing_kick,
     _strang_stepper,
 )
 from qlimit.tables import (
@@ -46,9 +45,9 @@ from qlimit.tables import (
     _chebyshev_basis,
     _chebyshev_nodes,
     _magnus_nodes,
+    _magnus_plan,
     _magnus_table,
     _magnus_unitaries,
-    _tabled_builder,
     _taylor_factors,
     _taylor_order,
     _taylor_span,
@@ -161,33 +160,16 @@ def _unmerged_strang_step(cfg, psi, t, dt):
     return StateVector(cfg.lattice, kick(t + 0.75 * dt, free.amplitudes))
 
 
-def _one_step(make_stepper, cfg, psi, t, dt):
-    row = np.empty_like(psi.amplitudes)
-    return make_stepper(cfg, t, dt, 1)(np.array([t]), psi.amplitudes, [row])
-
-
-def _strang_step(cfg, psi, t, dt):
-    """One whole strang step: the stepper's opening step, then the closing half kick."""
-    opened = _one_step(_strang_stepper, cfg, psi, t, dt)
-    return StateVector(cfg.lattice, _strang_closing_kick(cfg, opened, t + dt, dt))
-
-
-def _grid_magnus_stepper(cfg, t0, dt, n_steps):
-    """magnus2's stepper of an n_steps run without a step map: one grid step per step."""
-    step, steps, _ = _magnus_stepper(cfg, t0, dt, n_steps)
-    assert steps == 1
-    return step
-
-
-def _magnus_step(cfg, psi, t, dt):
-    return StateVector(cfg.lattice, _one_step(_grid_magnus_stepper, cfg, psi, t, dt))
+def _step(cfg, psi, t, dt):
+    """The state after one step of cfg's method from the amplitudes psi at t: a one-step run."""
+    return _propagate(cfg, psi, t, dt, 1, {1}).states[1]
 
 
 def test_strang_step_is_exact_for_free_evolution():
     cfg = _config(beta=0.0)
     psi = initial_state(cfg)
     for dt in (0.5, 1.0, 7.3):
-        stepped = _one_step(_strang_stepper, cfg, psi, 0.0, dt)
+        stepped = _step(cfg, psi.amplitudes, 0.0, dt)
         exact = exact_free_evolution(psi, dt, cfg.mu)
         assert np.abs(stepped - exact.amplitudes).max() < 1e-14
 
@@ -195,16 +177,16 @@ def test_strang_step_is_exact_for_free_evolution():
 def test_strang_step_with_zero_dt_is_identity():
     cfg = _config()
     psi = initial_state(cfg)
-    stepped = _one_step(_strang_stepper, cfg, psi, 100.0, 0.0)
+    stepped = _step(cfg, psi.amplitudes, 100.0, 0.0)
     assert np.abs(stepped - psi.amplitudes).max() < 1e-14
 
 
 def test_strang_step_preserves_norm():
     cfg = _config()
-    psi = initial_state(cfg)
+    psi = initial_state(cfg).amplitudes
     for i in range(50):
-        psi = _strang_step(cfg, psi, float(i), 1.0)
-        assert abs(psi.norm() - 1.0) < 1e-14
+        psi = _step(cfg, psi, float(i), 1.0)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
 
 
 def _taylor_expm_apply(h: np.ndarray, dt: float, amps: np.ndarray, order: int = 40):
@@ -232,31 +214,31 @@ def test_hamiltonian_stack_is_symmetric_and_matches_operator_module():
 
 
 def test_magnus_step_matches_taylor_exponential():
-    cfg = _config()
+    cfg = _config(method="magnus2")
     psi = initial_state(cfg)
     dt = 0.01
     for t in (0.0, 250.0):
         h = hamiltonian_at(cfg.lattice, t + dt / 2, cfg.mu, cfg.beta, cfg.omega).matrix
         oracle = _taylor_expm_apply(h, dt, psi.amplitudes)
-        stepped = _one_step(_grid_magnus_stepper, cfg, psi, t, dt)
+        stepped = _step(cfg, psi.amplitudes, t, dt)
         assert np.abs(stepped - oracle).max() < 1e-13
 
 
 def test_magnus_step_is_exact_for_time_independent_hamiltonian():
-    cfg = _config(beta=0.0)
+    cfg = _config(beta=0.0, method="magnus2")
     psi = initial_state(cfg)
     for dt in (1.0, 13.7):
-        stepped = _one_step(_grid_magnus_stepper, cfg, psi, 5.0, dt)
+        stepped = _step(cfg, psi.amplitudes, 5.0, dt)
         exact = exact_free_evolution(psi, dt, cfg.mu)
         assert np.abs(stepped - exact.amplitudes).max() < 1e-12
 
 
 def test_magnus_step_preserves_norm():
-    cfg = _config()
-    psi = initial_state(cfg)
+    cfg = _config(method="magnus2")
+    psi = initial_state(cfg).amplitudes
     for i in range(50):
-        psi = _magnus_step(cfg, psi, float(i), 1.0)
-        assert abs(psi.norm() - 1.0) < 1e-13
+        psi = _step(cfg, psi, float(i), 1.0)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -330,69 +312,71 @@ def test_evolve_strang_equals_repeated_steps():
 def test_evolve_magnus_equals_repeated_steps():
     cfg = _config(t_end=300.0, snapshots=(300.0,), method="magnus2")
     final = evolve(cfg).states[-1][1]
-    psi = initial_state(cfg)
+    psi = initial_state(cfg).amplitudes
     for i in range(300):
-        psi = _magnus_step(cfg, psi, float(i), 1.0)
-    assert np.abs(final.amplitudes - psi.amplitudes).max() < 1e-12
+        psi = _step(cfg, psi, float(i), 1.0)
+    assert np.abs(final.amplitudes - psi).max() < 1e-12
 
 
-def _assert_magnus_run_gives(cfg, expected, steps=1, atol=0.0):
-    """The stepper's state after each step, and evolve's snapshots, equal expected bit for bit.
+def _plan_stacks(plan, t):
+    """The step unitaries at the loop-step times t from a magnus2 plan's builder, _CHUNK a call."""
+    return np.concatenate([np.array(plan.build(t[i:i + _CHUNK])) for i in range(0, len(t), _CHUNK)])
 
-    expected[k] is the state after k steps of cfg's run; the stepper takes
-    .dot into preallocated rows, _CHUNK steps per stack, _STATES per call.
-    evolve takes maps of steps grid steps; where steps > 1 its snapshots
-    lie within atol of expected instead.
-    """
-    dt, n_steps = cfg.dt / _REFINE[cfg.method], cfg.n_steps * _REFINE[cfg.method]
-    states = _states(_grid_magnus_stepper(cfg, 0.0, dt, n_steps), np.arange(n_steps) * dt,
-                     expected[0])
-    np.testing.assert_array_equal(states, expected[1:])
-    traj = evolve(cfg)
-    assert traj.step_map["steps"] == steps
-    assert [t for t, _ in traj.states] == list(cfg.snapshots)
-    for t, state in traj.states:
-        if steps == 1:
-            np.testing.assert_array_equal(state.amplitudes, expected[round(t / dt)])
-        else:
-            assert np.abs(state.amplitudes - expected[round(t / dt)]).max() <= atol, t
+
+def _plan(cfg, dt, n_steps, t0=0.0, stride=1):
+    """The magnus2 plan of cfg's run of n_steps steps of dt from t0; stride 1: on the grid."""
+    return _magnus_plan(cfg.lattice, cfg.mu, cfg.beta, cfg.omega, t0, dt, n_steps, stride)
 
 
 @pytest.mark.parametrize("method, steps, atol", [("magnus2", 1, 0.0), ("reference", 2, 1e-13)],
                          ids=["magnus2", "reference"])
 def test_magnus_evolve_equals_plain_application_of_step_stacks(method, steps, atol):
-    # 520 steps factorize in spans of several stacks and end in a partial
-    # span and stack: the stacks the stepper's builder forms, each span's
-    # centre term polished, applied one by one by plain matmul. The odd
-    # snapshot step 17 keeps magnus2 on the grid; the reference run, whose
-    # steps are all multiples of 8, takes 2-step maps: 9.3e-15 off here.
+    # 520 steps factorize (in spans of several stacks that end in a partial
+    # span and stack, test_span_rule_keeps_the_cheapest_span_that_pays):
+    # the stacks of the run's plan, each span's centre term polished,
+    # applied one by one by plain matmul, must be the grid run's states bit
+    # for bit. The odd snapshot step 17 keeps magnus2 on the grid; the
+    # reference run, whose steps are all multiples of 8, takes 2-step maps:
+    # 9.3e-15 off here.
     t_end = 520.0 / _REFINE[method]
     cfg = _config(method=method, t_end=t_end, snapshots=(0.0, 17.0, 32.0, 64.0, t_end))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
-    table, degrees = _tabled(cfg, dt)
-    span, order = _taylor_span(table, degrees, cfg.omega * dt, n_steps)
-    assert order and span > _CHUNK and n_steps % span % _CHUNK
+    plan = _plan(cfg, dt, n_steps)
+    assert plan.steps == 1 and not plan.polish
     expected = [initial_state(cfg).amplitudes]
-    for u in _tabled_stacks(cfg, np.arange(n_steps) * dt, dt):
+    for u in _plan_stacks(plan, np.arange(n_steps) * dt):
         expected.append(np.matmul(u, expected[-1]))
-    _assert_magnus_run_gives(cfg, expected, steps, atol)
+    run = _propagate(cfg, expected[0], 0.0, dt, n_steps, range(n_steps + 1))
+    np.testing.assert_array_equal([run.states[k] for k in range(n_steps + 1)], expected)
+    traj = evolve(cfg)
+    assert traj.step_map["steps"] == steps
+    assert [t for t, _ in traj.states] == list(cfg.snapshots)
+    for t, state in traj.states:
+        assert np.abs(state.amplitudes - expected[round(t / dt)]).max() <= atol, t
 
 
 def test_short_magnus_run_polishes_each_state():
     # 100-step runs that do not factorize (beta = 0's one-row table, a wide
     # phase per chunk): the stacks built directly, each applied with the
-    # Newton-Schulz polish of the state, 1.5 v - 0.5 U (U^H v), written out.
+    # Newton-Schulz polish of the state, 1.5 v - 0.5 U (U^H v), written out,
+    # must be the grid run's states and evolve's snapshots bit for bit.
     for beta, omega in ((0.0, 2e-4), (0.1, 0.01)):
         cfg = _config(method="magnus2", beta=beta, omega=omega, t_end=100.0,
                       snapshots=(0.0, 17.0, 64.0, 100.0))
         assert cfg.n_steps % _CHUNK
-        table, degrees = _tabled(cfg, cfg.dt)
-        assert _taylor_span(table, degrees, omega * cfg.dt, cfg.n_steps)[1] == 0
+        plan = _plan(cfg, cfg.dt, cfg.n_steps)
+        assert plan.steps == 1 and plan.polish
         expected = [initial_state(cfg).amplitudes]
-        for u in _tabled_stacks(cfg, np.arange(float(cfg.n_steps)), cfg.dt):
+        for u in _plan_stacks(plan, np.arange(float(cfg.n_steps))):
             v = np.matmul(u, expected[-1])
             expected.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
-        _assert_magnus_run_gives(cfg, expected)
+        run = _propagate(cfg, expected[0], 0.0, cfg.dt, cfg.n_steps, range(cfg.n_steps + 1))
+        np.testing.assert_array_equal([run.states[k] for k in range(cfg.n_steps + 1)], expected)
+        traj = evolve(cfg)
+        assert traj.step_map["steps"] == 1
+        assert [t for t, _ in traj.states] == list(cfg.snapshots)
+        for t, state in traj.states:
+            np.testing.assert_array_equal(state.amplitudes, expected[round(t)])
 
 
 def test_evolve_strang_snapshots_across_chunks_match_single_steps():
@@ -423,6 +407,15 @@ def test_backward_strang_run_matches_single_steps():
     assert sorted(recorded) == [1, _STATES, 150]
 
 
+def _traced_peak(run):
+    """run() and the peak of the memory that tracemalloc traces while it runs."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
     # a fresh (_STATES, d) block of kicks per chunk, or the ufunc buffers of a
     # broadcast multiply, would take 16 _STATES d bytes or more
@@ -431,12 +424,7 @@ def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
     step = _strang_stepper(cfg, 0.0, 1.0, 2 * _STATES)
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
-    tracemalloc.start()
-    try:
-        step(_STATES + np.arange(float(_STATES)), psi, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: step(_STATES + np.arange(float(_STATES)), psi, rows))
     assert peak < 4 * _STATES * d, peak
 
 
@@ -445,22 +433,19 @@ def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(factorized):
     # a tabled chunk after the first allocates no stack, basis, Taylor or
     # ufunc buffers: a broadcast outer product of times and int64 degrees
     # allocated 28 kB per stack. The fig2 coupling factorizes in spans and
-    # polishes their centre terms, and the traced chunk starts a new span;
-    # beta = 0 polishes its states.
+    # polishes their centre terms, and the traced chunk starts a new span
+    # (test_span_rule_keeps_the_cheapest_span_that_pays); beta = 0 polishes
+    # its states.
     cfg = _config(beta=0.1 if factorized else 0.0)
     d = cfg.lattice.d
-    table, degrees = _tabled(cfg, 1.0)
-    span, order = _taylor_span(table, degrees, cfg.omega, 4 * _STATES)
-    assert bool(order) == factorized and 2 * _STATES % span == 0
-    step = _grid_magnus_stepper(cfg, 0.0, 1.0, 4 * _STATES)
+    assert _plan(cfg, 1.0, 4 * _STATES).polish != factorized
+    step, steps, _ = _magnus_stepper(cfg, 0.0, 1.0, 4 * _STATES)
+    assert steps == 1
     rows = list(np.empty((_STATES, d), dtype=complex))
-    psi = _states(step, np.arange(2.0 * _STATES), initial_state(cfg).amplitudes)[-1]
-    tracemalloc.start()
-    try:
-        step(2 * _STATES + np.arange(float(_STATES)), psi, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    psi = initial_state(cfg).amplitudes
+    for start in (0, _STATES):
+        psi = step(start + np.arange(float(_STATES)), psi, rows)
+    _, peak = _traced_peak(lambda: step(2 * _STATES + np.arange(float(_STATES)), psi, rows))
     assert peak < 4 * _STATES * d, peak
 
 
@@ -517,12 +502,7 @@ def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk
                   snapshots=None)
     assert chunk_time * _REFINE[method] == _STATES * cfg.dt
     d = cfg.lattice.d
-    tracemalloc.start()
-    try:
-        evolve(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: evolve(cfg))
     stack = 16 * _CHUNK * d * d
     assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
     if method == "strang":
@@ -539,40 +519,8 @@ def test_magnus_evolve_at_large_q_matches_single_steps():
     cfg = _config(q=150, method="magnus2", t_end=4.0, snapshots=(4.0,))
     traj = evolve(cfg)
     assert traj.norm_drift <= 1e-10
-    psi = initial_state(cfg).amplitudes
-    coupling = cfg.beta * np.cos(cfg.omega * (np.arange(4.0) + 0.5))
-    for u in _magnus_unitaries(cfg.lattice, cfg.mu, coupling, 1.0):
-        psi = u @ psi
-    assert np.abs(traj.states[-1][1].amplitudes - psi).max() < 1e-12
-
-
-def _tabled(cfg, dt):
-    """A run's table and its rows' Chebyshev degrees, as the stepper takes them."""
-    m = _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q)
-    return _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, m), np.arange(m, dtype=float)
-
-
-def _tabled_stacks(cfg, t, dt, n_steps=None):
-    """The step unitaries at the times t of a run of n_steps (default len(t)) steps from 0.
-
-    The times lie on the run's grid i dt, from a multiple of _CHUNK steps;
-    built _CHUNK steps at a time by the builder such a run takes.
-    """
-    n_steps = n_steps or len(t)
-    table, degrees = _tabled(cfg, dt)
-    work = np.empty((min(_CHUNK, n_steps), cfg.lattice.d, cfg.lattice.d), dtype=complex)
-    span, order = _taylor_span(table, degrees, cfg.omega * dt, n_steps)
-    build = _tabled_builder(table, degrees, np.zeros(len(table)), cfg.omega, dt, 0.0, work, span,
-                            order)
-    return np.concatenate([build(t[i:i + _CHUNK]).copy() for i in range(0, len(t), _CHUNK)])
-
-
-def _states(step, t, psi):
-    """A stepper's states after each of the steps starting at the times t, _STATES per call."""
-    rows = np.empty((len(t), len(psi)), dtype=complex)
-    for i in range(0, len(t), _STATES):
-        psi = step(t[i:i + _STATES], psi, list(rows[i:i + _STATES]))
-    return rows
+    expected = _eigh_states(cfg, 0.0, 1.0, 4, initial_state(cfg).amplitudes, {4})[4]
+    assert np.abs(traj.states[-1][1].amplitudes - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("q", [1, 10, 30])
@@ -584,20 +532,21 @@ def test_magnus_table_matches_eigh_unitaries(q):
             t = np.arange(49.0) * dt
             assert _chebyshev_nodes(abs(beta * dt) * q) <= _CHUNK
             direct = _magnus_unitaries(cfg.lattice, cfg.mu, beta * np.cos(t + 0.5 * dt), dt)
-            assert np.abs(_tabled_stacks(cfg, t, dt) - direct).max() <= 1e-13, (beta, dt)
+            stacks = _plan_stacks(_plan(cfg, dt, len(t)), t)
+            assert np.abs(stacks - direct).max() <= 1e-13, (beta, dt)
     # a fig2-long run factorizes in spans and polishes their centre terms:
     # a full and a partial chunk at the start and late in the run
     for beta in (0.1, -0.1, 0.2):
         for omega in (2e-4, 5e-4):
             cfg = _config(q=q, beta=beta, omega=omega)
             for dt in (1.0, 0.125, -1.0):
-                table, degrees = _tabled(cfg, dt)
-                assert _taylor_span(table, degrees, omega * dt, 28800)[1]
+                plan = _plan(cfg, dt, 28800)
+                assert not plan.polish
                 for start in (0, 28768):
                     t = (start + np.arange(40.0)) * dt
                     coupling = beta * np.cos(omega * (t + 0.5 * dt))
-                    error = _tabled_stacks(cfg, t, dt, 28800) - _magnus_unitaries(
-                        cfg.lattice, cfg.mu, coupling, dt)
+                    error = _plan_stacks(plan, t) - _magnus_unitaries(cfg.lattice, cfg.mu,
+                                                                      coupling, dt)
                     assert np.abs(error).max() <= 1e-13, (beta, omega, dt, start)
 
 
@@ -618,19 +567,20 @@ def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, 
     # the table's rows must stay below 1e-17. The real table's stacks,
     # centre terms polished, must lie within 1e-14 of B table. Every full
     # stack of a span and a partial one, in the first span and late in the
-    # run (late: its first step), forward and backward.
+    # run (late: its first step), forward and backward; the stacks come
+    # from the run's plan.
     cfg = _config(q=q, beta=beta, omega=omega)
     d = cfg.lattice.d
     for h in (dt, -dt):
-        table, degrees = _tabled(cfg, h)
+        table = _magnus_table(q, cfg.mu, beta, h, _chebyshev_nodes(abs(beta * h) * q))
+        degrees = np.arange(len(table), dtype=float)
         assert _taylor_span(table, degrees, omega * h, n_steps) == (span, order)
         p = order
         sizes = np.array([np.abs(row).max() for row in table])
         reach = degrees * (0.5 * (span - 1) * abs(omega * h))
         assert sizes @ reach**p / math.factorial(p) < 1e-17
         powers, weights = _taylor_factors(degrees, np.zeros(len(table)), omega, h, span, p)
-        build = _tabled_builder(table, degrees, np.zeros(len(table)), omega, h, 0.0,
-                                np.empty((min(_CHUNK, n_steps), d, d), dtype=complex), span, p)
+        build = _plan(cfg, h, n_steps).build
         for first in (0, late):
             for offset in range(0, span, _CHUNK):
                 full = min(_CHUNK, span - offset)
@@ -644,7 +594,8 @@ def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, 
                     allowed = 1e-15 * (1 + np.outer(np.abs(theta), degrees)) + remainder
                     assert np.all(np.abs(factored - basis) <= allowed), (h, first, offset, n)
                     direct = (basis @ table.view(float)).view(complex).reshape(n, d, d)
-                    assert np.abs(build(t) - direct).max() <= 1e-14, (h, first, offset, n)
+                    stack = np.array(build(t))
+                    assert np.abs(stack - direct).max() <= 1e-14, (h, first, offset, n)
 
 
 @pytest.mark.parametrize("q, beta, omega, n_steps, span, order", [
@@ -655,14 +606,25 @@ def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, 
     (10, 0.1, 0.0, 100000, 32, 0),      # one phase: every span would repeat one centre term
     (1, 0.1, 2e-4, 100000, 32, 6),      # 2 d^2 = 18: one-stack spans only
     (10, 0.1, 2e-4, 100, 64, 7),        # spans up to the run's length
+    (10, 0.1, 2e-4, 256, 128, 8),       # two whole spans
+    (10, 0.1, 2e-4, 520, 128, 8),       # four spans, then 8 steps: a partial span and stack
+    (10, 0.1, 2e-4, 3200, 128, 8),
+    (10, 0.1, 2e-4, 32000, 128, 8),
+    (10, 0.2, 1e-7, 10000, 512, 4),     # the longest spans at q = 10
+    (10, 0.2, 1e-7, 100000, 512, 4),
+    # span centres closer than tables._SPAN_SPACING: 1.6e-12 .. 5.1e-11
+    # apart in phase, and 1.6e-5 at q = 1, which took 4 terms
+    (10, 0.2, 1e-13, 3200, 32, 0),
+    (10, 0.2, 1e-13, 32000, 32, 0),
+    (1, 0.2, 5e-7, 100000, 32, 0),
 ])
 def test_span_rule_keeps_the_cheapest_span_that_pays(q, beta, omega, n_steps, span, order):
     # spans of _CHUNK 2^i steps, capped at the run's length, tried up to
     # 2 d^2 steps, each with its Taylor order p: the one with the fewest
     # products per entry and step, (p (K + L) + 4d) / L, is kept, and W
     # table never takes more than 15 rows, at any span
-    cfg = _config(q=q, beta=beta, omega=omega)
-    table, degrees = _tabled(cfg, 1.0)
+    table = _magnus_table(q, 1.0, beta, 1.0, _chebyshev_nodes(beta * q))
+    degrees = np.arange(len(table), dtype=float)
     assert _taylor_span(table, degrees, omega, n_steps) == (span, order)
     sizes = np.array([np.abs(row).max() for row in table])
     for length in (_CHUNK << i for i in range(12)):
@@ -685,19 +647,21 @@ def test_wide_phase_and_two_step_runs_take_the_direct_build(omega):
     cfg = _config(omega=omega)
     d = cfg.lattice.d
     for dt in (1.0, -1.0):
-        table, degrees = _tabled(cfg, dt)
-        assert _taylor_span(table, degrees, omega * dt, 60)[1] == 0
+        plan = _plan(cfg, dt, 60)
+        assert plan.polish
+        table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, plan.nodes)
         t = np.arange(60) * dt
         expected = [np.matmul(_power_basis(omega * (t[i:i + _CHUNK] + 0.5 * dt), len(table)),
                               table.view(float)) for i in range(0, len(t), _CHUNK)]
-        np.testing.assert_array_equal(_tabled_stacks(cfg, t, dt),
+        np.testing.assert_array_equal(_plan_stacks(plan, t),
                                       np.concatenate(expected).view(complex).reshape(-1, d, d))
     cfg = _config()  # the fig2 coupling, which factorizes longer runs
-    table, degrees = _tabled(cfg, 1.0)
-    assert _taylor_span(table, degrees, cfg.omega, 2) == (2, 0)
+    plan = _plan(cfg, 1.0, 2)
+    assert plan.polish
+    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, 1.0, plan.nodes)
     t = np.array([0.0, 1.0])
     expected = np.matmul(_power_basis(cfg.omega * (t + 0.5), len(table)), table.view(float))
-    np.testing.assert_array_equal(_tabled_stacks(cfg, t, 1.0),
+    np.testing.assert_array_equal(_plan_stacks(plan, t),
                                   expected.view(complex).reshape(-1, d, d))
 
 
@@ -707,10 +671,10 @@ def test_direct_build_at_a_large_phase_stays_on_eigh_and_unitary():
     # 8.6e-13 off eigh and 1.3e-12 off unitary; the powers of exp(1j theta)
     # keep both near 1e-14.
     cfg = _config(omega=0.7)
-    table, degrees = _tabled(cfg, 1.0)
-    assert _taylor_span(table, degrees, cfg.omega, _CHUNK)[1] == 0
     t = 1e6 + np.arange(float(_CHUNK))
-    u = _tabled_stacks(cfg, t, 1.0)
+    plan = _plan(cfg, 1.0, _CHUNK, t0=t[0])
+    assert plan.polish
+    u = _plan_stacks(plan, t)
     direct = _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(cfg.omega * (t + 0.5)), 1.0)
     assert np.abs(u - direct).max() <= 1e-13
     defect = np.matmul(u.conj().transpose(0, 2, 1), u) - np.eye(cfg.lattice.d)
@@ -727,8 +691,7 @@ def test_fig2_day_keeps_norm_drift_small(fig2_config):
     # term gives 8.1e-14 here (2.6e-14 with 32-step spans), the table as
     # stored 8.2e-12; its 8-step maps, in spans of 64 polished centres, 1.7e-14
     cfg = replace(fig2_config, method="magnus2")
-    table, degrees = _tabled(cfg, cfg.dt)
-    assert _taylor_span(table, degrees, cfg.omega * cfg.dt, cfg.n_steps)[1]
+    assert not _plan(cfg, cfg.dt, cfg.n_steps).polish
     for run, steps in ((_on_grid(cfg), 1), (cfg, 8)):
         traj = evolve(run)
         assert traj.step_map["steps"] == steps and traj.norm_drift <= 1e-13
@@ -758,11 +721,11 @@ def test_factorized_drift_extrapolates_within_tolerance_at_the_step_limit(fig2_c
     # steps: the line through two run lengths, continued to _MAX_STEPS,
     # must stay below the tolerance that observables_series enforces.
     # 1.7e-14 and 8.1e-14 on the grid, which extrapolate to 2.2e-11;
-    # 1.2e-14 and 2.0e-14 with 4- and 8-step maps, 3.0e-12.
+    # 1.2e-14 and 2.0e-14 with 4- and 8-step maps, 3.0e-12. Both lengths
+    # take spans of several stacks (test_span_rule_keeps_the_cheapest_span_that_pays).
     cfg = replace(fig2_config, method="magnus2")
-    table, degrees = _tabled(cfg, cfg.dt)
     for n in (3200, 32000):
-        assert _taylor_span(table, degrees, cfg.omega, n)[0] > _CHUNK
+        assert not _plan(cfg, cfg.dt, n).polish
     for grid in (True, False):
         drifts, limit = _drift_at_the_step_limit(cfg, (3200, 32000), grid)
         assert limit < NORM_TOLERANCE, (grid, drifts)
@@ -778,13 +741,18 @@ def test_factorized_drift_extrapolates_within_tolerance_at_the_step_limit(fig2_c
     # which extrapolate to 4.3e-11; with 4-step maps 1.3e-14 and 2.4e-13,
     # 2.5e-11
     (1e-7, (10000, 100000), (512, 4)),
-], ids=["constant", "longest-span"])
+    # span centres closer than tables._SPAN_SPACING: 512-step spans read as
+    # omega = 0 did, 1.3e-13 and 1.3e-12 (4.1e-10 at the limit); the
+    # polished states give 3.1e-15 and 5.3e-15, and 1.7e-15 and 7.7e-15 with
+    # 4-step maps
+    (1e-13, (3200, 32000), (_CHUNK, 0)),
+], ids=["constant", "longest-span", "near-constant"])
 def test_slow_coupling_drift_extrapolates_within_tolerance_at_the_step_limit(omega, lengths,
                                                                              span):
+    # span: as test_span_rule_keeps_the_cheapest_span_that_pays pins it; p = 0 polishes the states
     cfg = _config(method="magnus2", beta=0.2, omega=omega)
-    table, degrees = _tabled(cfg, cfg.dt)
     for n in lengths:
-        assert _taylor_span(table, degrees, omega * cfg.dt, n) == span
+        assert _plan(cfg, cfg.dt, n).polish == (span[1] == 0)
     for grid in (True, False):
         drifts, limit = _drift_at_the_step_limit(cfg, lengths, grid)
         assert limit < NORM_TOLERANCE, (grid, drifts)
@@ -798,8 +766,7 @@ def test_long_run_that_does_not_factorize_polishes_its_states(beta, omega):
     # 6.7e-13 with the table as stored, and at 1.3e-15 with 8- and 4-step
     # maps
     cfg = _config(method="magnus2", beta=beta, omega=omega, t_end=3000.0, snapshots=None)
-    table, degrees = _tabled(cfg, cfg.dt)
-    assert _taylor_span(table, degrees, omega * cfg.dt, cfg.n_steps)[1] == 0
+    assert _plan(cfg, cfg.dt, cfg.n_steps).polish
     for run in (_on_grid(cfg), cfg):
         assert evolve(run).norm_drift <= 1e-13
 
@@ -826,22 +793,20 @@ def test_runs_leave_no_step_operators_behind():
 
 def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes(eigh_matrices):
     # 32 nodes at q = 40, factorized: the table, one buffer, W table and
-    # the span's S, in the first stack of a 100 000-step run
+    # the span's S, from the plan of a 100 000-step run to its first stack
     cfg = _config(q=40, beta=0.1875, method="magnus2")
     d = cfg.lattice.d
-    psi = initial_state(cfg).amplitudes
-    tracemalloc.start()
-    try:
-        _states(_grid_magnus_stepper(cfg, 0.0, cfg.dt, 100000), np.arange(float(_CHUNK)), psi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert eigh_matrices == [_CHUNK // 2]  # the stepper's own table: one eigh per node pair
-    table, degrees = _tabled(cfg, cfg.dt)
-    assert len(table) == _CHUNK
-    span, order = _taylor_span(table, degrees, cfg.omega * cfg.dt, 100000)
-    assert order and span > _CHUNK
-    stacks = 2 + order / _CHUNK
+
+    def first_stack():
+        plan = _plan(cfg, cfg.dt, 100000)
+        plan.build(np.arange(float(_CHUNK)))
+        return plan
+
+    plan, peak = _traced_peak(first_stack)
+    assert eigh_matrices == [_CHUNK // 2]  # the run's own table: one eigh per node pair
+    assert plan.nodes == _CHUNK and plan.steps == 1 and not plan.polish
+    # W table's p = 12 rows in spans of 256 (test_span_rule_keeps_the_cheapest_span_that_pays)
+    stacks = 2 + 12 / _CHUNK
     assert stacks <= 2.5 <= _PEAK_STACKS
     stack = 16 * _CHUNK * d * d
     assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
@@ -867,19 +832,18 @@ def test_magnus_table_takes_one_eigh_per_node_pair(q, eigh_matrices):
         assert eigh_matrices == [(m + 1) // 2], (beta, m)
 
 
-def test_magnus_steps_above_chunk_nodes_use_eigh(monkeypatch):
-    # no table and no polish: each state is the last one times its own eigh
-    # unitary, bit for bit
-    cfg = _config(q=150, omega=1.0)
+def test_magnus_steps_above_chunk_nodes_use_eigh(eigh_matrices):
+    # no table and no polish: the run's one eigh is its steps' own, and each
+    # state is the last one times its own eigh unitary, bit for bit
+    cfg = _config(q=150, omega=1.0, method="magnus2")
     assert _chebyshev_nodes(cfg.beta * cfg.q) > _CHUNK
-    monkeypatch.setattr(propagator, "_magnus_table", None)  # a call would raise
-    t = np.array([0.0, 1.0, 2.5])
-    expected = [initial_state(cfg).amplitudes]
+    t = np.arange(3.0)
+    run = _propagate(cfg, initial_state(cfg).amplitudes, 0.0, 1.0, len(t), range(len(t) + 1))
+    assert eigh_matrices == [len(t)]
+    expected = [run.states[0]]
     for u in _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(t + 0.5), 1.0):
         expected.append(u.dot(expected[-1]))
-    np.testing.assert_array_equal(_states(_grid_magnus_stepper(cfg, 0.0, 1.0, len(t)), t,
-                                          expected[0]),
-                                  expected[1:])
+    np.testing.assert_array_equal([run.states[k] for k in range(len(t) + 1)], expected)
 
 
 def _eigh_states(cfg, t0, dt, n_steps, psi, record_at):
@@ -924,14 +888,16 @@ def test_step_map_run_matches_eigh_products(omega, n_steps, steps, dt):
 
 def test_odd_snapshot_step_keeps_the_grid_stepper_bit_for_bit(fig2_config):
     # one odd snapshot step: no map divides every record, so the fig2 day
-    # takes its grid steps, and evolve's states are the grid stepper's
+    # takes its grid steps, and evolve's states are those of a run that
+    # records every grid step
     cfg = replace(fig2_config, method="magnus2", snapshots=(0.0, 1801.0, 28800.0))
     traj = evolve(cfg)
     assert traj.step_map == {"steps": 1, "nodes": 15}
-    grid = _states(_grid_magnus_stepper(cfg, 0.0, 1.0, cfg.n_steps), np.arange(28800.0),
-                   initial_state(cfg).amplitudes)
+    grid = _propagate(cfg, initial_state(cfg).amplitudes, 0.0, 1.0, cfg.n_steps,
+                      range(1, cfg.n_steps + 1))
+    assert grid.steps == 1
     for t, state in traj.states[1:]:
-        np.testing.assert_array_equal(state.amplitudes, grid[round(t) - 1])
+        np.testing.assert_array_equal(state.amplitudes, grid.states[round(t)])
     assert evolve(replace(cfg, snapshots=(0.0, 1800.0, 28800.0))).step_map["steps"] == 8
 
 
@@ -964,7 +930,7 @@ def test_step_map_run_reports_the_grid_step_of_a_blowup(time_limit):
     first = next(j for j in range(4096) if not math.isfinite(cfg.omega * (j + 0.5)))
     assert first == 1793
     with time_limit(10), np.errstate(over="ignore", invalid="ignore"):
-        assert _magnus_stepper(cfg, 0.0, 1.0, 4096, 4096)[1] == 8
+        assert _plan(cfg, 1.0, 4096, stride=4096).steps == 8
         with pytest.raises(PropagationError, match=f"step {first}:"):
             evolve(cfg)
         with pytest.raises(PropagationError, match=f"step {first}:"):
@@ -979,12 +945,7 @@ def test_step_map_run_memory_stays_within_the_stacks_max_q_assumes(eigh_matrices
     # from the Chebyshev table's 12 eigh matrices alone.
     cfg = _config(q=40, beta=0.1, method="magnus2", t_end=4096.0, snapshots=None)
     d = cfg.lattice.d
-    tracemalloc.start()
-    try:
-        traj = evolve(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak = _traced_peak(lambda: evolve(cfg))
     assert traj.step_map == {"steps": 2, "nodes": 2 * _CHUNK - 1}
     assert eigh_matrices == [(_chebyshev_nodes(cfg.beta * cfg.q) + 1) // 2]
     stacks = 4
@@ -998,12 +959,7 @@ def test_fig2_day_takes_eight_step_maps_within_a_megabyte(fig2_config):
     # peak of the whole run, table build included, stays under 1 MB
     # (0.86 MB here, 0.46 MB when the day took 28 800 grid steps)
     cfg = replace(fig2_config, method="magnus2")
-    tracemalloc.start()
-    try:
-        traj = evolve(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak = _traced_peak(lambda: evolve(cfg))
     assert traj.step_map == {"steps": 8, "nodes": 57}
     assert peak < 2**20, peak
 
@@ -1045,6 +1001,46 @@ def test_evolve_reports_step_of_numerical_blowup(method, time_limit):
         with time_limit(10), np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PropagationError, match=f"step {step}:"):
                 evolve(cfg)
+
+
+@pytest.mark.parametrize("omega", [2e-4, 0.01])
+def test_reference_run_matches_eigh_products(omega):
+    # reference is magnus2 at dt/8: a 512 s run takes 4 096 substeps, as
+    # 1 024 loop steps of 4-step maps. Its final state must match the
+    # product of per-step eigh unitaries at dt/8: 1.8e-12 (omega = 2e-4)
+    # and 4.6e-13 (0.01) off here, drift 2.0e-14 and 2.3e-14
+    cfg = _config(method="reference", omega=omega, t_end=512.0, snapshots=None)
+    traj = evolve(cfg)
+    assert traj.step_map == {"steps": 4, "nodes": 25}
+    dt = cfg.dt / _REFINE["reference"]
+    expected = _eigh_states(cfg, 0.0, dt, 4096, initial_state(cfg).amplitudes, {4096})
+    assert np.abs(traj.states[-1][1].amplitudes - expected[4096]).max() <= 1e-11
+    assert traj.norm_drift <= 1e-13
+
+
+def test_huge_coupling_rate_runs_without_warnings():
+    # omega dt near 1e305 puts a span's centres far past 2 pi apart: the span
+    # rule takes no span without forming Taylor terms, which would overflow
+    # (and warn, an error in this suite); the run polishes its states
+    for omega in (1e303, 1e305):
+        cfg = _config(method="magnus2", omega=omega)
+        assert _plan(cfg, cfg.dt, cfg.n_steps, stride=8).polish
+        traj = evolve(cfg)
+        assert traj.step_map == {"steps": 1, "nodes": 15}
+        assert traj.norm_drift <= 1e-13
+
+
+def test_propagator_imports_only_the_plan_from_tables():
+    # tables owns the magnus2 plan and propagator applies it: any other name
+    # of tables in propagator would split the decision again
+    source = Path(qlimit.__file__).with_name("propagator.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "tables":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert all(alias.name.split(".")[-1] != "tables" for alias in node.names)
+    assert imported == {"_CHUNK", "_magnus_plan"}
 
 
 def test_package_caches_stay_bounded_in_parameter_sweeps():
