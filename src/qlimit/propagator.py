@@ -20,19 +20,24 @@ strang
     per run), half potential phase p1 again. The two potential
     half-steps sample cos at their own midpoints, t + dt/4 and
     t + 3dt/4, which keeps the scheme second order in the time-dependent
-    coefficient and exactly time reversible. The stepper merges the
-    closing half kick of each step with the opening one of the next
+    coefficient and exactly time reversible. Its step, like magnus2's, is
+    a periodic function of its midpoint phase, and one function,
+    ``tables._step_plan``, plans both methods: where a step map pays, a
+    strang run steps it as magnus2 does (below), its node maps formed from
+    kicks and F, with no eigh (the fig2 day: 7 200 loop steps of a 4-step
+    map at 49 nodes). Elsewhere it steps its grid, and the stepper merges
+    the closing half kick of each step with the opening one of the next
     (first same as last) into one diagonal kick k_j, applied to the
     state: psi <- F (k_j * psi), two calls on d-vectors and no d x d
     matrix built per step. As cos w(t + dt/4) + cos w(t - dt/4) =
     2 cos(wt) cos(w dt/4), a chunk's kicks are exp(outer(cos(w t), rate))
-    with rate formed once per run: one cos per step. The run's first step
-    has only its opening half.
-    The carried state then lacks its last closing half kick,
+    with rate formed once per run: one cos per step. The carried state
+    lacks its last closing half kick,
     exp(-1j*beta*dt/2*cos(omega*(t_k - dt/4))*n), which depends on t_k
-    alone and is applied only to the recorded snapshots. ``norm_drift``
-    and the ``PropagationError`` step index are taken on the carried
-    states, whose norm equals psi's up to one rounding.
+    alone: undone once on the initial state, exactly, as the kick is
+    diagonal and unitary, and applied only to the recorded snapshots.
+    ``norm_drift`` and the ``PropagationError`` step index are taken on
+    the carried states, whose norm equals psi's up to one rounding.
 
 magnus2
     Exponential midpoint: U = exp(-1j*H(t + dt/2)*dt). Only the coupling
@@ -54,8 +59,8 @@ magnus2
     the span centres lie too close in phase (omega = 0 among them: spans
     would repeat one centre term), per step on the state,
     psi <- 1.5 v - 0.5 U (U^H v), v = U psi. Direct builds take cos(k theta)
-    as Re(exp(1j theta)^k). One function, ``tables._magnus_plan``, plans a
-    run: eigh or table, step map, spans and which polish; it hands back
+    as Re(exp(1j theta)^k). ``tables._step_plan`` plans a run: eigh or
+    table, step map, spans and which polish; it hands back
     the stack builder, and the stepper here applies its stacks, with the
     state polish where the plan asks for it. ``operators.hamiltonians``
     gives the Hamiltonians. Step maps: as H(t) is periodic, the product of
@@ -98,7 +103,7 @@ from .fourier import dft_matrices, even_dual_matrix
 from .gaussian import GaussianParams, upsilon_kappa
 from .lattice import NORM_TOLERANCE, Lattice, StateVector
 from .operators import expectation, rate_operator, trend_operator
-from .tables import _CHUNK, _magnus_plan
+from .tables import _CHUNK, _step_plan
 
 #: Integration steps each method takes per dt.
 _REFINE = {"strang": 1, "magnus2": 1, "reference": 8}
@@ -123,9 +128,9 @@ _MAX_STEPS = 10**7
 #: 3: the table, one stack, W table, whose p <= 15 rows are at most 15/32
 #: of a stack, and S, no larger.
 #: A step map's table has at most 2 _CHUNK rows: stepping it takes 4 stacks
-#: at most, and building it under 4, the Chebyshev table, the node maps and
-#: two half-stack blocks. strang holds no stack: its one matrix, F, is
-#: 1/_CHUNK of one.
+#: at most, and building it under 4: magnus2's Chebyshev table or strang's
+#: F, the node maps and two blocks of at most half a stack. strang on its
+#: grid holds no stack: its one matrix, F, is 1/_CHUNK of one.
 _PEAK_STACKS = 5
 
 #: Largest price limit q. evolve's memory grows as d^2, d = 2q + 1: its
@@ -271,15 +276,15 @@ def _half_kicks(config: SimulationConfig, cos: np.ndarray, dt: float) -> np.ndar
 _Stepper = Callable[[np.ndarray, np.ndarray, list], np.ndarray]
 
 
-def _strang_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int) -> _Stepper:
-    """The stepper of an n_steps strang run from t0: psi <- F (k_j * psi) per step.
+def _strang_stepper(config: SimulationConfig, dt: float, n_steps: int,
+                    free: np.ndarray) -> _Stepper:
+    """The grid stepper of an n_steps strang run of free step free: psi <- F (k_j * psi) per step.
 
     k_j joins the closing half kick of step j - 1 with the opening half
-    kick of step j, exp(cos(w t_j) * rate); the run's first step (t = t0)
-    has only its opening one. The kicks of up to min(_STATES, n_steps)
-    steps are written into one buffer allocated here.
+    kick of step j, exp(cos(w t_j) * rate); the carried state lacks its
+    closing half kick from the start (_propagate). The kicks of up to
+    min(_STATES, n_steps) steps are written into one buffer allocated here.
     """
-    free = _free_step(config.lattice, config.mu, dt)
     n = config.lattice.points()
     # cos w(t + dt/4) + cos w(t - dt/4) = 2 cos(wt) cos(w dt/4)
     rate = (-1j * config.beta * dt * math.cos(0.25 * config.omega * dt) * n)[None, :]
@@ -293,8 +298,6 @@ def _strang_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
         np.cos(config.omega * t, out=cos[:len(t), 0].real)
         k = np.matmul(cos[:len(t)], rate, out=kicks[:len(t)])
         np.exp(k, out=k)
-        if t[0] == t0:
-            k[0] = _half_kicks(config, np.cos(config.omega * (t0 + 0.25 * dt)), dt)
         for k_j, row in zip(k, rows):
             psi = free.dot(np.multiply(k_j, psi, out=kicked), out=row)
         return psi
@@ -324,18 +327,23 @@ def exact_free_evolution(psi: StateVector, t: float, mu: float) -> StateVector:
 # ---------------------------------------------------------------------------
 # full runs
 
-def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int,
-                    stride: int = 1) -> tuple[_Stepper, int, int]:
-    """The stepper of an n_steps magnus2 run from t0, the grid steps of its step, and its nodes.
+def _stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int,
+             stride: int = 1) -> tuple[_Stepper, int, int, bool]:
+    """An n_steps run's stepper from t0, its loop step's grid steps, its nodes and whether it kicks.
 
-    tables._magnus_plan decides how the run steps; the stepper applies its
+    tables._step_plan decides how the run steps; the stepper applies its
     stacks, psi <- U_j psi, and where the plan asks for it polishes each
-    state, psi <- 1.5 v - 0.5 U (U^H v), v = U psi.
+    state, psi <- 1.5 v - 0.5 U (U^H v), v = U psi. A strang run where no
+    map pays takes its grid stepper, whose carried state lacks its closing
+    half kick (kicks: True).
     """
-    plan = _magnus_plan(config.lattice, config.mu, config.beta, config.omega, t0, dt, n_steps,
-                        stride)
+    free = _free_step(config.lattice, config.mu, dt) if config.method == "strang" else None
+    plan = _step_plan(config.lattice, config.mu, config.beta, config.omega, t0, dt, n_steps,
+                      stride, free)
+    if plan.build is None:
+        return _strang_stepper(config, dt, n_steps, free), 1, 0, True
     if not plan.polish:
-        return _plain_stepper(plan.build), plan.steps, plan.nodes
+        return _plain_stepper(plan.build), plan.steps, plan.nodes, False
 
     d = config.lattice.d
     conj = np.empty((d, d), dtype=complex)
@@ -352,7 +360,7 @@ def _magnus_stepper(config: SimulationConfig, t0: float, dt: float, n_steps: int
                 psi = np.subtract(np.multiply(v, 1.5, out=row), x, out=row)
         return psi
 
-    return polished, plan.steps, plan.nodes
+    return polished, plan.steps, plan.nodes, False
 
 
 def _plain_stepper(unitaries: Callable[[np.ndarray], list]) -> _Stepper:
@@ -381,24 +389,21 @@ def _propagate(config: SimulationConfig, psi: np.ndarray, t0: float, dt: float, 
     """Run config.method for n_steps steps of dt from the state psi at t0.
 
     dt may be negative, to run backward in time. Records the states after
-    the steps k in record_at (k = 0 is psi itself), keyed by k. A magnus2
-    or reference run may take a map of 2^i grid steps per loop step, where
-    2^i divides n_steps and every k; the norm check covers every state the
-    loop computes, and a non-finite one is traced back to its grid step by
-    rerunning that loop step a grid step at a time.
+    the steps k in record_at (k = 0 is psi itself), keyed by k. A run may
+    take a map of 2^i grid steps per loop step, where 2^i divides n_steps
+    and every k; the norm check covers every state the loop computes, and
+    a non-finite one is traced back to its grid step by rerunning that
+    loop step a grid step at a time.
     """
     record_at = set(record_at)
     recorded = {0: psi} if 0 in record_at else {}
     if not n_steps:  # no stepper: its buffers would be empty and its free step unused
         return _Run(recorded, 0.0, 1, 0, 0.0)
     begun = time.perf_counter()
-    if config.method == "strang":
-        step, steps, nodes = _strang_stepper(config, t0, dt, n_steps), 1, 0
-        record = _strang_closing_kick
-    else:
-        stride = math.gcd(n_steps, *record_at)
-        step, steps, nodes = _magnus_stepper(config, t0, dt, n_steps, stride & -stride)
-        record = None  # the carried state is the state
+    stride = math.gcd(n_steps, *record_at)
+    step, steps, nodes, kicked = _stepper(config, t0, dt, n_steps, stride & -stride)
+    if kicked:  # the closing half kick at t0 undone, exactly: its first step then opens at t0
+        psi = psi * _half_kicks(config, np.cos(config.omega * (t0 - 0.25 * dt)), -dt)
     built = time.perf_counter() - begun
     loops, h = n_steps // steps, steps * dt
     drift = 0.0
@@ -425,8 +430,8 @@ def _propagate(config: SimulationConfig, psi: np.ndarray, t0: float, dt: float, 
         drift = max(drift, defect)
         for k in record_at.intersection(range((start + 1) * steps, (start + m) * steps + 1, steps)):
             state = chunk[k // steps - start - 1]
-            recorded[k] = (state.copy() if record is None
-                           else record(config, state, t0 + k * dt, dt))
+            recorded[k] = (_strang_closing_kick(config, state, t0 + k * dt, dt) if kicked
+                           else state.copy())
     return _Run(recorded, drift, steps, nodes, built)
 
 

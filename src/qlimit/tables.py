@@ -1,21 +1,24 @@
-"""Step-operator tables of magnus2 runs, and the plan that picks them.
+"""Step-operator tables of magnus2 and strang runs, and the plan that picks them.
 
 A magnus2 step is U = exp(-1j*dt*(K + c*R)) with the coupling
-c = beta*cos(theta), theta = omega*(t + dt/2). _magnus_plan alone decides
-how a run steps: eigh per step or a table, a step map, spans, and whether
-the states need the polish. It hands ``propagator`` a builder of the
-run's stacks, which ``propagator`` applies; the tables hold no state
-beyond the run that builds them.
+c = beta*cos(theta), theta = omega*(t + dt/2); a strang step is
+E(theta + omega dt/4) F E(theta - omega dt/4), F the free step and E the
+diagonal half kicks. _step_plan alone decides how a run of either method
+steps: eigh per step or a table, a step map, spans, and whether the states
+need the polish. It hands ``propagator`` a builder of the run's stacks,
+which ``propagator`` applies, or, for a strang run no map pays for, none;
+the tables hold no state beyond the run that builds them.
 
 - The Chebyshev table in x = cos(theta) (_magnus_table): M node
   unitaries, one eigh per node pair, fitted as U = sum_k cos(k theta) C_k.
 - Spans (_taylor_span, _tabled_builder): where L steps of the run's grid
   sweep a narrow phase, the span's basis factors as S W(c), p Taylor
   terms about its centre phase c.
-- Step maps (_step_map, _step_table): the product of 2^i steps is a
-  2 pi-periodic function of its midpoint phase, tabled at 2D + 1
-  equispaced phases as cos k phi and sin k phi rows, and stepped by the
-  same builder.
+- Step maps (_step_map, _step_table): the product of 2^i steps of either
+  method is a 2 pi-periodic function of its midpoint phase, tabled at
+  2D + 1 equispaced phases as cos k phi and sin k phi rows, and stepped by
+  the same builder. Its node maps are products of one-step unitaries: the
+  Chebyshev table's for magnus2, F between two kicks for strang.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ _CHUNK = 32
 #: Least phase between consecutive span centres (_taylor_order), from the
 #: drift of runs at q = 1, 10 and 30 (README, Methods).
 _SPAN_SPACING = 2e-5
+
+#: One numpy call's fixed cost, about 0.9 us, in the plan's products per
+#: stack entry times d^2 (strang's plan; README, Methods).
+_CALL = 5e3
 
 
 def _magnus_unitaries(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float) -> np.ndarray:
@@ -120,38 +127,30 @@ def _taylor_span(table: np.ndarray, degrees: np.ndarray, omega_dt: float,
     return _span_cost(sizes, degrees, omega_dt, n_steps, math.isqrt(table.shape[1]))[1:]
 
 
-def _step_map(table: np.ndarray, degrees: np.ndarray, omega_dt: float, n_steps: int,
-              stride: int) -> tuple[int, int]:
+def _step_map(bound: np.ndarray, node_cost: float, grid: float, call: float, d: int,
+              omega_dt: float, n_steps: int, stride: int, first: bool = False) -> tuple[int, int]:
     """(steps, D): the grid steps of an n_steps run's step map and the Fourier degree of its table.
 
     The map of steps = 2^i grid steps, P(phi) = U(phi + (steps - 1)/2 omega
     dt) ... U(phi - (steps - 1)/2 omega dt), is 2 pi-periodic in its
-    midpoint phase phi. With U(theta) = sum_j c_j exp(1j j theta), c_j =
-    C_|j| / 2 from the Chebyshev table (c_0 = C_0), the coefficients of the
-    map of 2s steps are bounded, in the spectral norm, by the convolution
-    of the s-step bounds with themselves. D is the least degree whose
-    neglected terms, twice over for aliasing, bound the table's error below
-    1e-16 (as _chebyshev_nodes does): a table of 2D + 1 rows, cos k phi
-    and sin k phi, fitted at as many nodes. It holds at most 2 _CHUNK rows.
-    steps divides stride. Its cost per grid step is its build amortized
-    over the run, N (steps K + 2d (steps - 1) + N) products per entry for
-    the N node maps and their fit, plus its own stepping (_span_cost) over
-    steps; the cheapest, against the grid's own table, is kept.
+    midpoint phase phi. With U(theta) = sum_j c_j exp(1j j theta) and bound
+    the spectral-norm bounds on |c_j|, j = -J .. J, the coefficients of
+    the map of 2s steps are bounded by the convolution of the s-step
+    bounds with themselves. D is the least degree whose neglected terms,
+    twice over for aliasing, bound the table's error below 1e-16 (as
+    _chebyshev_nodes does): a table of 2D + 1 rows, cos k phi and sin k
+    phi, fitted at as many nodes. It holds at most 2 _CHUNK rows. steps
+    divides stride. Its cost per grid step is its build amortized over the
+    run, N (steps node_cost + 2d (steps - 1) + N) products per entry for
+    the N node maps, node_cost to form each step's unitary, and their fit,
+    plus its own stepping (_span_cost) over steps; the cheapest, against
+    grid, the cost of a grid step, is kept: (1, 0) for the grid. call > 0
+    also prices numpy calls at call each: 1 200 for the build, whatever
+    its size, and per loop step 1, or 7 where the state is polished. With
+    first, the first map that beats the grid is returned.
     """
-    rows, d = len(table), math.isqrt(table.shape[1])
-    sizes = np.array([np.abs(row).max() for row in table])
-    best, choice = _span_cost(sizes, degrees, omega_dt, n_steps, d)[0], (1, rows - 1)
-    candidates = [1 << i for i in range(1, stride.bit_length())]
-
-    def build(steps: int, nodes: int) -> float:
-        return nodes * (steps * rows + 2 * d * (steps - 1) + nodes) / n_steps
-
-    # a map is at least as wide as one step: spare the norms where no build could pay
-    if not any(build(s, 2 * rows - 1) + 2 / s < best for s in candidates):
-        return choice
-    norms = _norm_bounds(table.reshape(rows, d, d))
-    bound = np.concatenate([norms[:0:-1] / 2, norms[:1], norms[1:] / 2])  # |c_j|, j = 1 - K .. K - 1
-    for steps in candidates:
+    best, choice = grid, (1, 0)
+    for steps in (1 << i for i in range(1, stride.bit_length())):
         bound = np.convolve(bound, bound)
         half = len(bound) // 2
         per_degree = bound[half:].copy()  # |c_k| + |c_-k| bounds the rows of degree k
@@ -159,14 +158,18 @@ def _step_map(table: np.ndarray, degrees: np.ndarray, omega_dt: float, n_steps: 
         beyond = np.cumsum(per_degree[::-1])[::-1]  # beyond[k]: the terms of degree k and up
         degree = int(np.argmax(2 * np.append(beyond[1:], 0.0) < 1e-16))
         nodes = 2 * degree + 1
+        build = (1200 * call + nodes * (steps * node_cost + 2 * d * (steps - 1) + nodes)) / n_steps
         # the bound's degree grows with the steps, so a longer map builds at least as much
-        if nodes > 2 * _CHUNK or build(steps, nodes) >= best:
+        if nodes > 2 * _CHUNK or build >= best:
             break
         map_degrees = _map_degrees(degree)
-        cost = build(steps, nodes) + _span_cost(per_degree[map_degrees.astype(int)], map_degrees,
-                                                steps * omega_dt, n_steps // steps, d)[0] / steps
+        cost, _, order = _span_cost(per_degree[map_degrees.astype(int)], map_degrees,
+                                    steps * omega_dt, n_steps // steps, d)
+        cost = build + (cost + (1 if order else 7) * call) / steps
         if cost < best:
             best, choice = cost, (steps, degree)
+            if first:
+                break
     return choice
 
 
@@ -195,34 +198,29 @@ def _map_degrees(degree: int) -> np.ndarray:
     return np.concatenate([np.arange(degree + 1.0), np.arange(1.0, degree + 1)])
 
 
-def _step_table(table: np.ndarray, omega_dt: float, steps: int,
-                degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _step_table(unitaries: Callable[[np.ndarray, np.ndarray], object], d: int, omega_dt: float,
+                steps: int, degree: int, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (2D + 1, d*d) Fourier table of the map of steps grid steps, its rows' degrees and phases.
 
     The map P(phi) (_step_map) is formed at the N = 2D + 1 nodes phi_i =
-    2 pi i / N as products of the Chebyshev table's unitaries, a block of
-    nodes at a time, each polished once, and fitted by one real DFT in
-    place: P(phi) = sum_r cos(k_r phi - s_r) A_r with
+    2 pi i / N as products of one-step unitaries, which unitaries(theta,
+    out) writes into out, (m, d, d), for the m midpoint phases theta; block
+    nodes at a time, each polished once, and fitted by one real
+    DFT in place: P(phi) = sum_r cos(k_r phi - s_r) A_r with
     A_r = (2/N) sum_i cos(k_r phi_i - s_r) P(phi_i), A_0 halved; the phase
     s_r is 0 for the cosines and pi/2 for the sines (_map_degrees). N is
     odd, so the fit interpolates.
     """
-    rows, d = len(table), math.isqrt(table.shape[1])
     n = 2 * degree + 1
     phases = 2 * np.pi * np.arange(n) / n
     offsets = (np.arange(steps) - 0.5 * (steps - 1)) * omega_dt
-    parts = table.view(float)
-    chebyshev = np.arange(rows, dtype=float)
     maps = np.empty((n, d, d), dtype=complex)
-    block = _CHUNK // 2
     u, product = np.empty((2, min(block, n), d, d), dtype=complex)
     for start in range(0, n, block):
         p = maps[start:start + block]
         m = len(p)
         for j, offset in enumerate(offsets):  # P <- U(phi + s_j) P, later steps on the left
-            out = p if j == 0 else u[:m]
-            np.matmul(_chebyshev_basis(phases[start:start + m] + offset, chebyshev), parts,
-                      out=out.reshape(m, -1).view(float))
+            unitaries(phases[start:start + m] + offset, p if j == 0 else u[:m])
             if j:
                 p[...] = np.matmul(u[:m], p, out=product[:m])
         # one Newton-Schulz step, P <- 1.5 P - 0.5 P (P^H P): the nodes' rounding
@@ -365,25 +363,77 @@ def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int) -> np.ndarr
     return table
 
 
-class _Plan(NamedTuple):
-    """How a magnus2 run steps (_magnus_plan)."""
+def _chebyshev_steps(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], object]:
+    """theta, out -> out = the (m, d, d) magnus2 unitaries at the phases theta, from table."""
+    parts, degrees = table.view(float), np.arange(len(table), dtype=float)
+    return lambda theta, out: np.matmul(_chebyshev_basis(theta, degrees), parts,
+                                        out=out.reshape(len(theta), -1).view(float))
 
-    build: Callable[[np.ndarray], list]  # loop-step start times -> their (d, d) step unitaries
+
+def _strang_steps(free: np.ndarray, lattice: Lattice, beta: float, omega: float,
+                  dt: float) -> Callable[[np.ndarray, np.ndarray], object]:
+    """theta, out -> out = the (m, d, d) strang steps at the midpoint phases theta.
+
+    A step is E(theta + omega dt/4) F E(theta - omega dt/4), F the free
+    step free and E(phi) = exp(-1j beta dt/2 cos(phi) n) the half kicks.
+    """
+    kick, quarter = (-0.5j * beta * dt) * lattice.points(), 0.25 * omega * dt
+
+    def unitaries(theta: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(free, np.exp(np.multiply.outer(np.cos(theta + quarter), kick))[:, :, None],
+                    out=out)
+        out *= np.exp(np.multiply.outer(np.cos(theta - quarter), kick))[:, None, :]
+
+    return unitaries
+
+
+def _strang_bound(beta: float, dt: float, q: int) -> np.ndarray | None:
+    """Bounds on the Fourier coefficients |c_j| of a strang step in its midpoint phase, or None.
+
+    E(phi) = sum_k exp(1j k phi) diag((-1j)^k J_k(beta dt n / 2)), and
+    |J_k(x)| <= (|x|/2)^k / k!, so x^|k| / |k|!, x = |beta dt| q / 4, bounds
+    the norms of a half kick's coefficients; F is unitary and the shift by
+    omega dt/4 leaves their moduli, so the step's are bounded by the
+    convolution of two such bounds. Cut where a term falls below 1e-20;
+    None where none does within 2 _CHUNK terms: no map's table would fit.
+    """
+    x = 0.25 * abs(beta * dt) * q
+    half = np.cumprod(np.append(1.0, x / np.arange(1.0, 2 * _CHUNK)))  # x^k / k!
+    if not half[-1] < 1e-20:
+        return None
+    half = half[:int(np.argmax(half < 1e-20)) + 1]
+    half = np.concatenate([half[:0:-1], half])
+    return np.convolve(half, half)
+
+
+class _Plan(NamedTuple):
+    """How a run steps (_step_plan); build None: by strang's own grid stepper."""
+
+    build: Callable[[np.ndarray], list] | None  # loop-step start times -> their step unitaries
     steps: int  # grid steps per loop step
     nodes: int  # rows of the run's table; 0 without one
     polish: bool  # whether each state takes the Newton-Schulz polish
 
 
-def _magnus_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float, dt: float,
-                 n_steps: int, stride: int) -> _Plan:
-    """The plan of an n_steps magnus2 run from t0 on the grid t0 + i dt.
+def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float, dt: float,
+               n_steps: int, stride: int, free: np.ndarray | None = None) -> _Plan:
+    """The plan of an n_steps run from t0 on the grid t0 + i dt: strang's with free, its F.
 
-    Above _CHUNK Chebyshev nodes each stack comes from its own eigh: a table
-    would cost more eigh work and memory than one chunk of direct steps,
-    and each loop step is one grid step. Otherwise the run builds its
-    Chebyshev table, and _step_map may replace it by the table of a map of
-    2^i grid steps, i up to stride's power of two (_step_table); a loop
-    step is then one such map, on the grid t0 + j 2^i dt, and the nodes
+    magnus2: above _CHUNK Chebyshev nodes each stack comes from its own
+    eigh: a table would cost more eigh work and memory than one chunk of
+    direct steps, and each loop step is one grid step. Otherwise the run
+    builds its Chebyshev table, and _step_map may replace it by the table
+    of a map of 2^i grid steps, i up to stride's power of two
+    (_step_table), its node maps products of the table's unitaries; the
+    bounds on its coefficients come from the table's norms (_norm_bounds),
+    taken only where the entries' maxima, which bound the norms from below,
+    leave a map that might pay.
+    strang: the bounds are closed-form (_strang_bound), and a map's node
+    unitaries are F between two diagonal kicks, with no eigh. A strang
+    grid step is 2 products per entry, but its two numpy calls on vectors
+    cost more at small d: _step_map prices calls at _CALL / d^2 each. Where
+    no map pays, build is None: the run takes strang's own grid stepper.
+    A loop step is then one map, on the grid t0 + j 2^i dt, and the nodes
     are the map's. _tabled_builder writes each stack from the table into
     a buffer allocated here, once, in spans of the loop's grid where
     _taylor_span finds one that pays, and build hands out views of it
@@ -393,20 +443,46 @@ def _magnus_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: flo
     centre term, and a run without spans takes the polish of each state,
     U (3 - U^H U) psi / 2.
     """
-    m = _chebyshev_nodes(abs(beta * dt) * lattice.q)
-    if m > _CHUNK:
-        def unitaries(t: np.ndarray) -> list:
-            return list(_magnus_unitaries(lattice, mu, beta * np.cos(omega * (t + 0.5 * dt)), dt))
+    d, omega_dt = lattice.d, omega * dt
+    if free is not None:
+        bound = _strang_bound(beta, dt, lattice.q)
+        steps, degree = (1, 0) if bound is None else _step_map(
+            bound, 2, 2 + 2 * _CALL / d**2, _CALL / d**2, d, omega_dt, n_steps, stride)
+        if steps == 1:
+            return _Plan(None, 1, 0, False)
+    else:
+        m = _chebyshev_nodes(abs(beta * dt) * lattice.q)
+        if m > _CHUNK:
+            def unitaries(t: np.ndarray) -> list:
+                return list(_magnus_unitaries(lattice, mu, beta * np.cos(omega * (t + 0.5 * dt)),
+                                              dt))
 
-        return _Plan(unitaries, 1, 0, False)
-    table = _magnus_table(lattice.q, mu, beta, dt, m)
-    degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
-    shifts = np.zeros(m)
-    steps, degree = _step_map(table, degrees, omega * dt, n_steps, stride)
+            return _Plan(unitaries, 1, 0, False)
+        table = _magnus_table(lattice.q, mu, beta, dt, m)
+        degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
+        shifts = np.zeros(m)
+        sizes = np.array([np.abs(row).max() for row in table])
+        grid = _span_cost(sizes, degrees, omega_dt, n_steps, d)[0]
+
+        def step_map(norms: np.ndarray, first: bool = False) -> tuple[int, int]:
+            # |c_j|, j = 1 - m .. m - 1: c_j = C_|j| / 2, c_0 = C_0
+            bound = np.concatenate([norms[:0:-1] / 2, norms[:1], norms[1:] / 2])
+            return _step_map(bound, m, grid, 0.0, d, omega_dt, n_steps, stride, first)
+
+        steps, degree = step_map(sizes, first=True)  # sizes bound the norms from below
+        if steps > 1:
+            steps, degree = step_map(_norm_bounds(table.reshape(m, d, d)))
     if steps > 1:
-        table, degrees, shifts = _step_table(table, omega * dt, steps, degree)
+        one_step = (_chebyshev_steps(table) if free is None
+                    else _strang_steps(free, lattice, beta, omega, dt))
+        # strang in blocks of 8 nodes: a process running strang days on maps
+        # peaked 0.15-0.25 MB lower than with 16. magnus2 keeps 16: the rounding
+        # of its basis product, and so its table's bits, depend on the rows per call
+        table, degrees, shifts = _step_table(one_step, d, omega_dt, steps, degree,
+                                             _CHUNK // (2 if free is None else 4))
+        del one_step  # frees magnus2's Chebyshev table before the run steps
     dt, n_steps = steps * dt, n_steps // steps
-    work = np.empty((min(_CHUNK, n_steps), lattice.d, lattice.d), dtype=complex)
+    work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
     span, order = _taylor_span(table, degrees, omega * dt, n_steps)
     fill = _tabled_builder(table, degrees, shifts, omega, dt, t0, work, span, order)
     views = list(work)  # iterating work would make a view object per step

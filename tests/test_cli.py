@@ -252,6 +252,21 @@ def test_evolve_fig2_day_takes_eight_step_maps(tmp_path):
     assert manifest["norm_drift"] <= 1e-13
 
 
+@pytest.mark.parametrize("dt, step_map", [(None, {"steps": 4, "nodes": 49}),
+                                           (0.015625, {"steps": 128, "nodes": 37})],
+                         ids=["dt-1", "dt-1_64"])
+def test_evolve_fig2_strang_day_takes_step_maps(tmp_path, dt, step_map):
+    # the default method on maps: 7 200 loop steps at dt = 1; at dt = 1/64
+    # 14 400, drift 1.6e-14, where its 1 843 200 grid steps drift 1.4e-10,
+    # past the tolerance of observables_series (exit 3)
+    argv = ["evolve", "--preset", "fig2", "--out", str(tmp_path)]
+    assert main(argv + (["--dt", str(dt)] if dt else [])) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["method"] == "strang"
+    assert manifest["step_map"] == step_map
+    assert manifest["norm_drift"] <= 1e-13
+
+
 def test_evolve_free_run_probabilities_are_even(tmp_path):
     config_path = _write_config(tmp_path / "run.json", beta=0.0)
     outdir = tmp_path / "out"
@@ -467,6 +482,17 @@ def test_python_m_qlimit_runs_the_cli(tmp_path):
     probe = "import sys, qlimit.cli; print('qlimit.__main__' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          timeout=60, check=True)
+    assert run.stdout.strip() == "False"
+
+
+def test_importing_the_cli_leaves_the_checks_uncompiled():
+    # only `qlimit check` runs the suite: every other command's process would
+    # otherwise compile checks.py's source on start-up
+    src = str(Path(qlimit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = "import sys, qlimit.cli; print('qlimit.checks' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60, check=True)
     assert run.stdout.strip() == "False"
 
 

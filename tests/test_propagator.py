@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qlimit
+from qlimit import tables
 from qlimit import (
     ConfigError,
     GaussianParams,
@@ -36,21 +37,20 @@ from qlimit.propagator import (
     MAX_Q,
     METHODS,
     NORM_TOLERANCE,
-    _magnus_stepper,
     _propagate,
-    _strang_stepper,
+    _stepper,
 )
 from qlimit.tables import (
     _CHUNK,
     _chebyshev_basis,
     _chebyshev_nodes,
     _magnus_nodes,
-    _magnus_plan,
     _magnus_table,
     _magnus_unitaries,
     _taylor_factors,
     _taylor_order,
     _taylor_span,
+    _step_plan,
 )
 
 
@@ -325,7 +325,7 @@ def _plan_stacks(plan, t):
 
 def _plan(cfg, dt, n_steps, t0=0.0, stride=1):
     """The magnus2 plan of cfg's run of n_steps steps of dt from t0; stride 1: on the grid."""
-    return _magnus_plan(cfg.lattice, cfg.mu, cfg.beta, cfg.omega, t0, dt, n_steps, stride)
+    return _step_plan(cfg.lattice, cfg.mu, cfg.beta, cfg.omega, t0, dt, n_steps, stride)
 
 
 @pytest.mark.parametrize("method, steps, atol", [("magnus2", 1, 0.0), ("reference", 2, 1e-13)],
@@ -421,7 +421,8 @@ def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
     # broadcast multiply, would take 16 _STATES d bytes or more
     cfg = _config()
     d = cfg.lattice.d
-    step = _strang_stepper(cfg, 0.0, 1.0, 2 * _STATES)
+    step, steps, _, kicked = _stepper(cfg, 0.0, 1.0, 2 * _STATES)
+    assert steps == 1 and kicked  # a short run: no map pays, strang takes its grid stepper
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
     _, peak = _traced_peak(lambda: step(_STATES + np.arange(float(_STATES)), psi, rows))
@@ -439,7 +440,7 @@ def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(factorized):
     cfg = _config(beta=0.1 if factorized else 0.0)
     d = cfg.lattice.d
     assert _plan(cfg, 1.0, 4 * _STATES).polish != factorized
-    step, steps, _ = _magnus_stepper(cfg, 0.0, 1.0, 4 * _STATES)
+    step, steps, _, _ = _stepper(replace(cfg, method="magnus2"), 0.0, 1.0, 4 * _STATES)
     assert steps == 1
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = initial_state(cfg).amplitudes
@@ -485,6 +486,9 @@ def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
 
 @pytest.mark.parametrize("method, beta, chunk_time, nodes, stacks, omega", [
     ("strang", 0.1, 64.0, None, 0.25, 2e-4),
+    # 8-step maps at 27 nodes: F, the node maps and two quarter-stack blocks to
+    # build them, then the table, one stack, W table and S (2.26 stacks measured)
+    ("strang", 0.002, 16448.0, 27, 4, 2e-4),
     ("magnus2", 0.1875, 64.0, _CHUNK, 4, 2e-4),  # the largest table, factorized
     ("magnus2", 0.1875, 64.0, _CHUNK, 3, 1.0),   # the largest table, state-polished
     ("magnus2", 0.25, 64.0, None, 4.5, 2e-4),    # one eigh per step
@@ -495,18 +499,19 @@ def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk
     # MAX_Q keeps _PEAK_STACKS (_CHUNK, d, d) complex stacks within 1 GiB;
     # a run that held more would break that bound. The allowance on top of
     # each path's stacks is a few (_CHUNK, d) blocks of vectors: states,
-    # kicks, eigenvalues. Each run fills two chunks of states (chunk_time
-    # each) and starts a third, so every buffer has been reused.
+    # kicks, eigenvalues. Each run of 2.25 chunk_time fills two chunks of
+    # states or more and starts another, so every buffer has been reused.
     assert stacks <= _PEAK_STACKS
     cfg = _config(q=40, beta=beta, omega=omega, method=method, t_end=2.25 * chunk_time,
                   snapshots=None)
-    assert chunk_time * _REFINE[method] == _STATES * cfg.dt
     d = cfg.lattice.d
-    _, peak = _traced_peak(lambda: evolve(cfg))
+    traj, peak = _traced_peak(lambda: evolve(cfg))
+    loops = cfg.n_steps * _REFINE[method] // traj.step_map["steps"]
+    assert loops > 2 * _STATES and loops % _STATES, loops
     stack = 16 * _CHUNK * d * d
     assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
     if method == "strang":
-        assert not eigh_matrices
+        assert not eigh_matrices and traj.step_map["nodes"] == (nodes or 0)
     else:
         m = _chebyshev_nodes(beta * cfg.dt / _REFINE[method] * cfg.q)
         assert (m if m <= _CHUNK else None) == nodes
@@ -964,6 +969,69 @@ def test_fig2_day_takes_eight_step_maps_within_a_megabyte(fig2_config):
     assert peak < 2**20, peak
 
 
+def test_step_map_rule_takes_the_norm_bounds_only_where_a_map_may_pay(fig2_config,
+                                                                       monkeypatch):
+    # The Chebyshev table's entries bound its norms from below, so a run they
+    # price no map for, as the 600-step check run, takes no _norm_bounds
+    # (0.5-0.75 ms at q = 10); where they leave one, the norms pick it.
+    calls = []
+    norm_bounds = tables._norm_bounds
+    monkeypatch.setattr(tables, "_norm_bounds", lambda mats: calls.append(len(mats))
+                        or norm_bounds(mats))
+    for method, t_end, step_map in (("magnus2", 600.0, {"steps": 1, "nodes": 15}),
+                                    ("magnus2", 28800.0, {"steps": 8, "nodes": 57}),
+                                    ("reference", 28800.0, {"steps": 32, "nodes": 47})):
+        calls.clear()
+        cfg = replace(fig2_config, method=method, t_end=t_end, snapshots=(0.0, t_end))
+        assert evolve(cfg).step_map == step_map, method
+        assert len(calls) == (step_map["steps"] > 1), (method, t_end)
+
+
+def test_fig2_strang_day_on_step_maps_matches_its_grid(fig2_config, eigh_matrices):
+    # The day's snapshot steps share the factor 8, but the closed-form bound
+    # on strang's coefficients (tables._strang_bound) puts an 8-step map at
+    # 65 nodes, past the 63-row cap: 7 200 loop steps of a 4-step map at 49
+    # nodes. Its states lie within 3.4e-13 of the grid run's, and it drifts
+    # 2.6e-14 against the grid's 2.4e-13. Neither takes an eigh.
+    traj = evolve(fig2_config)
+    grid = evolve(replace(fig2_config, snapshots=(0.0, 1.0) + fig2_config.snapshots[1:]))
+    assert traj.step_map == {"steps": 4, "nodes": 49}
+    assert grid.step_map == {"steps": 1, "nodes": 0}
+    on_grid = dict(grid.states)
+    for t, state in traj.states:
+        assert np.abs(state.amplitudes - on_grid[t].amplitudes).max() <= 1e-12, t
+    assert traj.norm_drift <= 1e-13 and grid.norm_drift <= 2.5e-13
+    assert eigh_matrices == []
+
+
+def test_free_strang_run_on_step_maps_matches_the_closed_form(eigh_matrices):
+    # beta = 0: the map of 2^i steps is F^(2^i), one row; the day takes
+    # 64-step maps and lies 1.3e-12 off the closed form (F's own rounding,
+    # 28 800 times), drift 8.9e-16
+    cfg = _config(beta=0.0, t_end=28800.0, snapshots=(0.0, 14400.0, 28800.0))
+    traj = evolve(cfg)
+    assert traj.step_map == {"steps": 64, "nodes": 1}
+    psi = initial_state(cfg)
+    for t, state in traj.states:
+        exact = exact_free_evolution(psi, t, cfg.mu)
+        assert np.abs(state.amplitudes - exact.amplitudes).max() <= 1e-11, t
+    assert traj.norm_drift <= 1e-13
+    assert eigh_matrices == []
+
+
+def test_fine_strang_day_drift_extrapolates_within_tolerance_at_the_step_limit(fig2_config,
+                                                                                eigh_matrices):
+    # The fig2 day at dt = 1/64, 1 843 200 steps, drifted 1.4e-10 on its grid,
+    # past NORM_TOLERANCE. On 128-step maps at 37 nodes it drifts 1.6e-14 at
+    # half a day and at the whole day, which take the same maps: the line
+    # through both, continued to _MAX_STEPS, stays where it is.
+    cfg = replace(fig2_config, dt=1 / 64)
+    assert evolve(cfg).step_map == {"steps": 128, "nodes": 37}
+    drifts, limit = _drift_at_the_step_limit(cfg, (921600, 1843200), grid=False)
+    assert max(drifts) <= 1e-13 and limit < 1e-12, drifts
+    assert eigh_matrices == []
+
+
 def test_reference_run_conserves_norm(fig2_reference):
     # 230 400 steps: a unitarity defect that repeated from step to step would
     # add up linearly, to 2.6e-11 here and past 1e-10 after about a million
@@ -1040,7 +1108,7 @@ def test_propagator_imports_only_the_plan_from_tables():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             assert all(alias.name.split(".")[-1] != "tables" for alias in node.names)
-    assert imported == {"_CHUNK", "_magnus_plan"}
+    assert imported == {"_CHUNK", "_step_plan"}
 
 
 def test_package_caches_stay_bounded_in_parameter_sweeps():
