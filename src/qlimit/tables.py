@@ -1,24 +1,54 @@
-"""Step-operator tables of magnus2 and strang runs, and the plan that picks them.
+"""How a run steps: the plan, its step-operator tables and its stepper.
 
 A magnus2 step is U = exp(-1j*dt*(K + c*R)) with the coupling
 c = beta*cos(theta), theta = omega*(t + dt/2); a strang step is
-E(theta + omega dt/4) F E(theta - omega dt/4), F the free step and E the
-diagonal half kicks. _step_plan alone decides how a run of either method
-steps: eigh per step or a table, a step map, spans, and whether the states
-need the polish. It hands ``propagator`` a builder of the run's stacks,
-which ``propagator`` applies, or, for a strang run no map pays for, none;
-the tables hold no state beyond the run that builds them.
+E(theta + omega dt/4) F E(theta - omega dt/4), F = exp(-1j*dt*T^2/(2 mu))
+the free step, a circulant matrix (_free_step), and
+E(phi) = exp(-1j*beta*dt/2*cos(phi)*n) the diagonal half kicks (_kicks).
+_step_plan alone decides how a run of either method steps, and hands
+``propagator`` the run's stepper (_Stepper). A stepper allocates its
+buffers once per run: fresh per-chunk temporaries cost tens of thousands
+of minor page faults a day whenever the allocator hands them back to the
+system between chunks. The tables hold no state beyond the run.
 
+- strang on its grid (_grid_stepper): psi <- F (k_j * psi), two calls on
+  d-vectors and no d x d matrix built per step. k_j merges the closing
+  half kick of step j - 1 with the opening one of step j (first same as
+  last): as cos w(t + dt/4) + cos w(t - dt/4) = 2 cos(wt) cos(w dt/4), a
+  chunk's kicks are exp(outer(cos(w t), rate)), one cos per step. The
+  carried state thus lacks its last closing half kick, E(w (t_k - dt/4)),
+  which depends on t_k alone: the plan hands it to the loop (_Plan.kick),
+  which undoes it once on the initial state, exactly, as it is diagonal
+  and unitary, and applies it to the recorded states only. ``norm_drift``
+  and the ``PropagationError`` step are taken on the carried states,
+  whose norm equals psi's up to one rounding.
 - The Chebyshev table in x = cos(theta) (_magnus_table): M node
-  unitaries, one eigh per node pair, fitted as U = sum_k cos(k theta) C_k.
+  unitaries, one eigh per node pair x, -x, fitted as
+  U = sum_k cos(k theta) C_k; each step's U is a sum of M coefficient
+  matrices, built as stacks of _CHUNK steps. Above _CHUNK nodes each step
+  takes its own eigh instead.
 - Spans (_taylor_span, _tabled_builder): where L steps of the run's grid
   sweep a narrow phase, the span's basis factors as S W(c), p Taylor
-  terms about its centre phase c.
-- Step maps (_step_map, _step_table): the product of 2^i steps of either
-  method is a 2 pi-periodic function of its midpoint phase, tabled at
-  2D + 1 equispaced phases as cos k phi and sin k phi rows, and stepped by
-  the same builder. Its node maps are products of one-step unitaries: the
-  Chebyshev table's for magnus2, F between two kicks for strang.
+  terms about its centre phase c: W table is formed once per span, and
+  each stack is S (W table), p (K + L) products per entry and span
+  instead of L K (L = 128, p = 8, K = 15 on the fig2 day).
+- Polish. A table's unitarity defect is nearly the same from step to step
+  and would make the norm drift grow linearly with the steps. One
+  Newton-Schulz step (_polish) cancels it, with rounding of its own each
+  time, so the drift grows as a random walk: once per span on its centre
+  term M_0 = U(c), or, where no span pays or the span centres lie too
+  close in phase (omega = 0 among them: spans would repeat one centre
+  term), per step on the state (_stack_stepper).
+- Step maps (_step_map, _step_table): as H(t) is periodic, the product of
+  2^i steps of either method is a 2 pi-periodic, analytic function of its
+  midpoint phase. Where 2^i divides the run's steps and every recorded
+  step, and its build pays, the run tables that map at 2D + 1 <= 2 _CHUNK
+  equispaced phases as cos k phi and sin k phi rows, and steps the grid
+  2^i steps at a time with the same builder, spans and polish. Its node
+  maps are products of one-step unitaries: the Chebyshev table's for
+  magnus2, F between two half kicks for strang, with no eigh. The fig2
+  day takes 3 600 loop steps of an 8-step map at 57 nodes with magnus2,
+  7 200 of a 4-step map at 49 nodes with strang.
 """
 
 from __future__ import annotations
@@ -29,15 +59,28 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericalError
+from .fourier import even_dual_matrix
 from .lattice import Lattice
 from .operators import hamiltonians
 
-#: Steps per stack: magnus2 builds its step unitaries this many at a time.
+#: Steps per stack: a tabled run builds its step unitaries this many at a time.
 _CHUNK = 32
+
+#: States per chunk: the loop hands a stepper, and checks the norms of, this
+#: many steps at a time. Beside its stacks a run holds (_STATES, d) complex
+#: blocks of states and, for strang, of kicks; the memory test allows 8
+#: (_CHUNK, d) blocks of vectors, which a q = 40 magnus2 run keeps within at
+#: 2 _CHUNK states and exceeds at 4 _CHUNK.
+_STATES = 2 * _CHUNK
 
 #: Least phase between consecutive span centres (_taylor_order), from the
 #: drift of runs at q = 1, 10 and 30 (README, Methods).
 _SPAN_SPACING = 2e-5
+
+#: A stepper: (t, psi, rows) -> psi. It takes the steps starting at the times
+#: t from the carried state psi, writes the state after each into the next of
+#: rows and returns the last.
+_Stepper = Callable[[np.ndarray, np.ndarray, list], np.ndarray]
 
 #: One numpy call's fixed cost, about 0.9 us, in the plan's products per
 #: stack entry times d^2 (strang's plan; README, Methods).
@@ -120,11 +163,16 @@ def _span_cost(sizes: np.ndarray, degrees: np.ndarray, omega_dt: float, n_steps:
             return (best + 2 if choice[1] else len(sizes) + 8.0, *choice)
 
 
+def _row_maxima(table: np.ndarray) -> np.ndarray:
+    """The largest entry modulus of each row of table, with no table-sized temporary."""
+    return np.array([np.abs(row).max() for row in table])
+
+
 def _taylor_span(table: np.ndarray, degrees: np.ndarray, omega_dt: float,
                  n_steps: int) -> tuple[int, int]:
     """(L, p): the span of steps and Taylor terms of an n_steps run's factorization; p = 0: none."""
-    sizes = np.array([np.abs(row).max() for row in table])  # no table-sized temporary
-    return _span_cost(sizes, degrees, omega_dt, n_steps, math.isqrt(table.shape[1]))[1:]
+    return _span_cost(_row_maxima(table), degrees, omega_dt, n_steps,
+                      math.isqrt(table.shape[1]))[1:]
 
 
 def _step_map(bound: np.ndarray, node_cost: float, grid: float, call: float, d: int,
@@ -198,20 +246,33 @@ def _map_degrees(degree: int) -> np.ndarray:
     return np.concatenate([np.arange(degree + 1.0), np.arange(1.0, degree + 1)])
 
 
+def _polish(p: np.ndarray, conj: np.ndarray, gram: np.ndarray) -> None:
+    """One Newton-Schulz step in place, P <- 1.5 P - 0.5 P (P^H P), on a (d, d) P or a stack.
+
+    It cancels P's unitarity defect to first order (Higham, *Functions of
+    Matrices*, 2008, 8.3); conj and gram are scratch of P's shape.
+    """
+    np.matmul(np.conjugate(p, out=conj).swapaxes(-1, -2), p, out=gram)
+    np.multiply(np.matmul(p, gram, out=conj), 0.5, out=conj)
+    np.subtract(np.multiply(p, 1.5, out=p), conj, out=p)
+
+
 def _step_table(unitaries: Callable[[np.ndarray, np.ndarray], object], d: int, omega_dt: float,
-                steps: int, degree: int, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                steps: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (2D + 1, d*d) Fourier table of the map of steps grid steps, its rows' degrees and phases.
 
     The map P(phi) (_step_map) is formed at the N = 2D + 1 nodes phi_i =
     2 pi i / N as products of one-step unitaries, which unitaries(theta,
-    out) writes into out, (m, d, d), for the m midpoint phases theta; block
-    nodes at a time, each polished once, and fitted by one real
-    DFT in place: P(phi) = sum_r cos(k_r phi - s_r) A_r with
+    out) writes into out, (m, d, d), for the m midpoint phases theta; 8
+    nodes at a time (the fig2 magnus2 day's traced peak: 0.77 MB, 0.81 MB
+    with 16), each polished once: the nodes' rounding would otherwise
+    leave the table a defect that changes slowly with phi. One real DFT
+    in place fits them: P(phi) = sum_r cos(k_r phi - s_r) A_r with
     A_r = (2/N) sum_i cos(k_r phi_i - s_r) P(phi_i), A_0 halved; the phase
     s_r is 0 for the cosines and pi/2 for the sines (_map_degrees). N is
     odd, so the fit interpolates.
     """
-    n = 2 * degree + 1
+    n, block = 2 * degree + 1, _CHUNK // 4
     phases = 2 * np.pi * np.arange(n) / n
     offsets = (np.arange(steps) - 0.5 * (steps - 1)) * omega_dt
     maps = np.empty((n, d, d), dtype=complex)
@@ -223,11 +284,7 @@ def _step_table(unitaries: Callable[[np.ndarray, np.ndarray], object], d: int, o
             unitaries(phases[start:start + m] + offset, p if j == 0 else u[:m])
             if j:
                 p[...] = np.matmul(u[:m], p, out=product[:m])
-        # one Newton-Schulz step, P <- 1.5 P - 0.5 P (P^H P): the nodes' rounding
-        # would otherwise leave the table a defect that changes slowly with phi
-        np.matmul(np.conjugate(p, out=u[:m]).transpose(0, 2, 1), p, out=product[:m])
-        np.matmul(p, product[:m], out=u[:m])
-        np.subtract(np.multiply(p, 1.5, out=p), np.multiply(u[:m], 0.5, out=u[:m]), out=p)
+        _polish(p, u[:m], product[:m])
     degrees = _map_degrees(degree)
     shifts = np.zeros(n)
     shifts[degree + 1:] = 0.5 * np.pi
@@ -274,9 +331,13 @@ def _taylor_factors(degrees: np.ndarray, shifts: np.ndarray, omega: float, dt: f
 
 
 def _tabled_builder(table: np.ndarray, degrees: np.ndarray, shifts: np.ndarray, omega: float,
-                    dt: float, t0: float, work: np.ndarray, span: int,
-                    order: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The builder of a tabled magnus2 run's step unitaries: t -> work[:n], the stack at t.
+                    dt: float, t0: float, n_steps: int, span: int,
+                    order: int) -> Callable[[np.ndarray], list]:
+    """The builder of an n_steps tabled run's step unitaries: t -> the stack at t.
+
+    The stack is written into a buffer allocated here, once, and handed
+    out as views of it made once per run: iterating the buffer would make
+    a view object per step.
 
     Step j of the n = len(t) has the phase theta_j = omega (t_j + dt/2) and
     U_j = sum_k cos(k theta_j - shift_k) C_k: the stack is B table, B its
@@ -293,6 +354,9 @@ def _tabled_builder(table: np.ndarray, degrees: np.ndarray, shifts: np.ndarray, 
     row 0, M_0 = U(c), which S weights by 1 at every step, are formed once
     per span; each stack is then S[o:o + n] (W table).
     """
+    d = math.isqrt(table.shape[1])
+    work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
+    views = list(work)
     parts = table.view(float)
     stacks = work.reshape(len(work), -1).view(float)
     if not order:
@@ -300,7 +364,7 @@ def _tabled_builder(table: np.ndarray, degrees: np.ndarray, shifts: np.ndarray, 
         powers = np.empty((len(work), cosines), dtype=complex)
         basis = np.empty((len(work), len(table)))
 
-        def direct(t: np.ndarray) -> np.ndarray:
+        def direct(t: np.ndarray) -> list:
             # cos(k theta) and sin(k theta) = Re and Im of exp(1j theta)^k:
             # rounding each k theta on its own would leave, at large theta,
             # values of no one angle
@@ -313,28 +377,25 @@ def _tabled_builder(table: np.ndarray, degrees: np.ndarray, shifts: np.ndarray, 
             np.copyto(basis[:n, :cosines], z.real)
             np.copyto(basis[:n, cosines:], z[:, 1:len(table) - cosines + 1].imag)
             np.matmul(basis[:n], parts, out=stacks[:n])
-            return work[:n]
+            return views[:n]
 
         return direct
     powers, weights = _taylor_factors(degrees, shifts, omega, dt, span, order)
     terms = np.empty((order, parts.shape[1]))  # W table
     m_0 = terms[0].view(complex).reshape(work.shape[1:])
-    conj, gram, cubed = work[:3]  # scratch until the stack is formed over them
+    conj, gram = work[:2]  # scratch until the stack is formed over them
     centred = None  # the span whose W table terms holds
 
-    def build(t: np.ndarray) -> np.ndarray:
+    def build(t: np.ndarray) -> list:
         nonlocal centred
         n = len(t)
         first, offset = divmod(round((t[0] - t0) / dt), span)
         if first != centred:
             centred = first
             np.matmul(weights(t0 + first * span * dt), parts, out=terms)
-            # M_0 <- 1.5 M_0 - 0.5 M_0 (M_0^H M_0)
-            np.matmul(np.conjugate(m_0, out=conj).T, m_0, out=gram)
-            np.multiply(np.matmul(m_0, gram, out=cubed), 0.5, out=cubed)
-            np.subtract(np.multiply(m_0, 1.5, out=m_0), cubed, out=m_0)
+            _polish(m_0, conj, gram)
         np.matmul(powers[offset:offset + n], terms, out=stacks[:n])
-        return work[:n]
+        return views[:n]
 
     return build
 
@@ -370,21 +431,79 @@ def _chebyshev_steps(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], ob
                                         out=out.reshape(len(theta), -1).view(float))
 
 
-def _strang_steps(free: np.ndarray, lattice: Lattice, beta: float, omega: float,
-                  dt: float) -> Callable[[np.ndarray, np.ndarray], object]:
-    """theta, out -> out = the (m, d, d) strang steps at the midpoint phases theta.
+def _free_step(lattice: Lattice, mu: float, dt: float) -> np.ndarray:
+    """strang's free step F = exp(-1j*dt*T^2/(2 mu)) in the return basis (complex symmetric)."""
+    n = lattice.points().astype(float)
+    return even_dual_matrix(lattice, np.exp(-0.5j * n * n * dt / mu))
 
-    A step is E(theta + omega dt/4) F E(theta - omega dt/4), F the free
-    step free and E(phi) = exp(-1j beta dt/2 cos(phi) n) the half kicks.
-    """
-    kick, quarter = (-0.5j * beta * dt) * lattice.points(), 0.25 * omega * dt
 
+def _kicks(cos: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """The diagonal kicks exp(c rate) for the values c of cos: E for rate = -0.5j beta dt n."""
+    return np.exp(np.multiply.outer(cos, rate))
+
+
+def _strang_steps(free: np.ndarray, rate: np.ndarray,
+                  quarter: float) -> Callable[[np.ndarray, np.ndarray], object]:
+    """theta, out -> out = the (m, d, d) strang steps E(theta + quarter) F E(theta - quarter)."""
     def unitaries(theta: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(free, np.exp(np.multiply.outer(np.cos(theta + quarter), kick))[:, :, None],
-                    out=out)
-        out *= np.exp(np.multiply.outer(np.cos(theta - quarter), kick))[:, None, :]
+        np.multiply(free, _kicks(np.cos(theta + quarter), rate)[:, :, None], out=out)
+        out *= _kicks(np.cos(theta - quarter), rate)[:, None, :]
 
     return unitaries
+
+
+def _grid_stepper(free: np.ndarray, rate: np.ndarray, omega: float, quarter: float,
+                  n_steps: int) -> _Stepper:
+    """strang's grid stepper for an n_steps run: psi <- F (k_j * psi), the kicks merged.
+
+    k_j = exp(cos(omega t_j) merged), merged = 2 cos(quarter) rate; the
+    kicks of up to min(_STATES, n_steps) steps are written into one buffer
+    allocated here.
+    """
+    merged = (rate * (2 * math.cos(quarter)))[None]
+    # cos(omega t) as a complex column: its product with merged is then one
+    # matmul, which, unlike _kicks' broadcast product, allocates no ufunc buffers
+    cos = np.zeros((min(_STATES, n_steps), 1), dtype=complex)
+    kicks = np.empty((len(cos), len(rate)), dtype=complex)
+    kicked = np.empty(len(rate), dtype=complex)
+
+    def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
+        np.cos(omega * t, out=cos[:len(t), 0].real)
+        k = np.matmul(cos[:len(t)], merged, out=kicks[:len(t)])
+        for k_j, row in zip(np.exp(k, out=k), rows):
+            psi = free.dot(np.multiply(k_j, psi, out=kicked), out=row)
+        return psi
+
+    return step
+
+
+def _stack_stepper(build: Callable[[np.ndarray], list], d: int, polish: bool) -> _Stepper:
+    """psi <- U_j psi for the stacks build(t), _CHUNK loop steps at a time.
+
+    With polish each state takes one Newton-Schulz step as well,
+    psi <- U (3 - U^H U) psi / 2 = 1.5 v - 0.5 U (U^H v), v = U psi.
+    """
+    if polish:
+        conj = np.empty((d, d), dtype=complex)
+        adjoint = conj.T  # U_j^H once conj holds U_j's conjugate
+        v, w, x = np.empty((3, d), dtype=complex)
+
+        def apply(u: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+            u.dot(psi, out=v)
+            np.conjugate(u, out=conj)
+            adjoint.dot(v, out=w)
+            np.multiply(u.dot(w, out=x), 0.5, out=x)
+            return np.subtract(np.multiply(v, 1.5, out=out), x, out=out)
+    else:
+        apply = np.ndarray.dot
+
+    def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
+        for start in range(0, len(t), _CHUNK):
+            for u, row in zip(build(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
+                psi = apply(u, psi, out=row)
+        return psi
+
+    return step
 
 
 def _strang_bound(beta: float, dt: float, q: int) -> np.ndarray | None:
@@ -396,8 +515,12 @@ def _strang_bound(beta: float, dt: float, q: int) -> np.ndarray | None:
     omega dt/4 leaves their moduli, so the step's are bounded by the
     convolution of two such bounds. Cut where a term falls below 1e-20;
     None where none does within 2 _CHUNK terms: no map's table would fit.
+    From x = 2 _CHUNK on no term falls below 1, and the product of terms
+    would overflow from x near 1.9e6.
     """
     x = 0.25 * abs(beta * dt) * q
+    if not x < 2 * _CHUNK:
+        return None
     half = np.cumprod(np.append(1.0, x / np.arange(1.0, 2 * _CHUNK)))  # x^k / k!
     if not half[-1] < 1e-20:
         return None
@@ -407,49 +530,56 @@ def _strang_bound(beta: float, dt: float, q: int) -> np.ndarray | None:
 
 
 class _Plan(NamedTuple):
-    """How a run steps (_step_plan); build None: by strang's own grid stepper."""
+    """How a run steps (_step_plan).
 
-    build: Callable[[np.ndarray], list] | None  # loop-step start times -> their step unitaries
+    kick is None but on strang's grid: t -> the closing half kick of the
+    step that ends at t, which the carried states lack. build is None
+    there too: it hands out a stack run's step unitaries.
+    """
+
+    step: _Stepper  # the run's stepper
     steps: int  # grid steps per loop step
     nodes: int  # rows of the run's table; 0 without one
+    kick: Callable[[float], np.ndarray] | None
+    build: Callable[[np.ndarray], list] | None  # loop-step start times -> their step unitaries
     polish: bool  # whether each state takes the Newton-Schulz polish
 
 
 def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float, dt: float,
-               n_steps: int, stride: int, free: np.ndarray | None = None) -> _Plan:
-    """The plan of an n_steps run from t0 on the grid t0 + i dt: strang's with free, its F.
+               n_steps: int, stride: int, method: str = "magnus2") -> _Plan:
+    """The plan of an n_steps run of method from t0 on the grid t0 + i dt, with its stepper.
 
-    magnus2: above _CHUNK Chebyshev nodes each stack comes from its own
-    eigh: a table would cost more eigh work and memory than one chunk of
-    direct steps, and each loop step is one grid step. Otherwise the run
-    builds its Chebyshev table, and _step_map may replace it by the table
-    of a map of 2^i grid steps, i up to stride's power of two
-    (_step_table), its node maps products of the table's unitaries; the
-    bounds on its coefficients come from the table's norms (_norm_bounds),
-    taken only where the entries' maxima, which bound the norms from below,
-    leave a map that might pay.
-    strang: the bounds are closed-form (_strang_bound), and a map's node
-    unitaries are F between two diagonal kicks, with no eigh. A strang
-    grid step is 2 products per entry, but its two numpy calls on vectors
-    cost more at small d: _step_map prices calls at _CALL / d^2 each. Where
-    no map pays, build is None: the run takes strang's own grid stepper.
-    A loop step is then one map, on the grid t0 + j 2^i dt, and the nodes
-    are the map's. _tabled_builder writes each stack from the table into
-    a buffer allocated here, once, in spans of the loop's grid where
-    _taylor_span finds one that pays, and build hands out views of it
-    made once per run. The table's unitarity defect, nearly the same from
-    step to step, would add up linearly, past the 1e-10 expectation()
-    accepts after about a million steps: the builder polishes each span's
-    centre term, and a run without spans takes the polish of each state,
-    U (3 - U^H U) psi / 2.
+    magnus2 (and reference): above _CHUNK Chebyshev nodes each stack comes
+    from its own eigh: a table would cost more eigh work and memory than
+    one chunk of direct steps, and each loop step is one grid step.
+    Otherwise the run builds its Chebyshev table, and _step_map may replace
+    it by the table of a map of 2^i grid steps, i up to stride's power of
+    two (_step_table); the bounds on its coefficients come from the table's
+    norms (_norm_bounds), taken only where the entries' maxima, which bound
+    the norms from below, leave a map that might pay.
+    strang: the bounds are closed-form (_strang_bound). A strang grid step
+    is 2 products per entry, but its two numpy calls cost more at small d:
+    _step_map prices calls at _CALL / d^2 each. Where no map pays the run
+    takes its grid stepper, and kick is its closing half kick.
+    A loop step is one map, on the grid t0 + j 2^i dt, and the nodes are
+    the map's. _tabled_builder builds the stacks from the table, in spans
+    of the loop's grid where one pays. A run without spans polishes its
+    states: the table's defect would otherwise add up linearly, past the
+    1e-10 expectation() accepts after about a million steps.
     """
     d, omega_dt = lattice.d, omega * dt
-    if free is not None:
+    if method == "strang":
+        free = _free_step(lattice, mu, dt)
+        rate, quarter = (-0.5j * beta * dt) * lattice.points(), 0.25 * omega_dt
         bound = _strang_bound(beta, dt, lattice.q)
         steps, degree = (1, 0) if bound is None else _step_map(
             bound, 2, 2 + 2 * _CALL / d**2, _CALL / d**2, d, omega_dt, n_steps, stride)
         if steps == 1:
-            return _Plan(None, 1, 0, False)
+            def kick(t: float) -> np.ndarray:
+                return _kicks(np.cos(omega * (t - 0.25 * dt)), rate)
+
+            return _Plan(_grid_stepper(free, rate, omega, quarter, n_steps), 1, 0, kick, None,
+                         False)
     else:
         m = _chebyshev_nodes(abs(beta * dt) * lattice.q)
         if m > _CHUNK:
@@ -457,12 +587,12 @@ def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float
                 return list(_magnus_unitaries(lattice, mu, beta * np.cos(omega * (t + 0.5 * dt)),
                                               dt))
 
-            return _Plan(unitaries, 1, 0, False)
+            return _Plan(_stack_stepper(unitaries, d, False), 1, 0, None, unitaries, False)
         table = _magnus_table(lattice.q, mu, beta, dt, m)
         degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
         shifts = np.zeros(m)
-        sizes = np.array([np.abs(row).max() for row in table])
-        grid = _span_cost(sizes, degrees, omega_dt, n_steps, d)[0]
+        sizes = _row_maxima(table)
+        grid, span, order = _span_cost(sizes, degrees, omega_dt, n_steps, d)
 
         def step_map(norms: np.ndarray, first: bool = False) -> tuple[int, int]:
             # |c_j|, j = 1 - m .. m - 1: c_j = C_|j| / 2, c_0 = C_0
@@ -473,22 +603,11 @@ def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float
         if steps > 1:
             steps, degree = step_map(_norm_bounds(table.reshape(m, d, d)))
     if steps > 1:
-        one_step = (_chebyshev_steps(table) if free is None
-                    else _strang_steps(free, lattice, beta, omega, dt))
-        # strang in blocks of 8 nodes: a process running strang days on maps
-        # peaked 0.15-0.25 MB lower than with 16. magnus2 keeps 16: the rounding
-        # of its basis product, and so its table's bits, depend on the rows per call
-        table, degrees, shifts = _step_table(one_step, d, omega_dt, steps, degree,
-                                             _CHUNK // (2 if free is None else 4))
+        one_step = (_strang_steps(free, rate, quarter) if method == "strang"
+                    else _chebyshev_steps(table))
+        table, degrees, shifts = _step_table(one_step, d, omega_dt, steps, degree)
         del one_step  # frees magnus2's Chebyshev table before the run steps
-    dt, n_steps = steps * dt, n_steps // steps
-    work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
-    span, order = _taylor_span(table, degrees, omega * dt, n_steps)
-    fill = _tabled_builder(table, degrees, shifts, omega, dt, t0, work, span, order)
-    views = list(work)  # iterating work would make a view object per step
-
-    def build(t: np.ndarray) -> list:
-        fill(t)
-        return views[:len(t)]
-
-    return _Plan(build, steps, len(table), not order)
+        dt, n_steps = steps * dt, n_steps // steps
+        span, order = _taylor_span(table, degrees, omega * dt, n_steps)
+    build = _tabled_builder(table, degrees, shifts, omega, dt, t0, n_steps, span, order)
+    return _Plan(_stack_stepper(build, d, not order), steps, len(table), None, build, not order)

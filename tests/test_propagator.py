@@ -38,7 +38,6 @@ from qlimit.propagator import (
     METHODS,
     NORM_TOLERANCE,
     _propagate,
-    _stepper,
 )
 from qlimit.tables import (
     _CHUNK,
@@ -323,9 +322,9 @@ def _plan_stacks(plan, t):
     return np.concatenate([np.array(plan.build(t[i:i + _CHUNK])) for i in range(0, len(t), _CHUNK)])
 
 
-def _plan(cfg, dt, n_steps, t0=0.0, stride=1):
-    """The magnus2 plan of cfg's run of n_steps steps of dt from t0; stride 1: on the grid."""
-    return _step_plan(cfg.lattice, cfg.mu, cfg.beta, cfg.omega, t0, dt, n_steps, stride)
+def _plan(cfg, dt, n_steps, t0=0.0, stride=1, method="magnus2"):
+    """The plan of cfg's run of n_steps steps of dt from t0 by method; stride 1: on the grid."""
+    return _step_plan(cfg.lattice, cfg.mu, cfg.beta, cfg.omega, t0, dt, n_steps, stride, method)
 
 
 @pytest.mark.parametrize("method, steps, atol", [("magnus2", 1, 0.0), ("reference", 2, 1e-13)],
@@ -421,8 +420,10 @@ def test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks():
     # broadcast multiply, would take 16 _STATES d bytes or more
     cfg = _config()
     d = cfg.lattice.d
-    step, steps, _, kicked = _stepper(cfg, 0.0, 1.0, 2 * _STATES)
-    assert steps == 1 and kicked  # a short run: no map pays, strang takes its grid stepper
+    plan = _plan(cfg, 1.0, 2 * _STATES, method="strang")
+    # a short run: no map pays, strang takes its grid stepper
+    assert plan.steps == 1 and plan.kick is not None
+    step = plan.step
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = step(np.arange(float(_STATES)), initial_state(cfg).amplitudes, rows)
     _, peak = _traced_peak(lambda: step(_STATES + np.arange(float(_STATES)), psi, rows))
@@ -439,9 +440,9 @@ def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(factorized):
     # its states.
     cfg = _config(beta=0.1 if factorized else 0.0)
     d = cfg.lattice.d
-    assert _plan(cfg, 1.0, 4 * _STATES).polish != factorized
-    step, steps, _, _ = _stepper(replace(cfg, method="magnus2"), 0.0, 1.0, 4 * _STATES)
-    assert steps == 1
+    plan = _plan(cfg, 1.0, 4 * _STATES)
+    assert plan.polish != factorized and plan.steps == 1
+    step = plan.step
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = initial_state(cfg).amplitudes
     for start in (0, _STATES):
@@ -945,7 +946,7 @@ def test_step_map_run_reports_the_grid_step_of_a_blowup(time_limit):
 def test_step_map_run_memory_stays_within_the_stacks_max_q_assumes(eigh_matrices):
     # q = 40, 4 096 steps: 2-step maps whose table fills its 2 _CHUNK - 1 = 63
     # rows. Building it holds the Chebyshev table (24 rows), the 63 node maps
-    # and two 16-node blocks, 3.7 stacks (3.78 measured, with the vectors);
+    # and two 8-node blocks, 3.2 stacks (3.47 measured, with the vectors);
     # stepping holds the table, one stack, W table and S. The nodes come
     # from the Chebyshev table's 12 eigh matrices alone.
     cfg = _config(q=40, beta=0.1, method="magnus2", t_end=4096.0, snapshots=None)
@@ -962,7 +963,7 @@ def test_step_map_run_memory_stays_within_the_stacks_max_q_assumes(eigh_matrices
 def test_fig2_day_takes_eight_step_maps_within_a_megabyte(fig2_config):
     # 3 600 loop steps of an 8-step map tabled at 57 phase nodes; the traced
     # peak of the whole run, table build included, stays under 1 MB
-    # (0.86 MB here, 0.46 MB when the day took 28 800 grid steps)
+    # (0.77 MB here, 0.46 MB when the day took 28 800 grid steps)
     cfg = replace(fig2_config, method="magnus2")
     traj, peak = _traced_peak(lambda: evolve(cfg))
     assert traj.step_map == {"steps": 8, "nodes": 57}
@@ -1001,6 +1002,17 @@ def test_fig2_strang_day_on_step_maps_matches_its_grid(fig2_config, eigh_matrice
     for t, state in traj.states:
         assert np.abs(state.amplitudes - on_grid[t].amplitudes).max() <= 1e-12, t
     assert traj.norm_drift <= 1e-13 and grid.norm_drift <= 2.5e-13
+    # backward from t_end to 0, recorded at the snapshots' step counts: the
+    # same maps, 3.5e-13 off the grid run, drift 2.9e-14 against 2.8e-13
+    psi, n_steps = initial_state(fig2_config).amplitudes, fig2_config.n_steps
+    record_at = {round(t / fig2_config.dt) for t in fig2_config.snapshots}
+    back = _propagate(fig2_config, psi, fig2_config.t_end, -fig2_config.dt, n_steps, record_at)
+    back_grid = _propagate(fig2_config, psi, fig2_config.t_end, -fig2_config.dt, n_steps,
+                           record_at | {1})
+    assert (back.steps, back.nodes, back_grid.steps) == (4, 49, 1)
+    for k in record_at:
+        assert np.abs(back.states[k] - back_grid.states[k]).max() <= 1e-12, k
+    assert back.drift <= 1e-13 and back_grid.drift <= 3e-13
     assert eigh_matrices == []
 
 
@@ -1096,19 +1108,29 @@ def test_huge_coupling_rate_runs_without_warnings():
         traj = evolve(cfg)
         assert traj.step_map == {"steps": 1, "nodes": 15}
         assert traj.norm_drift <= 1e-13
+    # strang at |beta dt| q / 4 past 2 _CHUNK: no map's table can fit, and
+    # its coefficient bound's product of terms would overflow from about
+    # 1.9e6; the run takes its grid (drift 2.5e-14 and 2.7e-14 here)
+    for beta in (1e7, 1e200):
+        traj = evolve(_config(beta=beta))
+        assert traj.step_map == {"steps": 1, "nodes": 0}
+        assert traj.norm_drift <= 1e-13
 
 
 def test_propagator_imports_only_the_plan_from_tables():
-    # tables owns the magnus2 plan and propagator applies it: any other name
-    # of tables in propagator would split the decision again
+    # tables owns how a run steps and propagator runs the loop: any other
+    # name of tables in propagator would split the decision again, and a
+    # fourier name but the oracle's DFT would build a step operator there
     source = Path(qlimit.__file__).with_name("propagator.py").read_text()
-    imported = set()
+    imported = {"tables": set(), "fourier": set()}
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "tables":
-            imported.update(alias.name for alias in node.names)
+        module = (getattr(node, "module", None) or "").split(".")[-1]
+        if isinstance(node, ast.ImportFrom) and module in imported:
+            imported[module].update(alias.name for alias in node.names)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            assert all(alias.name.split(".")[-1] != "tables" for alias in node.names)
-    assert imported == {"_CHUNK", "_step_plan"}
+            assert all(alias.name.split(".")[-1] not in imported for alias in node.names)
+    assert imported == {"tables": {"_CHUNK", "_STATES", "_step_plan"},
+                        "fourier": {"dft_matrices"}}
 
 
 def test_package_caches_stay_bounded_in_parameter_sweeps():
