@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -208,8 +209,10 @@ def cmd_evolve(
     Returns the manifest dict. Its ``timings`` give each phase's wall time
     in seconds (the manifest's own write is not timed; ``table`` is the
     build of the run's step operators), ``steps_per_second`` the
-    integration steps over the propagate time, and ``step_map`` the grid
-    steps each loop step takes and the nodes of the run's table.
+    integration steps over the propagate time, ``step_map`` the grid
+    steps each loop step takes and the nodes of the run's table, and
+    ``resolution`` the top kinetic phase q^2 h / (2 mu) of one integration
+    step h against pi.
     Partial outputs are removed if writing fails midway.
     """
     started = datetime.now(timezone.utc).isoformat()
@@ -243,6 +246,8 @@ def cmd_evolve(
         "timings": timings,
         "steps_per_second": steps / timings["propagate"] if timings.get("propagate") else None,
         "step_map": traj.step_map or None,
+        "resolution": {"kinetic_phase": config.q**2 * config.dt / _REFINE[config.method]
+                       / (2 * config.mu), "limit": math.pi},
     }
     if figure_targets:
         states = {t: psi.amplitudes for t, psi in traj.states}

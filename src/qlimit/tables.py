@@ -25,8 +25,12 @@ system between chunks. The tables hold no state beyond the run.
 - The Chebyshev table in x = cos(theta) (_magnus_table): M node
   unitaries, one eigh per node pair x, -x, fitted as
   U = sum_k cos(k theta) C_k; each step's U is a sum of M coefficient
-  matrices, built as stacks of _CHUNK steps. Above _CHUNK nodes each step
-  takes its own eigh instead.
+  matrices, built as stacks of _CHUNK steps.
+- Narrow tables (_coupling_interval, _narrow_builder): a short run sweeps
+  x over [x0 - h, x0 + h] only. Tabled there, at one eigh per node, it
+  takes 4 or 5 nodes where [-1, 1] takes 22 to 29 (60 steps, q = 15 to
+  30), and steps them directly with the state polish. Each step takes its
+  own eigh only where M > _CHUNK and no narrow table fits.
 - Spans (_taylor_span, _tabled_builder): where L steps of the run's grid
   sweep a narrow phase, the span's basis factors as S W(c), p Taylor
   terms about its centre phase c: W table is formed once per span, and
@@ -85,6 +89,11 @@ _Stepper = Callable[[np.ndarray, np.ndarray, list], np.ndarray]
 #: One numpy call's fixed cost, about 0.9 us, in the plan's products per
 #: stack entry times d^2 (strang's plan; README, Methods).
 _CALL = 5e3
+
+#: One node unitary's cost, its share of a batched eigh and its products
+#: (_magnus_unitaries), in the plan's products per stack entry at _CALL's
+#: time per product: 700 to 1 250 from q = 5 to 100 (README, Methods).
+_NODE = 800
 
 
 def _magnus_unitaries(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float) -> np.ndarray:
@@ -400,6 +409,37 @@ def _tabled_builder(table: np.ndarray, degrees: np.ndarray, shifts: np.ndarray, 
     return build
 
 
+def _narrow_builder(table: np.ndarray, x0: float, half: float, omega: float, dt: float,
+                    n_steps: int) -> Callable[[np.ndarray], list]:
+    """The builder of an n_steps run's step unitaries from its table on [x0 - h, x0 + h].
+
+    U_j = sum_k T_k(u_j) C_k, u_j = (cos theta_j - x0) / h, the basis by
+    the recurrence T_k+1 = 2u T_k - T_k-1 from T_0 = 1 and T_1 = u; a
+    one-row table (h = 0) needs no u. Buffers and views as _tabled_builder's.
+    """
+    d = math.isqrt(table.shape[1])
+    work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
+    views, parts = list(work), table.view(float)
+    stacks = work.reshape(len(work), -1).view(float)
+    basis = np.ones((len(work), len(table)))  # column 0, T_0 = 1, is never written
+
+    def build(t: np.ndarray) -> list:
+        n = len(t)
+        b = basis[:n]
+        if len(table) > 1:
+            np.cos(omega * (t + 0.5 * dt), out=b[:, 1])
+            b[:, 1] -= x0
+            b[:, 1] /= half
+            for k in range(2, len(table)):
+                np.multiply(b[:, 1], b[:, k - 1], out=b[:, k])
+                b[:, k] *= 2.0
+                b[:, k] -= b[:, k - 2]
+        np.matmul(b, parts, out=stacks[:n])
+        return views[:n]
+
+    return build
+
+
 def _magnus_nodes(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
                   m: int) -> np.ndarray:
     """(m, d, d) unitaries at the m Chebyshev nodes, given the couplings of the first ceil(m/2).
@@ -411,17 +451,46 @@ def _magnus_nodes(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
     return np.concatenate([half, half[:m // 2][::-1, ::-1, ::-1]])
 
 
-def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int) -> np.ndarray:
-    """(m, d*d) Chebyshev coefficients C_k in x of exp(-1j*dt*(K + beta*x*R)) on [-1, 1].
+def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int, x0: float = 0.0,
+                  half: float = 1.0) -> np.ndarray:
+    """(m, d*d) Chebyshev coefficients C_k in x of exp(-1j*dt*(K + beta*x*R)) on [x0 - h, x0 + h].
 
-    U(x) = sum_k T_k(x) C_k interpolates m node unitaries,
-    m = _chebyshev_nodes(|beta*dt|*q).
+    U(x) = sum_k T_k((x - x0)/h) C_k interpolates m node unitaries at
+    x0 + h cos theta_i, m = _chebyshev_nodes(|beta*dt|*q*h): on [-1, 1]
+    one eigh per node pair (_magnus_nodes), on a narrow interval
+    (_coupling_interval) one per node. h = 0 takes the one node x0, and
+    the table is that step's unitary, exactly.
     """
     theta = np.pi * (np.arange(m) + 0.5) / m
-    u = _magnus_nodes(Lattice(q), mu, beta * np.cos(theta[:(m + 1) // 2]), dt, m)
+    if half == 1.0:
+        u = _magnus_nodes(Lattice(q), mu, beta * np.cos(theta[:(m + 1) // 2]), dt, m)
+    else:
+        u = _magnus_unitaries(Lattice(q), mu, beta * (x0 + half * np.cos(theta)), dt)
     table = (2.0 / m) * _chebyshev_basis(theta, np.arange(m)).T @ u.reshape(m, -1)
     table[0] *= 0.5
     return table
+
+
+def _coupling_interval(omega: float, t0: float, dt: float, n_steps: int) -> tuple[float, float]:
+    """(x0, h): the interval [x0 - h, x0 + h] that cos theta covers over an n_steps run's phases.
+
+    The midpoint phases theta_j = omega (t0 + j dt + dt/2), formed as the
+    builders form them, lie between the first and the last: cos reaches 1
+    where that range holds a multiple of 2 pi, -1 where it holds an odd
+    one of pi, and its ends elsewhere. A range 2 pi wide or more, or not
+    finite, gives [-1, 1]; Python floats overflow to inf with no warning.
+    """
+    ends = omega * (t0 + 0.5 * dt), omega * ((t0 + (n_steps - 1) * dt) + 0.5 * dt)
+    lo, hi = min(ends), max(ends)
+    if not hi - lo < 2 * math.pi:
+        return 0.0, 1.0
+
+    def reaches(phase: float) -> bool:  # some phase + 2 pi k lies in [lo, hi]
+        return math.ceil((lo - phase) / (2 * math.pi)) * 2 * math.pi + phase <= hi
+
+    top = 1.0 if reaches(0.0) else max(math.cos(lo), math.cos(hi))
+    bottom = -1.0 if reaches(math.pi) else min(math.cos(lo), math.cos(hi))
+    return 0.5 * (top + bottom), 0.5 * (top - bottom)
 
 
 def _chebyshev_steps(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], object]:
@@ -549,10 +618,18 @@ def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float
                n_steps: int, stride: int, method: str = "magnus2") -> _Plan:
     """The plan of an n_steps run of method from t0 on the grid t0 + i dt, with its stepper.
 
-    magnus2 (and reference): above _CHUNK Chebyshev nodes each stack comes
-    from its own eigh: a table would cost more eigh work and memory than
-    one chunk of direct steps, and each loop step is one grid step.
-    Otherwise the run builds its Chebyshev table, and _step_map may replace
+    magnus2 (and reference): a table of the run's own interval in x
+    (_coupling_interval) takes M' = _chebyshev_nodes(|beta dt| q h) nodes,
+    one eigh each, and, having no Fourier form over 2 pi, no step map or
+    span (_narrow_builder). The run takes it where the eigh it saves, at
+    _NODE each, against the paired table's ceil(M/2) or, above _CHUNK
+    nodes, one per step, outweigh what its steps may add: M' + 6 products
+    per entry and 6 numpy calls at _CALL / d^2 over the 2 and the one
+    call of the cheapest step. Otherwise, above _CHUNK nodes each stack
+    comes from its own eigh: a table would cost more eigh work and memory
+    than one chunk of direct steps, and each loop step is one grid step.
+    Below, the run builds its paired Chebyshev table on [-1, 1], and
+    _step_map may replace
     it by the table of a map of 2^i grid steps, i up to stride's power of
     two (_step_table); the bounds on its coefficients come from the table's
     norms (_norm_bounds), taken only where the entries' maxima, which bound
@@ -581,7 +658,15 @@ def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float
             return _Plan(_grid_stepper(free, rate, omega, quarter, n_steps), 1, 0, kick, None,
                          False)
     else:
-        m = _chebyshev_nodes(abs(beta * dt) * lattice.q)
+        reach = abs(beta * dt) * lattice.q
+        m = _chebyshev_nodes(reach)
+        x0, half = _coupling_interval(omega, t0, dt, n_steps)
+        narrow = _chebyshev_nodes(reach * half)
+        saved = ((m + 1) // 2 if m <= _CHUNK else n_steps) - narrow  # eigh matrices
+        if narrow <= _CHUNK and saved * _NODE > n_steps * (narrow + 6 + 6 * _CALL / d**2):
+            table = _magnus_table(lattice.q, mu, beta, dt, narrow, x0, half)
+            build = _narrow_builder(table, x0, half, omega, dt, n_steps)
+            return _Plan(_stack_stepper(build, d, True), 1, narrow, None, build, True)
         if m > _CHUNK:
             def unitaries(t: np.ndarray) -> list:
                 return list(_magnus_unitaries(lattice, mu, beta * np.cos(omega * (t + 0.5 * dt)),

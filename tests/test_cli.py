@@ -252,6 +252,15 @@ def test_evolve_fig2_day_takes_eight_step_maps(tmp_path):
     assert manifest["norm_drift"] <= 1e-13
 
 
+@pytest.mark.parametrize("method, phase", [("strang", 50.0), ("reference", 6.25)])
+def test_evolve_manifest_reports_the_kinetic_phase_of_a_step(tmp_path, method, phase):
+    # q^2 h / (2 mu) for one integration step h (dt / 8 for reference),
+    # against pi: the fig2 day resolves its top modes with neither method
+    assert main(["evolve", "--preset", "fig2", "--method", method, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["resolution"] == {"kinetic_phase": phase, "limit": np.pi}
+
+
 @pytest.mark.parametrize("dt, step_map", [(None, {"steps": 4, "nodes": 49}),
                                            (0.015625, {"steps": 128, "nodes": 37})],
                          ids=["dt-1", "dt-1_64"])

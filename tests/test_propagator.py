@@ -43,6 +43,7 @@ from qlimit.tables import (
     _CHUNK,
     _chebyshev_basis,
     _chebyshev_nodes,
+    _coupling_interval,
     _magnus_nodes,
     _magnus_table,
     _magnus_unitaries,
@@ -309,11 +310,14 @@ def test_evolve_strang_equals_repeated_steps():
 
 
 def test_evolve_magnus_equals_repeated_steps():
+    # the run's own plan, its stepper called one loop step at a time (one-step
+    # runs would each take one exact node, 1.1e-12 from the 300-step table)
     cfg = _config(t_end=300.0, snapshots=(300.0,), method="magnus2")
     final = evolve(cfg).states[-1][1]
+    plan = _plan(cfg, cfg.dt, cfg.n_steps, stride=4)  # 4: evolve's, the power of two in 300
     psi = initial_state(cfg).amplitudes
-    for i in range(300):
-        psi = _step(cfg, psi, float(i), 1.0)
+    for i in range(cfg.n_steps // plan.steps):
+        psi = plan.step(np.array([i * plan.steps * cfg.dt]), psi, [np.empty_like(psi)])
     assert np.abs(final.amplitudes - psi).max() < 1e-12
 
 
@@ -490,10 +494,13 @@ def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
     # 8-step maps at 27 nodes: F, the node maps and two quarter-stack blocks to
     # build them, then the table, one stack, W table and S (2.26 stacks measured)
     ("strang", 0.002, 16448.0, 27, 4, 2e-4),
-    ("magnus2", 0.1875, 64.0, _CHUNK, 4, 2e-4),  # the largest table, factorized
+    # the largest paired table, factorized: shorter runs take a narrow table
+    ("magnus2", 0.1875, 192.0, _CHUNK, 4, 2e-4),
     ("magnus2", 0.1875, 64.0, _CHUNK, 3, 1.0),   # the largest table, state-polished
-    ("magnus2", 0.25, 64.0, None, 4.5, 2e-4),    # one eigh per step
-    ("reference", 1.5, 8.0, _CHUNK, 4, 2e-4),
+    ("magnus2", 0.25, 64.0, None, 4.5, 1.0),     # one eigh per step
+    ("magnus2", 0.25, 64.0, 5, 2, 2e-4),         # a narrow table, state-polished
+    ("reference", 1.5, 8.0, _CHUNK, 3, 1.0),
+    ("reference", 1.5, 80.0, _CHUNK, 4, 2e-4),
 ])
 def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk_time, nodes,
                                                              stacks, omega, eigh_matrices):
@@ -515,10 +522,12 @@ def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk
         assert not eigh_matrices and traj.step_map["nodes"] == (nodes or 0)
     else:
         m = _chebyshev_nodes(beta * cfg.dt / _REFINE[method] * cfg.q)
-        assert (m if m <= _CHUNK else None) == nodes
-        # the run's own table, one eigh per node pair, or one eigh per step
+        assert traj.step_map == {"steps": 1, "nodes": nodes or 0}
+        # the run's own table, one eigh per node pair on [-1, 1] and one per
+        # node on a narrow interval, or one eigh per step
         steps = cfg.n_steps * _REFINE[method]
-        assert sum(eigh_matrices) == ((m + 1) // 2 if nodes else steps)
+        assert sum(eigh_matrices) == (steps if nodes is None else
+                                      (m + 1) // 2 if nodes == m else nodes)
 
 
 def test_magnus_evolve_at_large_q_matches_single_steps():
@@ -559,7 +568,9 @@ def test_magnus_table_matches_eigh_unitaries(q):
 @pytest.mark.parametrize("q, beta, omega, dt, n_steps, span, order, late", [
     (10, 0.1, 2e-4, 1.0, 28800, 128, 8, 28672),       # the fig2 day (K = 15)
     (10, 0.1, 2e-4, 0.125, 230400, 256, 6, 230144),  # its reference (K = 9)
-    (30, 0.2, 5e-4, 1.0, 60, 60, 10, 0),             # the sweep's largest short run (K = 29)
+    # the sweep's largest coupling (K = 29) over 600 steps, which keep the
+    # paired table (its 60-step runs take a narrow one)
+    (30, 0.2, 5e-4, 1.0, 600, 128, 12, 384),
     # the most terms W table keeps (K = 29), up to the phase the fig2 day
     # reaches: a span of 64 steps would take 19
     (20, 0.3, 0.004, 1.0, 100000, 32, 15, 1440),
@@ -649,21 +660,25 @@ def test_wide_phase_and_two_step_runs_take_the_direct_build(omega):
     # A run whose stacks sweep a wide phase would take more Taylor terms
     # than the factorization saves at any span, and a run of two steps has
     # no span that pays: both get the Chebyshev basis, the powers of each
-    # step's exp(1j theta), times the table, bit for bit.
+    # step's exp(1j theta), times the table, bit for bit. Both keep the
+    # paired table on [-1, 1]: their phases sweep too much of it for a
+    # narrow one to pay.
     cfg = _config(omega=omega)
     d = cfg.lattice.d
     for dt in (1.0, -1.0):
         plan = _plan(cfg, dt, 60)
-        assert plan.polish
+        assert plan.polish and plan.nodes == _chebyshev_nodes(cfg.beta * cfg.q)
         table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, plan.nodes)
         t = np.arange(60) * dt
         expected = [np.matmul(_power_basis(omega * (t[i:i + _CHUNK] + 0.5 * dt), len(table)),
                               table.view(float)) for i in range(0, len(t), _CHUNK)]
         np.testing.assert_array_equal(_plan_stacks(plan, t),
                                       np.concatenate(expected).view(complex).reshape(-1, d, d))
-    cfg = _config()  # the fig2 coupling, which factorizes longer runs
+    # two steps at omega = 1, phases 0.5 and 1.5: on their interval 12 nodes,
+    # against the paired table's 15 in 8 pairs (at the fig2 rate 2 nodes)
+    cfg = _config(omega=1.0)
     plan = _plan(cfg, 1.0, 2)
-    assert plan.polish
+    assert plan.polish and plan.nodes == _chebyshev_nodes(cfg.beta * cfg.q)
     table = _magnus_table(cfg.q, cfg.mu, cfg.beta, 1.0, plan.nodes)
     t = np.array([0.0, 1.0])
     expected = np.matmul(_power_basis(cfg.omega * (t + 0.5), len(table)), table.view(float))
@@ -907,23 +922,138 @@ def test_odd_snapshot_step_keeps_the_grid_stepper_bit_for_bit(fig2_config):
     assert evolve(replace(cfg, snapshots=(0.0, 1800.0, 28800.0))).step_map["steps"] == 8
 
 
+#: The nodes of the sweep's coupled 60-step runs at each q, for beta = 0.05,
+#: 0.1 and 0.2 at omega = 1e-4, 2e-4 and 5e-4: narrow tables of 3 to 5
+#: nodes where their node unitaries pay for their state-polished steps,
+#: elsewhere the paired table of _chebyshev_nodes(beta q).
+_SWEEP_NODES = {5: (11, 11, 11, 13, 13, 13, 15, 15, 15), 7: (12, 12, 12, 14, 14, 14, 17, 17, 17),
+                10: (13, 13, 13, 15, 15, 15, 4, 4, 19), 15: (3, 14, 14, 3, 4, 4, 4, 4, 5),
+                20: (3, 4, 4, 4, 4, 5, 4, 4, 5), 30: (3, 4, 4, 4, 4, 5, 4, 4, 5)}
+
+
 @pytest.mark.parametrize("q", [5, 7, 10, 15, 20, 30])
 def test_short_coupled_runs_take_grid_steps(q):
     # a 60-step run of the benchmark's sweep records steps 30 and 60, so
-    # 2-step maps would be allowed; no map's build pays for 30 loop steps.
-    # (beta = 0 runs take them: their map, F^2, is one row, two products.)
+    # 2-step maps would be allowed; no map's build pays for 30 loop steps,
+    # and a narrow table takes none. (beta = 0 runs take them: their map,
+    # F^2, is one row, two products.)
+    nodes = iter(_SWEEP_NODES[q])
     for beta in (0.05, 0.1, 0.2):
         for omega, mu in ((1e-4, 0.5), (2e-4, 1.0), (5e-4, 2.0)):
             cfg = _config(q=q, beta=beta, omega=omega, mu=mu, method="magnus2", t_end=60.0,
                           snapshots=(0.0, 30.0, 60.0))
-            assert evolve(cfg).step_map == {"steps": 1,
-                                            "nodes": _chebyshev_nodes(beta * q)}, (beta, omega)
+            assert evolve(cfg).step_map == {"steps": 1, "nodes": next(nodes)}, (beta, omega)
     cfg = _config(q=q, beta=0.0, method="magnus2", t_end=60.0, snapshots=(0.0, 30.0, 60.0))
     traj = evolve(cfg)
     assert traj.step_map == {"steps": 2, "nodes": 1}
     exact = exact_free_evolution(initial_state(cfg), 60.0, cfg.mu)
     # 5.0e-12 at q = 30 (7.2e-14 at q = 10), as on the grid: F's own error
     assert np.abs(traj.states[-1][1].amplitudes - exact.amplitudes).max() <= 1e-11
+
+
+@pytest.mark.parametrize("q, bound", [(5, 5e-14), (15, 4e-13), (30, 4e-13)])
+def test_narrow_table_runs_match_eigh_products(q, bound, monkeypatch):
+    # 60 steps at omega = 5e-4 sweep x = cos theta over [cos 0.03, 1]. A
+    # table of that interval (a node price so high that it always pays)
+    # takes 4 or 5 nodes; the paired one on [-1, 1] (price 0) 11 to 29.
+    # Forward from t = 0 and backward from 60, the narrow table's states
+    # lie within bound of per-step eigh products, and its worst within the
+    # paired table's worst: 2.9e-14 against 6.6e-14 at q = 5, 2.7e-13
+    # against 4.1e-13 at q = 15, 2.8e-13 against 1.3e-12 at q = 30.
+    worst = {}
+    for price in (1e9, 0):
+        monkeypatch.setattr(tables, "_NODE", price)
+        for beta in (0.05, 0.2, -0.1):
+            cfg = _config(q=q, beta=beta, omega=5e-4, method="magnus2", t_end=60.0,
+                          snapshots=(0.0, 30.0, 60.0))
+            psi = initial_state(cfg).amplitudes
+            for t0, dt in ((0.0, 1.0), (60.0, -1.0)):
+                run = _propagate(cfg, psi, t0, dt, 60, {30, 60})
+                paired = _chebyshev_nodes(abs(beta) * q)
+                assert run.nodes in ((4, 5) if price else (paired,)), (beta, dt)
+                assert run.drift <= 1e-13
+                expected = _eigh_states(cfg, t0, dt, 60, psi, {30, 60})
+                error = max(np.abs(run.states[k] - expected[k]).max() for k in (30, 60))
+                worst[price] = max(worst.get(price, 0.0), error)
+    assert worst[1e9] <= bound and worst[1e9] <= worst[0], worst
+
+
+def test_narrow_table_replaces_per_step_eigh_at_large_q(eigh_matrices):
+    # q = 100, beta = 0.1: [-1, 1] needs more than _CHUNK nodes, so each of
+    # the 60 steps took its own eigh; the run's interval takes 5 nodes, and
+    # its states lie 5.1e-13 (3.1e-13 backward) off the per-step products
+    cfg = _config(q=100, beta=0.1, omega=5e-4, method="magnus2", t_end=60.0,
+                  snapshots=(0.0, 30.0, 60.0))
+    assert _chebyshev_nodes(cfg.beta * cfg.q) > _CHUNK
+    psi = initial_state(cfg).amplitudes
+    for t0, dt in ((0.0, 1.0), (60.0, -1.0)):
+        eigh_matrices.clear()
+        run = _propagate(cfg, psi, t0, dt, 60, {60})
+        assert eigh_matrices == [5] and run.nodes == 5
+        assert run.drift <= 1e-13
+        expected = _eigh_states(cfg, t0, dt, 60, psi, {60})
+        assert np.abs(run.states[60] - expected[60]).max() <= 1e-12, dt
+
+
+def test_sweep_run_tables_only_the_couplings_it_sweeps(eigh_matrices):
+    # the sweep's largest coupling, q = 30, beta = 0.2, omega = 5e-4, over
+    # 60 steps: 5 node unitaries, one eigh each, where [-1, 1] takes 29 in
+    # 15 pairs; a one-step run takes one node, that step's exact unitary
+    cfg = _config(q=30, beta=0.2, omega=5e-4, method="magnus2", t_end=60.0,
+                  snapshots=(0.0, 30.0, 60.0))
+    assert evolve(cfg).step_map == {"steps": 1, "nodes": 5}
+    assert eigh_matrices == [5]
+    eigh_matrices.clear()
+    psi = initial_state(cfg).amplitudes
+    run = _propagate(cfg, psi, 7.0, 1.0, 1, {1})
+    assert run.nodes == 1 and eigh_matrices == [1]
+    u = _magnus_unitaries(cfg.lattice, cfg.mu, [cfg.beta * math.cos(cfg.omega * 7.5)], 1.0)[0]
+    np.testing.assert_array_equal(run.states[1], u.dot(psi) * 1.5 - 0.5 * u.dot(
+        u.conj().T.dot(u.dot(psi))))
+
+
+@pytest.mark.parametrize("omega, t0, dt, n_steps, top, bottom", [
+    (1e-3, 100.0, 1.0, 1000, None, None),       # phases in (0, pi)
+    (1e-3, 1100.0, -1.0, 1000, None, None),     # the same phases, backward
+    (-1e-3, 100.0, 1.0, 1000, None, None),      # in (-pi, 0)
+    (1e-3, -500.0, 1.0, 1000, 1.0, None),       # straddling 0
+    (1e-3, 3000.0, 1.0, 300, None, -1.0),       # straddling pi
+    (1e-3, 6000.0, 1.0, 600, 1.0, None),        # straddling 2 pi
+    (5e-4, 1e6, 1.0, 60, None, None),           # a large phase, near 500 rad
+    (1e-3, -500.0, 1.0, 4000, 1.0, -1.0),       # 0 and pi, under 2 pi wide
+])
+def test_coupling_interval_spans_the_cosines_of_the_run_phases(omega, t0, dt, n_steps, top,
+                                                               bottom):
+    # The closed form's ends are 1 and -1 where the phases straddle 2 pi k
+    # and (2k + 1) pi, and the cosines of the end phases elsewhere: the
+    # cosines of every phase the run steps lie inside, and reach its ends
+    x0, half = _coupling_interval(omega, t0, dt, n_steps)
+    t = t0 + np.arange(n_steps) * dt
+    cos = np.cos(omega * (t + 0.5 * dt))
+    assert x0 - half - 1e-15 <= cos.min() and cos.max() <= x0 + half + 1e-15
+    assert x0 + half == (top or pytest.approx(cos.max(), abs=1e-15))
+    assert x0 - half == (bottom or pytest.approx(cos.min(), abs=1e-15))
+    if top is None or bottom is None:
+        assert half < 1.0
+
+
+def test_coupling_interval_of_wide_constant_and_overflowing_phases():
+    # 2 pi wide or more, or not finite: [-1, 1]; one phase, omega = 0 or a
+    # single step: h = 0, the one node cos theta. No warning up to omega
+    # dt = 1e308 (warnings are errors in this suite), and a run's plan
+    # there takes the paired table without one either.
+    assert _coupling_interval(1.0, 0.0, 1.0, 8) == (0.0, 1.0)  # phases 0.5 .. 7.5
+    assert _coupling_interval(1.0, 0.0, 1.0, 6)[1] < 1.0        # 0.5 .. 5.5: not 2 pi
+    assert _coupling_interval(0.0, 5.0, 1.0, 1000) == (1.0, 0.0)
+    assert _coupling_interval(0.3, 5.0, -1.0, 1) == (math.cos(0.3 * 4.5), 0.0)
+    for omega, t0, dt in ((1e308, 0.0, 1.0), (1.0, 0.0, 1e308), (-1e308, 1.0, -1.0),
+                          (1e308, -1e308, 1.0)):
+        assert _coupling_interval(omega, t0, dt, 60) == (0.0, 1.0), (omega, t0, dt)
+    x0, half = _coupling_interval(1e308, 0.0, 1.0, 1)  # one phase, 5e307: floats 1e291 apart
+    assert abs(math.cos(5e307) - x0) <= half
+    cfg = _config(omega=1e308, method="magnus2")
+    plan = _plan(cfg, 1.0, 60)
+    assert plan.nodes == _chebyshev_nodes(cfg.beta * cfg.q) and plan.polish
 
 
 def test_step_map_run_reports_the_grid_step_of_a_blowup(time_limit):
