@@ -17,10 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .fourier import apply_dft, apply_inverse_dft, dft_matrices, tilde_delta
+from .fourier import apply_dft, dft_matrices
 from .gaussian import GaussianParams, ThetaArgs, gamma_kappa, theta3, upsilon_kappa
-from .lattice import StateVector, delta_state, inner_product, new_lattice, normalize
-from .operators import expectation, rate_operator, trend_operator
+from .lattice import StateVector, inner_product, new_lattice, normalize
+from .operators import rate_operator, trend_operator
 from .propagator import SimulationConfig, _propagate, evolve, exact_free_evolution, initial_state
 
 KAPPA_GRID = (0.2, 0.5, 1.0, 2.0, 5.0)
@@ -39,9 +39,13 @@ def _bounded(name: str, err: float, bound: float) -> CheckResult:
     return CheckResult(name, err <= bound, f"max defect {err:.2e} (bound {bound:g})")
 
 
-def _random_state(lattice, rng) -> StateVector:
-    amps = rng.standard_normal(lattice.d) + 1j * rng.standard_normal(lattice.d)
-    return normalize(StateVector(lattice, amps))
+def _random_states(rng, d: int, count: int) -> np.ndarray:
+    """count blocks of 20 normalized random states, shape (count, 20, d); row i
+    of each block is drawn before row i + 1 of any, real parts before imaginary."""
+    draws = rng.standard_normal((20, count, 2, d))
+    states = draws[..., 0, :] + 1j * draws[..., 1, :]
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    return states.swapaxes(0, 1)
 
 
 def check_dft_unitarity() -> CheckResult:
@@ -65,22 +69,17 @@ def check_dft_fourth_power() -> CheckResult:
 def check_dft_parity() -> CheckResult:
     err = 0.0
     for q in (1, 3, 10):
-        lattice = new_lattice(q)
-        for n in range(-q, q + 1):
-            twice = apply_dft(apply_dft(delta_state(lattice, n)))
-            err = max(err, np.abs(twice.amplitudes - delta_state(lattice, -n).amplitudes).max())
+        f = dft_matrices(new_lattice(q)).forward
+        err = max(err, np.abs(f @ f - np.eye(2 * q + 1)[::-1]).max())
     return _bounded("dft_parity", err, 1e-12)
 
 
 def check_dual_basis_resolution() -> CheckResult:
+    """The dual basis states tilde_delta(n) are the columns of F+."""
     err = 0.0
     for q in range(1, 11):
-        lattice = new_lattice(q)
-        acc = np.zeros((lattice.d, lattice.d), dtype=complex)
-        for n in range(-q, q + 1):
-            v = tilde_delta(lattice, n).amplitudes
-            acc += np.outer(v, v.conj())
-        err = max(err, np.abs(acc - np.eye(lattice.d)).max())
+        v = dft_matrices(new_lattice(q)).adjoint
+        err = max(err, np.abs(v @ v.conj().T - np.eye(2 * q + 1)).max())
     return _bounded("dual_basis_resolution_of_identity", err, 1e-13)
 
 
@@ -88,12 +87,11 @@ def check_dft_adjoint_relation() -> CheckResult:
     rng = np.random.default_rng(11)
     err = 0.0
     for q in Q_GRID:
-        lattice = new_lattice(q)
-        for _ in range(20):
-            psi, phi = _random_state(lattice, rng), _random_state(lattice, rng)
-            lhs = inner_product(apply_inverse_dft(phi), psi)
-            rhs = inner_product(phi, apply_dft(psi))
-            err = max(err, abs(lhs - rhs))
+        mats = dft_matrices(new_lattice(q))
+        psi, phi = _random_states(rng, 2 * q + 1, 2)
+        lhs = np.einsum("ij,ij->i", (phi @ mats.adjoint.T).conj(), psi)
+        rhs = np.einsum("ij,ij->i", phi.conj(), psi @ mats.forward.T)
+        err = max(err, np.abs(lhs - rhs).max())
     return _bounded("dft_adjoint_relation", err, 1e-13)
 
 
@@ -108,16 +106,15 @@ def check_trend_similarity() -> CheckResult:
 
 
 def check_eigen_relations() -> CheckResult:
+    """R delta_n = n delta_n and T tilde_delta(n) = n tilde_delta(n), for
+    every n at once: R is diag(n), and T F+ scales column n of F+ by n."""
     err = 0.0
     for q in range(1, 11):
         lattice = new_lattice(q)
-        rate = rate_operator(lattice)
-        trend = trend_operator(lattice)
-        for n in range(-q, q + 1):
-            dn = delta_state(lattice, n)
-            err = max(err, np.abs(rate.apply(dn).amplitudes - n * dn.amplitudes).max())
-            tn = tilde_delta(lattice, n)
-            err = max(err, np.abs(trend.apply(tn).amplitudes - n * tn.amplitudes).max())
+        n = lattice.points()
+        v = dft_matrices(lattice).adjoint
+        err = max(err, np.abs(rate_operator(lattice).matrix - np.diag(n)).max())
+        err = max(err, np.abs(trend_operator(lattice).matrix @ v - v * n).max())
     return _bounded("rate_trend_eigenrelations", err, 1e-12)
 
 
@@ -135,13 +132,10 @@ def check_trend_mean_parseval() -> CheckResult:
     err = 0.0
     for q in Q_GRID:
         lattice = new_lattice(q)
-        trend = trend_operator(lattice)
-        n = lattice.points()
-        for _ in range(20):
-            psi = _random_state(lattice, rng)
-            direct = expectation(trend, psi)
-            dual = float(np.sum(n * np.abs(apply_dft(psi).amplitudes) ** 2))
-            err = max(err, abs(direct - dual))
+        (psi,) = _random_states(rng, lattice.d, 1)
+        direct = np.einsum("ij,ij->i", psi.conj(), psi @ trend_operator(lattice).matrix.T).real
+        dual = np.abs(psi @ dft_matrices(lattice).forward.T) ** 2 @ lattice.points()
+        err = max(err, np.abs(direct - dual).max())
     return _bounded("trend_mean_parseval_form", err, 1e-11)
 
 

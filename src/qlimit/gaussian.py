@@ -60,7 +60,7 @@ class ThetaArgs:
     tau: complex | np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.all(np.imag(self.tau) > 0):
+        if not (np.asarray(self.tau).imag > 0).all():
             raise ValueError(f"Im(tau) must be > 0, got tau={self.tau}")
 
 

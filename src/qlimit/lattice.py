@@ -70,7 +70,7 @@ class StateVector:
             raise ValueError(
                 f"amplitudes must have length d={self.lattice.d}, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -94,7 +94,7 @@ class ProbabilityDistribution:
         p = np.array(self.probs, dtype=float)
         if p.shape != (self.lattice.d,):
             raise ValueError(f"probs must have length d={self.lattice.d}")
-        if np.any(p < 0):
+        if (p < 0).any():
             raise ValueError("probabilities must be non-negative")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")

@@ -119,6 +119,9 @@ def test_state_vector_validation():
         StateVector(lattice, [1.0, np.nan, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="finite"):
         StateVector(lattice, [1.0, np.inf, 0.0, 0.0, 0.0])
+    for bad in (complex(0.0, np.nan), -np.inf, complex(np.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(lattice, [1.0, 0.0, 0.0, 0.0, bad])
 
 
 def test_state_vector_is_immutable():
