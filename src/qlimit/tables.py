@@ -602,16 +602,13 @@ class _Plan(NamedTuple):
     """How a run steps (_step_plan).
 
     kick is None but on strang's grid: t -> the closing half kick of the
-    step that ends at t, which the carried states lack. build is None
-    there too: it hands out a stack run's step unitaries.
+    step that ends at t, which the carried states lack.
     """
 
     step: _Stepper  # the run's stepper
     steps: int  # grid steps per loop step
     nodes: int  # rows of the run's table; 0 without one
     kick: Callable[[float], np.ndarray] | None
-    build: Callable[[np.ndarray], list] | None  # loop-step start times -> their step unitaries
-    polish: bool  # whether each state takes the Newton-Schulz polish
 
 
 def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float, dt: float,
@@ -655,8 +652,7 @@ def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float
             def kick(t: float) -> np.ndarray:
                 return _kicks(np.cos(omega * (t - 0.25 * dt)), rate)
 
-            return _Plan(_grid_stepper(free, rate, omega, quarter, n_steps), 1, 0, kick, None,
-                         False)
+            return _Plan(_grid_stepper(free, rate, omega, quarter, n_steps), 1, 0, kick)
     else:
         reach = abs(beta * dt) * lattice.q
         m = _chebyshev_nodes(reach)
@@ -666,13 +662,13 @@ def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float
         if narrow <= _CHUNK and saved * _NODE > n_steps * (narrow + 6 + 6 * _CALL / d**2):
             table = _magnus_table(lattice.q, mu, beta, dt, narrow, x0, half)
             build = _narrow_builder(table, x0, half, omega, dt, n_steps)
-            return _Plan(_stack_stepper(build, d, True), 1, narrow, None, build, True)
+            return _Plan(_stack_stepper(build, d, True), 1, narrow, None)
         if m > _CHUNK:
             def unitaries(t: np.ndarray) -> list:
                 return list(_magnus_unitaries(lattice, mu, beta * np.cos(omega * (t + 0.5 * dt)),
                                               dt))
 
-            return _Plan(_stack_stepper(unitaries, d, False), 1, 0, None, unitaries, False)
+            return _Plan(_stack_stepper(unitaries, d, False), 1, 0, None)
         table = _magnus_table(lattice.q, mu, beta, dt, m)
         degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
         shifts = np.zeros(m)
@@ -695,4 +691,4 @@ def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float
         dt, n_steps = steps * dt, n_steps // steps
         span, order = _taylor_span(table, degrees, omega * dt, n_steps)
     build = _tabled_builder(table, degrees, shifts, omega, dt, t0, n_steps, span, order)
-    return _Plan(_stack_stepper(build, d, not order), steps, len(table), None, build, not order)
+    return _Plan(_stack_stepper(build, d, not order), steps, len(table), None)

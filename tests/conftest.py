@@ -1,11 +1,16 @@
 import contextlib
 import math
+import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlimit
 from qlimit import SimulationConfig, Trajectory, evolve
 
 FIG2_KWARGS = dict(
@@ -31,6 +36,15 @@ def fig2_reference(fig2_config) -> tuple[Trajectory, float]:
     t0 = time.perf_counter()
     traj = evolve(SimulationConfig(**{**FIG2_KWARGS, "method": "reference"}))
     return traj, time.perf_counter() - t0
+
+
+def fresh_python(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """python with args in a fresh interpreter that imports qlimit from this source tree."""
+    src = str(Path(qlimit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60, **kwargs)
 
 
 def assert_passes(result) -> None:

@@ -1,13 +1,8 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qlimit
 from qlimit import (
     ConfigError,
     SimulationConfig,
@@ -30,6 +25,8 @@ from qlimit.cli import (
     parse_config,
 )
 from qlimit.propagator import MAX_Q
+
+from conftest import fresh_python
 
 
 def _write_config(path, **overrides):
@@ -478,31 +475,29 @@ def test_operators_dump_matches_per_cell_repr(tmp_path):
 
 def test_python_m_qlimit_runs_the_cli(tmp_path):
     # a source tree on PYTHONPATH, without the installed entry point
-    src = str(Path(qlimit.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
     out = tmp_path / "rate.csv"
     for q, code in (("1", 0), ("0", 2)):
-        argv = ["operators", "--q", q, "--which", "rate", "--out", str(out)]
-        run = subprocess.run([sys.executable, "-m", "qlimit", *argv], env=env,
-                             capture_output=True, text=True, timeout=60)
+        run = fresh_python("-m", "qlimit", "operators", "--q", q, "--which", "rate",
+                           "--out", str(out))
         assert run.returncode == code, run.stderr
     assert out.read_text().startswith("k,re[-1],im[-1]")
     probe = "import sys, qlimit.cli; print('qlimit.__main__' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
-    assert run.stdout.strip() == "False"
+    assert fresh_python("-c", probe, check=True).stdout.strip() == "False"
 
 
 def test_importing_the_cli_leaves_the_checks_uncompiled():
     # only `qlimit check` runs the suite: every other command's process would
     # otherwise compile checks.py's source on start-up
-    src = str(Path(qlimit.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     probe = "import sys, qlimit.cli; print('qlimit.checks' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=60, check=True)
-    assert run.stdout.strip() == "False"
+    assert fresh_python("-c", probe, check=True).stdout.strip() == "False"
+
+
+def test_running_the_checks_leaves_numpy_random_unimported():
+    # the checks draw from the standard library's generator: importing
+    # numpy.random would add about 5 MB and 10 ms to every `qlimit check`
+    probe = ("import sys, qlimit.checks; qlimit.checks.run_all_checks(); "
+             "print('numpy.random' in sys.modules)")
+    assert fresh_python("-c", probe, check=True).stdout.strip() == "False"
 
 
 def test_operators_unwritable_path_is_io_error():

@@ -1,7 +1,5 @@
 import ast
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -52,6 +50,8 @@ from qlimit.tables import (
     _taylor_span,
     _step_plan,
 )
+
+from conftest import fresh_python
 
 
 def _config(**overrides):
@@ -321,36 +321,90 @@ def test_evolve_magnus_equals_repeated_steps():
     assert np.abs(final.amplitudes - psi).max() < 1e-12
 
 
-def _plan_stacks(plan, t):
-    """The step unitaries at the loop-step times t from a magnus2 plan's builder, _CHUNK a call."""
-    return np.concatenate([np.array(plan.build(t[i:i + _CHUNK])) for i in range(0, len(t), _CHUNK)])
-
-
 def _plan(cfg, dt, n_steps, t0=0.0, stride=1, method="magnus2"):
     """The plan of cfg's run of n_steps steps of dt from t0 by method; stride 1: on the grid."""
     return _step_plan(cfg.lattice, cfg.mu, cfg.beta, cfg.omega, t0, dt, n_steps, stride, method)
+
+
+def _span(cfg, dt, n_steps):
+    """(L, p) of _taylor_span for cfg's paired table over n_steps: p = 0, the run polishes states."""
+    m = _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q)
+    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, m)
+    return _taylor_span(table, np.arange(m, dtype=float), cfg.omega * dt, n_steps)
+
+
+def _run_states(cfg, psi, t0, dt, n_steps):
+    """A run of cfg's method recording every step: its states psi_0 .. psi_n and the run."""
+    run = _propagate(cfg, psi, t0, dt, n_steps, range(n_steps + 1))
+    return np.array([run.states[k] for k in range(n_steps + 1)]), run
+
+
+def _stepped(plan, t, psi):
+    """psi and the states after each loop step from the times t, by the plan's stepper."""
+    rows = np.array([psi] * (len(t) + 1))
+    plan.step(t, psi, list(rows[1:]))
+    return rows
+
+
+def _eigh_steps(cfg, t, dt):
+    """The eigh unitaries of cfg's magnus2 steps of dt from the times t."""
+    return _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(cfg.omega * (t + 0.5 * dt)), dt)
+
+
+def _eigh_states(cfg, t0, dt, n_steps, psi, record_at):
+    """The states after the steps k in record_at of per-step eigh unitaries from psi at t0."""
+    states = {}
+    for start in range(0, n_steps, 512):
+        t = t0 + np.arange(start, min(start + 512, n_steps)) * dt
+        for k, u in enumerate(_eigh_steps(cfg, t, dt), start + 1):
+            psi = u @ psi
+            if k in record_at:
+                states[k] = psi
+    return states
+
+
+def _step_error(states, unitaries):
+    """max |psi_k - U_k psi_k-1| over consecutive states: each step's own error, not their sum."""
+    return np.abs(states[1:] - np.einsum("kij,kj->ki", unitaries, states[:-1])).max()
+
+
+def _direct_stacks(cfg, t, dt):
+    """The steps from the times t: the paired table times the powers of exp(1j theta), _CHUNK a call."""
+    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q))
+    z = np.ones((len(t), len(table)), dtype=complex)
+    z[:, 1:] = np.exp(1j * (cfg.omega * (t + 0.5 * dt)))[:, None]
+    basis = np.cumprod(z, axis=1).real  # cos(k theta) = Re(exp(1j theta)^k)
+    stacks = [basis[i:i + _CHUNK] @ table.view(float) for i in range(0, len(t), _CHUNK)]
+    return np.concatenate(stacks).view(complex).reshape(len(t), cfg.lattice.d, -1)
+
+
+def _polished_states(stacks, psi):
+    """psi and the states after each step U, polished: 1.5 v - 0.5 U (U^H v), v = U psi."""
+    states = [psi]
+    for u in stacks:
+        v = np.matmul(u, states[-1])
+        states.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
+    return np.array(states)
 
 
 @pytest.mark.parametrize("method, steps, atol", [("magnus2", 1, 0.0), ("reference", 2, 1e-13)],
                          ids=["magnus2", "reference"])
 def test_magnus_evolve_equals_plain_application_of_step_stacks(method, steps, atol):
     # 520 steps factorize (in spans of several stacks that end in a partial
-    # span and stack, test_span_rule_keeps_the_cheapest_span_that_pays):
-    # the stacks of the run's plan, each span's centre term polished,
-    # applied one by one by plain matmul, must be the grid run's states bit
-    # for bit. The odd snapshot step 17 keeps magnus2 on the grid; the
+    # span and stack, test_span_rule_keeps_the_cheapest_span_that_pays): each
+    # step of a grid run recording every step, span centres polished and
+    # states not, must lie within 1e-13 of its eigh unitary applied to the
+    # state before it, and evolve's snapshots must be that run's
+    # states. The odd snapshot step 17 keeps magnus2 on the grid; the
     # reference run, whose steps are all multiples of 8, takes 2-step maps:
     # 9.3e-15 off here.
     t_end = 520.0 / _REFINE[method]
     cfg = _config(method=method, t_end=t_end, snapshots=(0.0, 17.0, 32.0, 64.0, t_end))
     dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
-    plan = _plan(cfg, dt, n_steps)
-    assert plan.steps == 1 and not plan.polish
-    expected = [initial_state(cfg).amplitudes]
-    for u in _plan_stacks(plan, np.arange(n_steps) * dt):
-        expected.append(np.matmul(u, expected[-1]))
-    run = _propagate(cfg, expected[0], 0.0, dt, n_steps, range(n_steps + 1))
-    np.testing.assert_array_equal([run.states[k] for k in range(n_steps + 1)], expected)
+    assert _span(cfg, dt, n_steps)[1]
+    expected, run = _run_states(cfg, initial_state(cfg).amplitudes, 0.0, dt, n_steps)
+    assert run.steps == 1
+    assert _step_error(expected, _eigh_steps(cfg, np.arange(n_steps) * dt, dt)) <= 1e-13
     traj = evolve(cfg)
     assert traj.step_map["steps"] == steps
     assert [t for t, _ in traj.states] == list(cfg.snapshots)
@@ -360,21 +414,18 @@ def test_magnus_evolve_equals_plain_application_of_step_stacks(method, steps, at
 
 def test_short_magnus_run_polishes_each_state():
     # 100-step runs that do not factorize (beta = 0's one-row table, a wide
-    # phase per chunk): the stacks built directly, each applied with the
-    # Newton-Schulz polish of the state, 1.5 v - 0.5 U (U^H v), written out,
-    # must be the grid run's states and evolve's snapshots bit for bit.
+    # phase per chunk) on the paired table: its stacks built directly, each
+    # applied with the Newton-Schulz polish of the state, written out, must
+    # be the grid run's states and evolve's snapshots bit for bit.
     for beta, omega in ((0.0, 2e-4), (0.1, 0.01)):
         cfg = _config(method="magnus2", beta=beta, omega=omega, t_end=100.0,
                       snapshots=(0.0, 17.0, 64.0, 100.0))
-        assert cfg.n_steps % _CHUNK
-        plan = _plan(cfg, cfg.dt, cfg.n_steps)
-        assert plan.steps == 1 and plan.polish
-        expected = [initial_state(cfg).amplitudes]
-        for u in _plan_stacks(plan, np.arange(float(cfg.n_steps))):
-            v = np.matmul(u, expected[-1])
-            expected.append(1.5 * v - 0.5 * np.matmul(u, np.matmul(u.conj().T, v)))
-        run = _propagate(cfg, expected[0], 0.0, cfg.dt, cfg.n_steps, range(cfg.n_steps + 1))
-        np.testing.assert_array_equal([run.states[k] for k in range(cfg.n_steps + 1)], expected)
+        assert cfg.n_steps % _CHUNK and not _span(cfg, cfg.dt, cfg.n_steps)[1]
+        psi = initial_state(cfg).amplitudes
+        states, run = _run_states(cfg, psi, 0.0, cfg.dt, cfg.n_steps)
+        assert (run.steps, run.nodes) == (1, _chebyshev_nodes(beta * cfg.q))
+        expected = _polished_states(_direct_stacks(cfg, np.arange(float(cfg.n_steps)), cfg.dt), psi)
+        np.testing.assert_array_equal(states, expected)
         traj = evolve(cfg)
         assert traj.step_map["steps"] == 1
         assert [t for t, _ in traj.states] == list(cfg.snapshots)
@@ -445,7 +496,7 @@ def test_evolve_magnus_stepper_reuses_its_buffers_across_chunks(factorized):
     cfg = _config(beta=0.1 if factorized else 0.0)
     d = cfg.lattice.d
     plan = _plan(cfg, 1.0, 4 * _STATES)
-    assert plan.polish != factorized and plan.steps == 1
+    assert bool(_span(cfg, 1.0, 4 * _STATES)[1]) == factorized and plan.steps == 1
     step = plan.step
     rows = list(np.empty((_STATES, d), dtype=complex))
     psi = initial_state(cfg).amplitudes
@@ -479,11 +530,7 @@ def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
     # and test_evolve_strang_stepper_reuses_its_kick_buffer_across_chunks
     # check the reuse itself.
     pytest.importorskip("resource")
-    src = str(Path(qlimit.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
-    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
-                           text=True, timeout=60, check=True)
+    probe = fresh_python("-c", _FAULT_PROBE, env={"OPENBLAS_NUM_THREADS": "1"}, check=True)
     faults = {method: int(n) for method, n in map(str.split, probe.stdout.splitlines())}
     assert faults.keys() == {"strang", "magnus2"}
     assert max(faults.values()) < 2000, faults
@@ -540,29 +587,29 @@ def test_magnus_evolve_at_large_q_matches_single_steps():
 
 @pytest.mark.parametrize("q", [1, 10, 30])
 def test_magnus_table_matches_eigh_unitaries(q):
+    # Each step from a state whose amplitudes all have one modulus must lie
+    # within 1e-13 of its eigh unitary applied to the state before it.
+    psi = tilde_delta(new_lattice(q), 1).amplitudes
     for beta in (0.0, 0.1, -0.1, 0.2):
-        cfg = _config(q=q, beta=beta, omega=1.0)
+        cfg = _config(q=q, beta=beta, omega=1.0, method="magnus2")
         for dt in (1.0, 0.125, -1.0):
-            # omega = 1: 49 steps sweep the coupling over [-beta, beta]
-            t = np.arange(49.0) * dt
-            assert _chebyshev_nodes(abs(beta * dt) * q) <= _CHUNK
-            direct = _magnus_unitaries(cfg.lattice, cfg.mu, beta * np.cos(t + 0.5 * dt), dt)
-            stacks = _plan_stacks(_plan(cfg, dt, len(t)), t)
-            assert np.abs(stacks - direct).max() <= 1e-13, (beta, dt)
+            # omega = 1: 49 steps sweep the coupling over [-beta, beta], on the paired table
+            states, run = _run_states(cfg, psi, 0.0, dt, 49)
+            assert run.nodes == _chebyshev_nodes(abs(beta * dt) * q) <= _CHUNK
+            error = _step_error(states, _eigh_steps(cfg, np.arange(49.0) * dt, dt))
+            assert error <= 1e-13, (beta, dt)
     # a fig2-long run factorizes in spans and polishes their centre terms:
-    # a full and a partial chunk at the start and late in the run
+    # its stepper over a full and a partial chunk at the start and late in the run
     for beta in (0.1, -0.1, 0.2):
         for omega in (2e-4, 5e-4):
             cfg = _config(q=q, beta=beta, omega=omega)
             for dt in (1.0, 0.125, -1.0):
+                assert _span(cfg, dt, 28800)[1]
                 plan = _plan(cfg, dt, 28800)
-                assert not plan.polish
                 for start in (0, 28768):
                     t = (start + np.arange(40.0)) * dt
-                    coupling = beta * np.cos(omega * (t + 0.5 * dt))
-                    error = _plan_stacks(plan, t) - _magnus_unitaries(cfg.lattice, cfg.mu,
-                                                                      coupling, dt)
-                    assert np.abs(error).max() <= 1e-13, (beta, omega, dt, start)
+                    error = _step_error(_stepped(plan, t, psi), _eigh_steps(cfg, t, dt))
+                    assert error <= 1e-13, (beta, omega, dt, start)
 
 
 @pytest.mark.parametrize("q, beta, omega, dt, n_steps, span, order, late", [
@@ -581,13 +628,13 @@ def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, 
     # of its steps in its span, which must match B within
     # 1e-15 (1 + k |theta_j|), the rounding of k theta_j in either form,
     # beyond the Taylor remainder (k |s_j|)^p / p!; the remainder's sum over
-    # the table's rows must stay below 1e-17. The real table's stacks,
-    # centre terms polished, must lie within 1e-14 of B table. Every full
-    # stack of a span and a partial one, in the first span and late in the
-    # run (late: its first step), forward and backward; the stacks come
-    # from the run's plan.
+    # the table's rows must stay below 1e-17. Each step of the run's stepper,
+    # centre terms polished, must lie within 1e-14 of B table applied to the
+    # state before it. Every full stack of a span and a partial one, in the
+    # first span and late in the run (late: its first step), forward and
+    # backward.
     cfg = _config(q=q, beta=beta, omega=omega)
-    d = cfg.lattice.d
+    d, psi = cfg.lattice.d, tilde_delta(cfg.lattice, 1).amplitudes
     for h in (dt, -dt):
         table = _magnus_table(q, cfg.mu, beta, h, _chebyshev_nodes(abs(beta * h) * q))
         degrees = np.arange(len(table), dtype=float)
@@ -597,7 +644,7 @@ def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, 
         reach = degrees * (0.5 * (span - 1) * abs(omega * h))
         assert sizes @ reach**p / math.factorial(p) < 1e-17
         powers, weights = _taylor_factors(degrees, np.zeros(len(table)), omega, h, span, p)
-        build = _plan(cfg, h, n_steps).build
+        plan = _plan(cfg, h, n_steps)
         for first in (0, late):
             for offset in range(0, span, _CHUNK):
                 full = min(_CHUNK, span - offset)
@@ -611,8 +658,8 @@ def test_factorized_chunk_basis_matches_the_chebyshev_basis(q, beta, omega, dt, 
                     allowed = 1e-15 * (1 + np.outer(np.abs(theta), degrees)) + remainder
                     assert np.all(np.abs(factored - basis) <= allowed), (h, first, offset, n)
                     direct = (basis @ table.view(float)).view(complex).reshape(n, d, d)
-                    stack = np.array(build(t))
-                    assert np.abs(stack - direct).max() <= 1e-14, (h, first, offset, n)
+                    error = _step_error(_stepped(plan, t, psi), direct)
+                    assert error <= 1e-14, (h, first, offset, n)
 
 
 @pytest.mark.parametrize("q, beta, omega, n_steps, span, order", [
@@ -648,58 +695,42 @@ def test_span_rule_keeps_the_cheapest_span_that_pays(q, beta, omega, n_steps, sp
         assert _taylor_order(sizes, degrees, omega, length) <= 15, length
 
 
-def _power_basis(theta, m):
-    """(len(theta), m) Chebyshev basis cos(k theta) as Re(exp(1j theta)^k), by a running product."""
-    z = np.ones((len(theta), m), dtype=complex)
-    z[:, 1:] = np.exp(1j * theta)[:, None]
-    return np.cumprod(z, axis=1).real
-
-
 @pytest.mark.parametrize("omega", [1.0, 0.01])
 def test_wide_phase_and_two_step_runs_take_the_direct_build(omega):
     # A run whose stacks sweep a wide phase would take more Taylor terms
     # than the factorization saves at any span, and a run of two steps has
-    # no span that pays: both get the Chebyshev basis, the powers of each
-    # step's exp(1j theta), times the table, bit for bit. Both keep the
-    # paired table on [-1, 1]: their phases sweep too much of it for a
-    # narrow one to pay.
-    cfg = _config(omega=omega)
-    d = cfg.lattice.d
-    for dt in (1.0, -1.0):
-        plan = _plan(cfg, dt, 60)
-        assert plan.polish and plan.nodes == _chebyshev_nodes(cfg.beta * cfg.q)
-        table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, plan.nodes)
-        t = np.arange(60) * dt
-        expected = [np.matmul(_power_basis(omega * (t[i:i + _CHUNK] + 0.5 * dt), len(table)),
-                              table.view(float)) for i in range(0, len(t), _CHUNK)]
-        np.testing.assert_array_equal(_plan_stacks(plan, t),
-                                      np.concatenate(expected).view(complex).reshape(-1, d, d))
-    # two steps at omega = 1, phases 0.5 and 1.5: on their interval 12 nodes,
-    # against the paired table's 15 in 8 pairs (at the fig2 rate 2 nodes)
-    cfg = _config(omega=1.0)
-    plan = _plan(cfg, 1.0, 2)
-    assert plan.polish and plan.nodes == _chebyshev_nodes(cfg.beta * cfg.q)
-    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, 1.0, plan.nodes)
-    t = np.array([0.0, 1.0])
-    expected = np.matmul(_power_basis(cfg.omega * (t + 0.5), len(table)), table.view(float))
-    np.testing.assert_array_equal(_plan_stacks(plan, t),
-                                  expected.view(complex).reshape(-1, d, d))
+    # no span that pays: both build the Chebyshev basis, the powers of each
+    # step's exp(1j theta), times the table, and polish the states, bit for
+    # bit. Both keep the paired table on [-1, 1]: their phases sweep too
+    # much of it for a narrow one to pay. Two steps at omega = 1, phases 0.5
+    # and 1.5: on their interval 12 nodes, against the paired table's 15 in
+    # 8 pairs (at the fig2 rate 2 nodes).
+    cfg = _config(omega=omega, method="magnus2")
+    psi = initial_state(cfg).amplitudes
+    for dt, n_steps, run_cfg in ((1.0, 60, cfg), (-1.0, 60, cfg),
+                                 (1.0, 2, replace(cfg, omega=1.0))):
+        assert not _span(run_cfg, dt, n_steps)[1]
+        states, run = _run_states(run_cfg, psi, 0.0, dt, n_steps)
+        assert run.nodes == _chebyshev_nodes(cfg.beta * cfg.q)
+        stacks = _direct_stacks(run_cfg, np.arange(n_steps) * dt, dt)
+        np.testing.assert_array_equal(states, _polished_states(stacks, psi))
 
 
 def test_direct_build_at_a_large_phase_stays_on_eigh_and_unitary():
     # From t0 = 1e6 at omega = 0.7 the phase theta is near 7e5: cos(k theta)
     # with each k theta rounded on its own gives values of no one angle,
     # 8.6e-13 off eigh and 1.3e-12 off unitary; the powers of exp(1j theta)
-    # keep both near 1e-14.
-    cfg = _config(omega=0.7)
+    # keep both near 1e-14; the run applies those stacks, bit for bit.
+    cfg = _config(omega=0.7, method="magnus2")
     t = 1e6 + np.arange(float(_CHUNK))
-    plan = _plan(cfg, 1.0, _CHUNK, t0=t[0])
-    assert plan.polish
-    u = _plan_stacks(plan, t)
-    direct = _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(cfg.omega * (t + 0.5)), 1.0)
-    assert np.abs(u - direct).max() <= 1e-13
+    assert not _span(cfg, 1.0, _CHUNK)[1]
+    u = _direct_stacks(cfg, t, 1.0)
+    assert np.abs(u - _eigh_steps(cfg, t, 1.0)).max() <= 1e-13
     defect = np.matmul(u.conj().transpose(0, 2, 1), u) - np.eye(cfg.lattice.d)
     assert np.abs(defect).max() <= 1e-13
+    psi = initial_state(cfg).amplitudes
+    states, _ = _run_states(cfg, psi, t[0], 1.0, _CHUNK)
+    np.testing.assert_array_equal(states, _polished_states(u, psi))
 
 
 def _on_grid(cfg):
@@ -712,7 +743,7 @@ def test_fig2_day_keeps_norm_drift_small(fig2_config):
     # term gives 8.1e-14 here (2.6e-14 with 32-step spans), the table as
     # stored 8.2e-12; its 8-step maps, in spans of 64 polished centres, 1.7e-14
     cfg = replace(fig2_config, method="magnus2")
-    assert not _plan(cfg, cfg.dt, cfg.n_steps).polish
+    assert _span(cfg, cfg.dt, cfg.n_steps) == (128, 8)
     for run, steps in ((_on_grid(cfg), 1), (cfg, 8)):
         traj = evolve(run)
         assert traj.step_map["steps"] == steps and traj.norm_drift <= 1e-13
@@ -746,7 +777,7 @@ def test_factorized_drift_extrapolates_within_tolerance_at_the_step_limit(fig2_c
     # take spans of several stacks (test_span_rule_keeps_the_cheapest_span_that_pays).
     cfg = replace(fig2_config, method="magnus2")
     for n in (3200, 32000):
-        assert not _plan(cfg, cfg.dt, n).polish
+        assert _span(cfg, cfg.dt, n) == (128, 8)
     for grid in (True, False):
         drifts, limit = _drift_at_the_step_limit(cfg, (3200, 32000), grid)
         assert limit < NORM_TOLERANCE, (grid, drifts)
@@ -773,7 +804,7 @@ def test_slow_coupling_drift_extrapolates_within_tolerance_at_the_step_limit(ome
     # span: as test_span_rule_keeps_the_cheapest_span_that_pays pins it; p = 0 polishes the states
     cfg = _config(method="magnus2", beta=0.2, omega=omega)
     for n in lengths:
-        assert _plan(cfg, cfg.dt, n).polish == (span[1] == 0)
+        assert _span(cfg, cfg.dt, n) == span
     for grid in (True, False):
         drifts, limit = _drift_at_the_step_limit(cfg, lengths, grid)
         assert limit < NORM_TOLERANCE, (grid, drifts)
@@ -787,7 +818,7 @@ def test_long_run_that_does_not_factorize_polishes_its_states(beta, omega):
     # 6.7e-13 with the table as stored, and at 1.3e-15 with 8- and 4-step
     # maps
     cfg = _config(method="magnus2", beta=beta, omega=omega, t_end=3000.0, snapshots=None)
-    assert _plan(cfg, cfg.dt, cfg.n_steps).polish
+    assert not _span(cfg, cfg.dt, cfg.n_steps)[1]
     for run in (_on_grid(cfg), cfg):
         assert evolve(run).norm_drift <= 1e-13
 
@@ -814,19 +845,21 @@ def test_runs_leave_no_step_operators_behind():
 
 def test_long_run_table_memory_stays_within_the_stacks_max_q_assumes(eigh_matrices):
     # 32 nodes at q = 40, factorized: the table, one buffer, W table and
-    # the span's S, from the plan of a 100 000-step run to its first stack
+    # the span's S, from the plan of a 100 000-step run through its first chunk
     cfg = _config(q=40, beta=0.1875, method="magnus2")
     d = cfg.lattice.d
+    psi = initial_state(cfg).amplitudes
 
-    def first_stack():
+    def first_chunk():
         plan = _plan(cfg, cfg.dt, 100000)
-        plan.build(np.arange(float(_CHUNK)))
+        plan.step(np.arange(float(_CHUNK)), psi, list(np.empty((_CHUNK, d), dtype=complex)))
         return plan
 
-    plan, peak = _traced_peak(first_stack)
+    plan, peak = _traced_peak(first_chunk)
     assert eigh_matrices == [_CHUNK // 2]  # the run's own table: one eigh per node pair
-    assert plan.nodes == _CHUNK and plan.steps == 1 and not plan.polish
+    assert plan.nodes == _CHUNK and plan.steps == 1
     # W table's p = 12 rows in spans of 256 (test_span_rule_keeps_the_cheapest_span_that_pays)
+    assert _span(cfg, cfg.dt, 100000) == (256, 12)
     stacks = 2 + 12 / _CHUNK
     assert stacks <= 2.5 <= _PEAK_STACKS
     stack = 16 * _CHUNK * d * d
@@ -865,19 +898,6 @@ def test_magnus_steps_above_chunk_nodes_use_eigh(eigh_matrices):
     for u in _magnus_unitaries(cfg.lattice, cfg.mu, cfg.beta * np.cos(t + 0.5), 1.0):
         expected.append(u.dot(expected[-1]))
     np.testing.assert_array_equal([run.states[k] for k in range(len(t) + 1)], expected)
-
-
-def _eigh_states(cfg, t0, dt, n_steps, psi, record_at):
-    """The states after the steps k in record_at of per-step eigh unitaries from psi at t0."""
-    states = {}
-    for start in range(0, n_steps, 512):
-        t = t0 + np.arange(start, min(start + 512, n_steps)) * dt
-        coupling = cfg.beta * np.cos(cfg.omega * (t + 0.5 * dt))
-        for k, u in enumerate(_magnus_unitaries(cfg.lattice, cfg.mu, coupling, dt), start + 1):
-            psi = u @ psi
-            if k in record_at:
-                states[k] = psi
-    return states
 
 
 @pytest.mark.parametrize("omega, n_steps, steps", [
@@ -1052,8 +1072,8 @@ def test_coupling_interval_of_wide_constant_and_overflowing_phases():
     x0, half = _coupling_interval(1e308, 0.0, 1.0, 1)  # one phase, 5e307: floats 1e291 apart
     assert abs(math.cos(5e307) - x0) <= half
     cfg = _config(omega=1e308, method="magnus2")
-    plan = _plan(cfg, 1.0, 60)
-    assert plan.nodes == _chebyshev_nodes(cfg.beta * cfg.q) and plan.polish
+    assert _plan(cfg, 1.0, 60).nodes == _chebyshev_nodes(cfg.beta * cfg.q)
+    assert not _span(cfg, 1.0, 60)[1]
 
 
 def test_step_map_run_reports_the_grid_step_of_a_blowup(time_limit):
@@ -1234,7 +1254,7 @@ def test_huge_coupling_rate_runs_without_warnings():
     # (and warn, an error in this suite); the run polishes its states
     for omega in (1e303, 1e305):
         cfg = _config(method="magnus2", omega=omega)
-        assert _plan(cfg, cfg.dt, cfg.n_steps, stride=8).polish
+        assert not _span(cfg, cfg.dt, cfg.n_steps)[1]
         traj = evolve(cfg)
         assert traj.step_map == {"steps": 1, "nodes": 15}
         assert traj.norm_drift <= 1e-13
@@ -1261,6 +1281,10 @@ def test_propagator_imports_only_the_plan_from_tables():
             assert all(alias.name.split(".")[-1] not in imported for alias in node.names)
     assert imported == {"tables": {"_CHUNK", "_STATES", "_step_plan"},
                         "fourier": {"dft_matrices"}}
+    # and the plan carries only what the loop reads from it
+    read = {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "plan"}
+    assert read == set(tables._Plan._fields)
 
 
 def test_package_caches_stay_bounded_in_parameter_sweeps():
