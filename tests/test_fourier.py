@@ -14,10 +14,7 @@ from qlimit import (
     tilde_delta,
     upsilon_kappa,
 )
-from qlimit.checks import (
-    check_dft_fourth_power,
-    check_dft_unitarity,
-)
+from qlimit.checks import check_dft_fourth_power
 
 from conftest import assert_passes
 
@@ -43,11 +40,6 @@ def test_explicit_entry_k1_nm1_at_q1():
 def test_adjoint_is_conjugate_transpose_exactly():
     mats = dft_matrices(new_lattice(7))
     np.testing.assert_array_equal(mats.adjoint, mats.forward.conj().T)
-
-
-@pytest.mark.parametrize("q", range(1, 11))
-def test_unitarity(q):
-    assert_passes(check_dft_unitarity())
 
 
 @pytest.mark.parametrize("q", range(1, 11))
