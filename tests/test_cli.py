@@ -473,7 +473,17 @@ def test_operators_dump_matches_per_cell_repr(tmp_path):
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_python_m_qlimit_runs_the_cli(tmp_path):
+@pytest.fixture(scope="module")
+def fresh_modules():
+    """The modules a fresh interpreter holds after `import qlimit.cli`, then after
+    run_all_checks(): one interpreter start serves every import probe."""
+    probe = ("import sys, qlimit.cli; print(*sys.modules); import qlimit.checks; "
+             "qlimit.checks.run_all_checks(); print(*sys.modules)")
+    cli_import, checks_run = fresh_python("-c", probe, check=True).stdout.splitlines()
+    return {"import qlimit.cli": cli_import.split(), "run_all_checks()": checks_run.split()}
+
+
+def test_python_m_qlimit_runs_the_cli(tmp_path, fresh_modules):
     # a source tree on PYTHONPATH, without the installed entry point
     out = tmp_path / "rate.csv"
     for q, code in (("1", 0), ("0", 2)):
@@ -481,23 +491,19 @@ def test_python_m_qlimit_runs_the_cli(tmp_path):
                            "--out", str(out))
         assert run.returncode == code, run.stderr
     assert out.read_text().startswith("k,re[-1],im[-1]")
-    probe = "import sys, qlimit.cli; print('qlimit.__main__' in sys.modules)"
-    assert fresh_python("-c", probe, check=True).stdout.strip() == "False"
+    assert "qlimit.__main__" not in fresh_modules["import qlimit.cli"]
 
 
-def test_importing_the_cli_leaves_the_checks_uncompiled():
+def test_importing_the_cli_leaves_the_checks_uncompiled(fresh_modules):
     # only `qlimit check` runs the suite: every other command's process would
     # otherwise compile checks.py's source on start-up
-    probe = "import sys, qlimit.cli; print('qlimit.checks' in sys.modules)"
-    assert fresh_python("-c", probe, check=True).stdout.strip() == "False"
+    assert "qlimit.checks" not in fresh_modules["import qlimit.cli"]
 
 
-def test_running_the_checks_leaves_numpy_random_unimported():
+def test_running_the_checks_leaves_numpy_random_unimported(fresh_modules):
     # the checks draw from the standard library's generator: importing
     # numpy.random would add about 5 MB and 10 ms to every `qlimit check`
-    probe = ("import sys, qlimit.checks; qlimit.checks.run_all_checks(); "
-             "print('numpy.random' in sys.modules)")
-    assert fresh_python("-c", probe, check=True).stdout.strip() == "False"
+    assert "numpy.random" not in fresh_modules["run_all_checks()"]
 
 
 def test_operators_unwritable_path_is_io_error():
