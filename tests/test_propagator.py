@@ -327,7 +327,7 @@ def _plan(cfg, dt, n_steps, t0=0.0, stride=1, method="magnus2"):
 
 
 def _span(cfg, dt, n_steps):
-    """(L, p) of _taylor_span for cfg's paired table over n_steps: p = 0, the run polishes states."""
+    """(L, p) of _taylor_span for cfg's paired table over n_steps; p = 0: states polished."""
     m = _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q)
     table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, m)
     return _taylor_span(table, np.arange(m, dtype=float), cfg.omega * dt, n_steps)
@@ -369,7 +369,7 @@ def _step_error(states, unitaries):
 
 
 def _direct_stacks(cfg, t, dt):
-    """The steps from the times t: the paired table times the powers of exp(1j theta), _CHUNK a call."""
+    """The steps from the times t: the paired table times powers of exp(1j theta), _CHUNK a call."""
     table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt, _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q))
     z = np.ones((len(t), len(table)), dtype=complex)
     z[:, 1:] = np.exp(1j * (cfg.omega * (t + 0.5 * dt)))[:, None]
