@@ -34,8 +34,7 @@ from .operators import (
     rate_operator,
     trend_operator,
 )
-from .propagator import (_REFINE, METHODS, SimulationConfig, _finite, checked_q, evolve,
-                         observables_series)
+from .propagator import METHODS, SimulationConfig, _finite, checked_q, evolve, observables_series
 
 CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig))
 REQUIRED_KEYS = tuple(f.name for f in fields(SimulationConfig) if f.default is MISSING)
@@ -222,7 +221,7 @@ def cmd_evolve(
     observed = time.perf_counter()
     finished = datetime.now(timezone.utc).isoformat()
     timings = {**traj.timings, "observables": observed - evolved}
-    steps = config.n_steps * _REFINE[config.method]
+    steps = config.integration_steps
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -246,8 +245,8 @@ def cmd_evolve(
         "timings": timings,
         "steps_per_second": steps / timings["propagate"] if timings.get("propagate") else None,
         "step_map": traj.step_map or None,
-        "resolution": {"kinetic_phase": config.q**2 * config.dt / _REFINE[config.method]
-                       / (2 * config.mu), "limit": math.pi},
+        "resolution": {"kinetic_phase": config.q**2 * config.integration_dt / (2 * config.mu),
+                       "limit": math.pi},
     }
     if figure_targets:
         states = {t: psi.amplitudes for t, psi in traj.states}

@@ -9,7 +9,9 @@ _step_plan alone decides how a run of either method steps, and hands
 ``propagator`` the run's stepper (_Stepper). A stepper allocates its
 buffers once per run: fresh per-chunk temporaries cost tens of thousands
 of minor page faults a day whenever the allocator hands them back to the
-system between chunks. The tables hold no state beyond the run.
+system between chunks. The tables hold no state beyond the run. Every
+run but strang's grid steps a stack of _CHUNK steps at a time
+(_stack_stepper) that _table_steps, _span_steps or eigh writes.
 
 - strang on its grid (_grid_stepper): psi <- F (k_j * psi), two calls on
   d-vectors and no d x d matrix built per step. k_j merges the closing
@@ -25,13 +27,15 @@ system between chunks. The tables hold no state beyond the run.
 - The Chebyshev table in x = cos(theta) (_magnus_table): M node
   unitaries, one eigh per node pair x, -x, fitted as
   U = sum_k cos(k theta) C_k; each step's U is a sum of M coefficient
-  matrices, built as stacks of _CHUNK steps.
-- Narrow tables (_coupling_interval, _narrow_builder): a short run sweeps
-  x over [x0 - h, x0 + h] only. Tabled there, at one eigh per node, it
-  takes 4 or 5 nodes where [-1, 1] takes 22 to 29 (60 steps, q = 15 to
-  30), and steps them directly with the state polish. Each step takes its
-  own eigh only where M > _CHUNK and no narrow table fits.
-- Spans (_taylor_span, _tabled_builder): where L steps of the run's grid
+  matrices, evaluated at the phase theta = omega (t + dt/2) (_midpoint).
+- Narrow tables (_coupling_interval): a short run sweeps x over
+  [x0 - h, x0 + h] only. Tabled there, at one eigh per node, it takes 4
+  or 5 nodes where [-1, 1] takes 22 to 29 (60 steps, q = 15 to 30), and
+  steps them directly with the state polish. In u = (x - x0)/h the table
+  is sum_k T_k(u) C_k, and T_k(cos phi) = cos(k phi): it is evaluated as
+  a cosine table at phi = arccos u. Each step takes its own eigh only
+  where M > _CHUNK and no narrow table fits.
+- Spans (_taylor_span, _span_steps): where L steps of the run's grid
   sweep a narrow phase, the span's basis factors as S W(c), p Taylor
   terms about its centre phase c: W table is formed once per span, and
   each stack is S (W table), p (K + L) products per entry and span
@@ -48,11 +52,11 @@ system between chunks. The tables hold no state beyond the run.
   midpoint phase. Where 2^i divides the run's steps and every recorded
   step, and its build pays, the run tables that map at 2D + 1 <= 2 _CHUNK
   equispaced phases as cos k phi and sin k phi rows, and steps the grid
-  2^i steps at a time with the same builder, spans and polish. Its node
-  maps are products of one-step unitaries: the Chebyshev table's for
-  magnus2, F between two half kicks for strang, with no eigh. The fig2
-  day takes 3 600 loop steps of an 8-step map at 57 nodes with magnus2,
-  7 200 of a 4-step map at 49 nodes with strang.
+  2^i steps at a time with the same sources, spans and polish. Its node
+  maps are products of one-step unitaries: the Chebyshev table's
+  (_table_steps) for magnus2, F between two half kicks for strang, with
+  no eigh. The fig2 day takes 3 600 loop steps of an 8-step map at 57
+  nodes with magnus2, 7 200 of a 4-step map at 49 nodes with strang.
 """
 
 from __future__ import annotations
@@ -96,13 +100,19 @@ _CALL = 5e3
 _NODE = 800
 
 
-def _magnus_unitaries(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float) -> np.ndarray:
-    """(m, d, d) exp(-1j*dt*(K + c*R)) for the couplings c, by one batched eigh."""
+def _magnus_unitaries(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """(m, d, d) exp(-1j*dt*(K + c*R)) for the couplings c, one batched eigh; into out if given."""
     try:
         w, vec = np.linalg.eigh(hamiltonians(lattice, mu, coupling))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hamiltonian eigendecomposition failed: {exc}") from exc
-    return (vec * np.exp(w * (-1j * dt))[:, None, :]) @ vec.transpose(0, 2, 1)
+    return np.matmul(vec * np.exp(w * (-1j * dt))[:, None, :], vec.transpose(0, 2, 1), out=out)
+
+
+def _midpoint(omega: float, dt: float) -> Callable:
+    """t -> the midpoint phases theta = omega (t + dt/2) of the steps of dt from the times t."""
+    return lambda t: omega * (t + 0.5 * dt)
 
 
 def _chebyshev_nodes(a: float) -> int:
@@ -272,9 +282,9 @@ def _step_table(unitaries: Callable[[np.ndarray, np.ndarray], object], d: int, o
 
     The map P(phi) (_step_map) is formed at the N = 2D + 1 nodes phi_i =
     2 pi i / N as products of one-step unitaries, which unitaries(theta,
-    out) writes into out, (m, d, d), for the m midpoint phases theta; 8
-    nodes at a time (the fig2 magnus2 day's traced peak: 0.77 MB, 0.81 MB
-    with 16), each polished once: the nodes' rounding would otherwise
+    out) writes into out as rows of (re, im) pairs for the phases theta;
+    8 nodes at a time (the fig2 magnus2 day's traced peak: 0.77 MB, 0.81
+    MB with 16), each polished once: the nodes' rounding would otherwise
     leave the table a defect that changes slowly with phi. One real DFT
     in place fits them: P(phi) = sum_r cos(k_r phi - s_r) A_r with
     A_r = (2/N) sum_i cos(k_r phi_i - s_r) P(phi_i), A_0 halved; the phase
@@ -286,13 +296,17 @@ def _step_table(unitaries: Callable[[np.ndarray, np.ndarray], object], d: int, o
     offsets = (np.arange(steps) - 0.5 * (steps - 1)) * omega_dt
     maps = np.empty((n, d, d), dtype=complex)
     u, product = np.empty((2, min(block, n), d, d), dtype=complex)
+    flat, rows = maps.reshape(n, -1).view(float), u.reshape(len(u), -1).view(float)
     for start in range(0, n, block):
-        p = maps[start:start + block]
+        p, first = maps[start:start + block], flat[start:start + block]
         m = len(p)
+        acc, spare = p, product[:m]  # the product so far and the next one's buffer, swapped
         for j, offset in enumerate(offsets):  # P <- U(phi + s_j) P, later steps on the left
-            unitaries(phases[start:start + m] + offset, p if j == 0 else u[:m])
+            unitaries(phases[start:start + m] + offset, rows[:m] if j else first)
             if j:
-                p[...] = np.matmul(u[:m], p, out=product[:m])
+                acc, spare = np.matmul(u[:m], acc, out=spare), acc
+        if acc is not p:
+            p[...] = acc
         _polish(p, u[:m], product[:m])
     degrees = _map_degrees(degree)
     shifts = np.zeros(n)
@@ -301,7 +315,6 @@ def _step_table(unitaries: Callable[[np.ndarray, np.ndarray], object], d: int, o
     turns = np.outer(degrees.astype(int), np.arange(n)) % n
     fit = (2.0 / n) * np.cos((2 * np.pi / n) * turns - shifts[:, None])
     fit[0] *= 0.5
-    flat = maps.reshape(n, -1).view(float)
     column = np.empty((n, 2 * d))
     for c in range(0, flat.shape[1], 2 * d):  # one row of the d x d maps at a time
         flat[:, c:c + 2 * d] = np.matmul(fit, flat[:, c:c + 2 * d], out=column)
@@ -310,7 +323,7 @@ def _step_table(unitaries: Callable[[np.ndarray, np.ndarray], object], d: int, o
 
 def _taylor_factors(degrees: np.ndarray, shifts: np.ndarray, omega: float, dt: float, length: int,
                     order: int) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
-    """S and t -> W(c) of the factorized basis S W(c) of spans of length steps (_tabled_builder).
+    """S and t -> W(c) of the factorized basis S W(c) of spans of length steps (_span_steps).
 
     S_jl = s_j^l, s_j = (j - (length - 1)/2) omega dt, is fixed per run;
     W(c)_lk = k^l cos(kc - shift_k + l pi/2) / l!, c = omega (t + length dt / 2)
@@ -339,105 +352,68 @@ def _taylor_factors(degrees: np.ndarray, shifts: np.ndarray, omega: float, dt: f
     return powers, weights
 
 
-def _tabled_builder(table: np.ndarray, degrees: np.ndarray, shifts: np.ndarray, omega: float,
-                    dt: float, t0: float, n_steps: int, span: int,
-                    order: int) -> Callable[[np.ndarray], list]:
-    """The builder of an n_steps tabled run's step unitaries: t -> the stack at t.
+def _table_steps(table: np.ndarray, shifts: np.ndarray) -> Callable:
+    """phi, out -> out[j] = sum_k cos(k phi_j - shift_k) C_k, as (re, im) pairs, j < len(phi).
 
-    The stack is written into a buffer allocated here, once, and handed
-    out as views of it made once per run: iterating the buffer would make
-    a view object per step.
+    A Chebyshev table has the cosines k = 0 .. K - 1, all shifts 0; a step
+    map's (_step_table) has after them the sines, shift pi/2, k = 1 .. D;
+    a narrow table's u is cos phi. cos(k phi) and sin(k phi) are Re and Im
+    of exp(1j phi)^k: rounding each k phi on its own would leave, at large
+    phi, values of no one angle. The steps are B table, B the (m, K) basis
+    in buffers of _CHUNK rows, as a real product on the interleaved
+    (re, im) pairs, 3x faster than a complex one.
+    """
+    cosines = len(table) - np.count_nonzero(shifts)
+    parts = table.view(float)
+    powers = np.empty((_CHUNK, cosines), dtype=complex)
+    basis = np.empty((_CHUNK, len(table)))
 
-    Step j of the n = len(t) has the phase theta_j = omega (t_j + dt/2) and
-    U_j = sum_k cos(k theta_j - shift_k) C_k: the stack is B table, B its
-    (n, K) basis, as a real product on the interleaved (re, im) pairs, 3x
-    faster than a complex one. A Chebyshev table has the cosines k = 0 ..
-    K - 1, all shifts 0; a step map's (_step_table) has after them the
-    sines, shift pi/2, k = 1 .. D. With order p > 0 the run's grid t0 + i dt
-    falls into spans of L = span steps, and a stack from step i, at
-    offset o = i mod L in its span, takes B = S[o:o + n] W(c) instead:
-    the span's phases are c + s_j about its centre c, and, as
-    d^l/dtheta^l cos(k theta) = k^l cos(k theta + l pi/2),
-    cos(k (c + s)) = sum_l s^l k^l cos(kc + l pi/2) / l!, cut after p
-    terms (_taylor_factors). W table, and one Newton-Schulz step on its
-    row 0, M_0 = U(c), which S weights by 1 at every step, are formed once
-    per span; each stack is then S[o:o + n] (W table).
+    def steps(phi: np.ndarray, out: np.ndarray) -> None:
+        n = len(phi)
+        z = powers[:n]
+        z[:, 0] = np.cos(0.0 * phi)  # 1, or NaN where the phase overflowed
+        z[:, 1:] = np.exp(1j * phi)[:, None]
+        np.multiply.accumulate(z, axis=1, out=z)  # np.cumprod, less its wrapper's 1.5 us
+        np.copyto(basis[:n, :cosines], z.real)
+        if cosines < len(table):
+            np.copyto(basis[:n, cosines:], z[:, 1:len(table) - cosines + 1].imag)
+        np.matmul(basis[:n], parts, out=out[:n])
+
+    return steps
+
+
+def _span_steps(table: np.ndarray, degrees: np.ndarray, shifts: np.ndarray, omega: float,
+                dt: float, t0: float, span: int, order: int) -> Callable:
+    """t, out -> out[j] = the step from grid time t_j of a run tabled in spans of span steps.
+
+    The grid t0 + i dt falls into spans of L = span steps; the steps from
+    step i, at offset o = i mod L in its span, take the basis S[o:o + n] W(c)
+    in place of _table_steps': the span's phases are c + s_j about its
+    centre c, and, as d^l/dtheta^l cos(k theta) = k^l cos(k theta + l pi/2),
+    cos(k (c + s)) = sum_l s^l k^l cos(kc + l pi/2) / l!, cut after p =
+    order terms (_taylor_factors). W table, and one Newton-Schulz step on
+    its row 0, M_0 = U(c), which S weights by 1 at every step, are formed
+    once per span; the steps are then S[o:o + n] (W table). The polish
+    takes out[:2] as scratch: a run with spans has 3 steps or more.
     """
     d = math.isqrt(table.shape[1])
-    work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
-    views = list(work)
     parts = table.view(float)
-    stacks = work.reshape(len(work), -1).view(float)
-    if not order:
-        cosines = len(table) - np.count_nonzero(shifts)
-        powers = np.empty((len(work), cosines), dtype=complex)
-        basis = np.empty((len(work), len(table)))
-
-        def direct(t: np.ndarray) -> list:
-            # cos(k theta) and sin(k theta) = Re and Im of exp(1j theta)^k:
-            # rounding each k theta on its own would leave, at large theta,
-            # values of no one angle
-            n = len(t)
-            theta = omega * (t + 0.5 * dt)
-            z = powers[:n]
-            z[:, 0] = np.cos(0.0 * theta)  # 1, or NaN where the phase overflowed
-            z[:, 1:] = np.exp(1j * theta)[:, None]
-            np.cumprod(z, axis=1, out=z)
-            np.copyto(basis[:n, :cosines], z.real)
-            np.copyto(basis[:n, cosines:], z[:, 1:len(table) - cosines + 1].imag)
-            np.matmul(basis[:n], parts, out=stacks[:n])
-            return views[:n]
-
-        return direct
     powers, weights = _taylor_factors(degrees, shifts, omega, dt, span, order)
     terms = np.empty((order, parts.shape[1]))  # W table
-    m_0 = terms[0].view(complex).reshape(work.shape[1:])
-    conj, gram = work[:2]  # scratch until the stack is formed over them
+    m_0 = terms[0].view(complex).reshape(d, d)
     centred = None  # the span whose W table terms holds
 
-    def build(t: np.ndarray) -> list:
+    def steps(t: np.ndarray, out: np.ndarray) -> None:
         nonlocal centred
         n = len(t)
         first, offset = divmod(round((t[0] - t0) / dt), span)
         if first != centred:
             centred = first
             np.matmul(weights(t0 + first * span * dt), parts, out=terms)
-            _polish(m_0, conj, gram)
-        np.matmul(powers[offset:offset + n], terms, out=stacks[:n])
-        return views[:n]
+            _polish(m_0, *out[:2].view(complex).reshape(2, d, d))
+        np.matmul(powers[offset:offset + n], terms, out=out[:n])
 
-    return build
-
-
-def _narrow_builder(table: np.ndarray, x0: float, half: float, omega: float, dt: float,
-                    n_steps: int) -> Callable[[np.ndarray], list]:
-    """The builder of an n_steps run's step unitaries from its table on [x0 - h, x0 + h].
-
-    U_j = sum_k T_k(u_j) C_k, u_j = (cos theta_j - x0) / h, the basis by
-    the recurrence T_k+1 = 2u T_k - T_k-1 from T_0 = 1 and T_1 = u; a
-    one-row table (h = 0) needs no u. Buffers and views as _tabled_builder's.
-    """
-    d = math.isqrt(table.shape[1])
-    work = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
-    views, parts = list(work), table.view(float)
-    stacks = work.reshape(len(work), -1).view(float)
-    basis = np.ones((len(work), len(table)))  # column 0, T_0 = 1, is never written
-
-    def build(t: np.ndarray) -> list:
-        n = len(t)
-        b = basis[:n]
-        if len(table) > 1:
-            np.cos(omega * (t + 0.5 * dt), out=b[:, 1])
-            b[:, 1] -= x0
-            b[:, 1] /= half
-            for k in range(2, len(table)):
-                np.multiply(b[:, 1], b[:, k - 1], out=b[:, k])
-                b[:, k] *= 2.0
-                b[:, k] -= b[:, k - 2]
-        np.matmul(b, parts, out=stacks[:n])
-        return views[:n]
-
-    return build
+    return steps
 
 
 def _magnus_nodes(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
@@ -474,13 +450,14 @@ def _magnus_table(q: int, mu: float, beta: float, dt: float, m: int, x0: float =
 def _coupling_interval(omega: float, t0: float, dt: float, n_steps: int) -> tuple[float, float]:
     """(x0, h): the interval [x0 - h, x0 + h] that cos theta covers over an n_steps run's phases.
 
-    The midpoint phases theta_j = omega (t0 + j dt + dt/2), formed as the
-    builders form them, lie between the first and the last: cos reaches 1
-    where that range holds a multiple of 2 pi, -1 where it holds an odd
-    one of pi, and its ends elsewhere. A range 2 pi wide or more, or not
-    finite, gives [-1, 1]; Python floats overflow to inf with no warning.
+    The midpoint phases theta_j of the steps from t0 + j dt (_midpoint)
+    lie between the first and the last: cos reaches 1 where that range
+    holds a multiple of 2 pi, -1 where it holds an odd one of pi, and its
+    ends elsewhere. A range 2 pi wide or more, or not finite, gives
+    [-1, 1]; Python floats overflow to inf with no warning.
     """
-    ends = omega * (t0 + 0.5 * dt), omega * ((t0 + (n_steps - 1) * dt) + 0.5 * dt)
+    theta = _midpoint(omega, dt)
+    ends = theta(t0), theta(t0 + (n_steps - 1) * dt)
     lo, hi = min(ends), max(ends)
     if not hi - lo < 2 * math.pi:
         return 0.0, 1.0
@@ -491,13 +468,6 @@ def _coupling_interval(omega: float, t0: float, dt: float, n_steps: int) -> tupl
     top = 1.0 if reaches(0.0) else max(math.cos(lo), math.cos(hi))
     bottom = -1.0 if reaches(math.pi) else min(math.cos(lo), math.cos(hi))
     return 0.5 * (top + bottom), 0.5 * (top - bottom)
-
-
-def _chebyshev_steps(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], object]:
-    """theta, out -> out = the (m, d, d) magnus2 unitaries at the phases theta, from table."""
-    parts, degrees = table.view(float), np.arange(len(table), dtype=float)
-    return lambda theta, out: np.matmul(_chebyshev_basis(theta, degrees), parts,
-                                        out=out.reshape(len(theta), -1).view(float))
 
 
 def _free_step(lattice: Lattice, mu: float, dt: float) -> np.ndarray:
@@ -513,8 +483,9 @@ def _kicks(cos: np.ndarray, rate: np.ndarray) -> np.ndarray:
 
 def _strang_steps(free: np.ndarray, rate: np.ndarray,
                   quarter: float) -> Callable[[np.ndarray, np.ndarray], object]:
-    """theta, out -> out = the (m, d, d) strang steps E(theta + quarter) F E(theta - quarter)."""
+    """theta, out -> out = the m strang steps E(theta + quarter) F E(theta - quarter) as rows."""
     def unitaries(theta: np.ndarray, out: np.ndarray) -> None:
+        out = out.view(complex).reshape(len(theta), *free.shape)
         np.multiply(free, _kicks(np.cos(theta + quarter), rate)[:, :, None], out=out)
         out *= _kicks(np.cos(theta - quarter), rate)[:, None, :]
 
@@ -546,12 +517,20 @@ def _grid_stepper(free: np.ndarray, rate: np.ndarray, omega: float, quarter: flo
     return step
 
 
-def _stack_stepper(build: Callable[[np.ndarray], list], d: int, polish: bool) -> _Stepper:
-    """psi <- U_j psi for the stacks build(t), _CHUNK loop steps at a time.
+def _stack_stepper(steps: Callable[[np.ndarray, np.ndarray], object],
+                   phase: Callable[[np.ndarray], np.ndarray], n_steps: int, d: int,
+                   polish: bool) -> _Stepper:
+    """psi <- U_j psi over an n_steps run, its U_j written into one stack _CHUNK at a time.
 
+    steps(phase(t), rows) writes the steps from the times t into the first
+    len(t) rows of the stack, viewed as (_CHUNK, 2 d^2) interleaved (re, im)
+    pairs. The stack is allocated here, once, and handed out as views of it
+    made once per run: iterating the stack would make a view object per step.
     With polish each state takes one Newton-Schulz step as well,
     psi <- U (3 - U^H U) psi / 2 = 1.5 v - 0.5 U (U^H v), v = U psi.
     """
+    stack = np.empty((min(_CHUNK, n_steps), d, d), dtype=complex)
+    views, flat = list(stack), stack.reshape(len(stack), -1).view(float)
     if polish:
         conj = np.empty((d, d), dtype=complex)
         adjoint = conj.T  # U_j^H once conj holds U_j's conjugate
@@ -568,7 +547,9 @@ def _stack_stepper(build: Callable[[np.ndarray], list], d: int, polish: bool) ->
 
     def step(t: np.ndarray, psi: np.ndarray, rows: list) -> np.ndarray:
         for start in range(0, len(t), _CHUNK):
-            for u, row in zip(build(t[start:start + _CHUNK]), rows[start:start + _CHUNK]):
+            chunk = t[start:start + _CHUNK]
+            steps(phase(chunk), flat)
+            for u, row in zip(views[:len(chunk)], rows[start:start + _CHUNK]):
                 psi = apply(u, psi, out=row)
         return psi
 
@@ -618,26 +599,28 @@ def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float
     magnus2 (and reference): a table of the run's own interval in x
     (_coupling_interval) takes M' = _chebyshev_nodes(|beta dt| q h) nodes,
     one eigh each, and, having no Fourier form over 2 pi, no step map or
-    span (_narrow_builder). The run takes it where the eigh it saves, at
+    span: it is stepped as a cosine table in arccos u (_table_steps). The
+    run takes it where the eigh it saves, at
     _NODE each, against the paired table's ceil(M/2) or, above _CHUNK
     nodes, one per step, outweigh what its steps may add: M' + 6 products
     per entry and 6 numpy calls at _CALL / d^2 over the 2 and the one
     call of the cheapest step. Otherwise, above _CHUNK nodes each stack
-    comes from its own eigh: a table would cost more eigh work and memory
-    than one chunk of direct steps, and each loop step is one grid step.
-    Below, the run builds its paired Chebyshev table on [-1, 1], and
-    _step_map may replace
-    it by the table of a map of 2^i grid steps, i up to stride's power of
-    two (_step_table); the bounds on its coefficients come from the table's
-    norms (_norm_bounds), taken only where the entries' maxima, which bound
-    the norms from below, leave a map that might pay.
+    is written by its own eigh: a table would cost more eigh work and
+    memory than one chunk of direct steps, and each loop step is one grid
+    step. Below, the run builds its paired Chebyshev table on [-1, 1],
+    and _step_map may replace it by the table of a map of 2^i grid steps,
+    i up to stride's power of two (_step_table); the bounds on its
+    coefficients come from the table's norms (_norm_bounds), taken only
+    where the entries' maxima, which bound the norms from below, leave a
+    map that might pay.
     strang: the bounds are closed-form (_strang_bound). A strang grid step
     is 2 products per entry, but its two numpy calls cost more at small d:
     _step_map prices calls at _CALL / d^2 each. Where no map pays the run
     takes its grid stepper, and kick is its closing half kick.
     A loop step is one map, on the grid t0 + j 2^i dt, and the nodes are
-    the map's. _tabled_builder builds the stacks from the table, in spans
-    of the loop's grid where one pays. A run without spans polishes its
+    the map's. The stacks come from the table in spans of the loop's grid
+    where one pays (_span_steps), directly at the loop steps' midpoint
+    phases otherwise (_table_steps). A run without spans polishes its
     states: the table's defect would otherwise add up linearly, past the
     1e-10 expectation() accepts after about a million steps.
     """
@@ -659,16 +642,23 @@ def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float
         x0, half = _coupling_interval(omega, t0, dt, n_steps)
         narrow = _chebyshev_nodes(reach * half)
         saved = ((m + 1) // 2 if m <= _CHUNK else n_steps) - narrow  # eigh matrices
+        theta = _midpoint(omega, dt)
         if narrow <= _CHUNK and saved * _NODE > n_steps * (narrow + 6 + 6 * _CALL / d**2):
             table = _magnus_table(lattice.q, mu, beta, dt, narrow, x0, half)
-            build = _narrow_builder(table, x0, half, omega, dt, n_steps)
-            return _Plan(_stack_stepper(build, d, True), 1, narrow, None)
-        if m > _CHUNK:
-            def unitaries(t: np.ndarray) -> list:
-                return list(_magnus_unitaries(lattice, mu, beta * np.cos(omega * (t + 0.5 * dt)),
-                                              dt))
 
-            return _Plan(_stack_stepper(unitaries, d, False), 1, 0, None)
+            def arccos(t: np.ndarray) -> np.ndarray:  # phi = arccos u, 0 for h = 0
+                u = np.cos(theta(t)) - x0
+                return np.arccos(np.clip(u / half, -1.0, 1.0)) if half else 0.0 * u
+
+            source = _table_steps(table, np.zeros(narrow))
+            return _Plan(_stack_stepper(source, arccos, n_steps, d, True), 1, narrow, None)
+        if m > _CHUNK:
+            def eigh(phi: np.ndarray, out: np.ndarray) -> None:
+                n = len(phi)
+                _magnus_unitaries(lattice, mu, beta * np.cos(phi), dt,
+                                  out[:n].view(complex).reshape(n, d, d))
+
+            return _Plan(_stack_stepper(eigh, theta, n_steps, d, False), 1, 0, None)
         table = _magnus_table(lattice.q, mu, beta, dt, m)
         degrees = np.arange(m, dtype=float)  # as int64 they would be cast per call
         shifts = np.zeros(m)
@@ -685,10 +675,11 @@ def _step_plan(lattice: Lattice, mu: float, beta: float, omega: float, t0: float
             steps, degree = step_map(_norm_bounds(table.reshape(m, d, d)))
     if steps > 1:
         one_step = (_strang_steps(free, rate, quarter) if method == "strang"
-                    else _chebyshev_steps(table))
+                    else _table_steps(table, shifts))
         table, degrees, shifts = _step_table(one_step, d, omega_dt, steps, degree)
         del one_step  # frees magnus2's Chebyshev table before the run steps
         dt, n_steps = steps * dt, n_steps // steps
         span, order = _taylor_span(table, degrees, omega * dt, n_steps)
-    build = _tabled_builder(table, degrees, shifts, omega, dt, t0, n_steps, span, order)
-    return _Plan(_stack_stepper(build, d, not order), steps, len(table), None)
+    source, phase = ((_span_steps(table, degrees, shifts, omega, dt, t0, span, order), np.asarray)
+                     if order else (_table_steps(table, shifts), _midpoint(omega, dt)))
+    return _Plan(_stack_stepper(source, phase, n_steps, d, not order), steps, len(table), None)

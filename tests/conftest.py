@@ -11,18 +11,10 @@ import numpy as np
 import pytest
 
 import qlimit
-from qlimit import SimulationConfig, Trajectory, evolve
+from qlimit import SimulationConfig, Trajectory, cli, evolve
 
-FIG2_KWARGS = dict(
-    q=10,
-    kappa=0.2,
-    mu=1.0,
-    beta=0.1,
-    omega=0.0002,
-    t_end=28800.0,
-    dt=1.0,
-    snapshots=(0.0, 1800.0, 3600.0, 7200.0, 14400.0, 28800.0),
-)
+# the day `evolve --preset fig2` runs, so the tests and the CLI cannot drift apart
+FIG2_KWARGS = {**cli.FIG2_PRESET, "dt": 1.0}
 
 
 @pytest.fixture(scope="session")

@@ -400,7 +400,7 @@ def test_magnus_evolve_equals_plain_application_of_step_stacks(method, steps, at
     # 9.3e-15 off here.
     t_end = 520.0 / _REFINE[method]
     cfg = _config(method=method, t_end=t_end, snapshots=(0.0, 17.0, 32.0, 64.0, t_end))
-    dt, n_steps = cfg.dt / _REFINE[method], cfg.n_steps * _REFINE[method]
+    dt, n_steps = cfg.integration_dt, cfg.integration_steps
     assert _span(cfg, dt, n_steps)[1]
     expected, run = _run_states(cfg, initial_state(cfg).amplitudes, 0.0, dt, n_steps)
     assert run.steps == 1
@@ -561,18 +561,18 @@ def test_evolve_memory_stays_within_the_stacks_max_q_assumes(method, beta, chunk
                   snapshots=None)
     d = cfg.lattice.d
     traj, peak = _traced_peak(lambda: evolve(cfg))
-    loops = cfg.n_steps * _REFINE[method] // traj.step_map["steps"]
+    loops = cfg.integration_steps // traj.step_map["steps"]
     assert loops > 2 * _STATES and loops % _STATES, loops
     stack = 16 * _CHUNK * d * d
     assert peak <= stacks * stack + 8 * 16 * _CHUNK * d, peak / stack
     if method == "strang":
         assert not eigh_matrices and traj.step_map["nodes"] == (nodes or 0)
     else:
-        m = _chebyshev_nodes(beta * cfg.dt / _REFINE[method] * cfg.q)
+        m = _chebyshev_nodes(beta * cfg.integration_dt * cfg.q)
         assert traj.step_map == {"steps": 1, "nodes": nodes or 0}
         # the run's own table, one eigh per node pair on [-1, 1] and one per
         # node on a narrow interval, or one eigh per step
-        steps = cfg.n_steps * _REFINE[method]
+        steps = cfg.integration_steps
         assert sum(eigh_matrices) == (steps if nodes is None else
                                       (m + 1) // 2 if nodes == m else nodes)
 
@@ -998,6 +998,38 @@ def test_narrow_table_runs_match_eigh_products(q, bound, monkeypatch):
     assert worst[1e9] <= bound and worst[1e9] <= worst[0], worst
 
 
+def _recurrence_stacks(cfg, t0, dt, n_steps):
+    """The steps of cfg's narrow table over an n_steps run by T_k+1 = 2u T_k - T_k-1, u and M'."""
+    x0, half = _coupling_interval(cfg.omega, t0, dt, n_steps)
+    table = _magnus_table(cfg.q, cfg.mu, cfg.beta, dt,
+                          _chebyshev_nodes(abs(cfg.beta * dt) * cfg.q * half), x0, half)
+    u = (np.cos(cfg.omega * (t0 + np.arange(n_steps) * dt + 0.5 * dt)) - x0) / half
+    basis = [np.ones(n_steps), u]
+    for _ in range(2, len(table)):
+        basis.append(2 * u * basis[-1] - basis[-2])
+    stacks = np.array(basis[:len(table)]).T @ table
+    return stacks.reshape(n_steps, cfg.lattice.d, -1), u, len(table)
+
+
+@pytest.mark.parametrize("q", [15, 30])
+def test_narrow_table_runs_match_the_recurrence(q, monkeypatch):
+    # A narrow table is stepped in the phase arccos u, T_k(u) = cos(k arccos u);
+    # its states must lie within 1.5e-15 of the same table's steps by the
+    # three-term recurrence, the state polish written out (1.1e-15 at worst
+    # here). From t0 = 56, forward and backward, one step's u overshoots 1
+    # by rounding (up to 2.9e-13), where the run clips it.
+    monkeypatch.setattr(tables, "_NODE", 1e9)  # a narrow table always pays
+    for beta in (0.05, 0.2, -0.1):
+        cfg = _config(q=q, beta=beta, omega=5e-4, method="magnus2")
+        psi = initial_state(cfg).amplitudes
+        for dt in (1.0, -1.0):
+            states, run = _run_states(cfg, psi, 56.0, dt, 60)
+            stacks, u, nodes = _recurrence_stacks(cfg, 56.0, dt, 60)
+            assert run.nodes == nodes and np.abs(u).max() > 1.0, (beta, dt)
+            error = np.abs(states - _polished_states(stacks, psi)).max()
+            assert error <= 1.5e-15, (beta, dt, error)
+
+
 def test_narrow_table_replaces_per_step_eigh_at_large_q(eigh_matrices):
     # q = 100, beta = 0.1: [-1, 1] needs more than _CHUNK nodes, so each of
     # the 60 steps took its own eigh; the run's interval takes 5 nodes, and
@@ -1242,7 +1274,7 @@ def test_reference_run_matches_eigh_products(omega):
     cfg = _config(method="reference", omega=omega, t_end=512.0, snapshots=None)
     traj = evolve(cfg)
     assert traj.step_map == {"steps": 4, "nodes": 25}
-    dt = cfg.dt / _REFINE["reference"]
+    dt = cfg.integration_dt
     expected = _eigh_states(cfg, 0.0, dt, 4096, initial_state(cfg).amplitudes, {4096})
     assert np.abs(traj.states[-1][1].amplitudes - expected[4096]).max() <= 1e-11
     assert traj.norm_drift <= 1e-13
