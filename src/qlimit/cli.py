@@ -2,11 +2,13 @@
 
 Configs are flat JSON objects with the exact keys q, kappa, mu, beta,
 omega, t_end, dt, method, snapshots. Outputs are plain CSV plus a JSON
-run manifest; no plotting dependencies. CSV bytes are deterministic for a
-fixed config on one platform.
+run manifest; no plotting dependencies. Every CSV goes through one
+writer, _write_csv, which streams rows of Python numbers, each as its
+shortest round-trip repr, so CSV bytes are deterministic for a fixed
+config on one platform and every value reads back exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O error.
+4 I/O error. A command that exits 4 leaves none of its files behind.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -110,12 +114,35 @@ def emit_config(config: SimulationConfig) -> dict:
     return {**asdict(config), "snapshots": list(config.snapshots)}
 
 
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
+@contextmanager
+def _outputs() -> Iterator[list[Path]]:
+    """The files a command opens, as a list: an OSError in the block removes each, then goes on."""
+    written: list[Path] = []
+    try:
+        yield written
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: Path, header: str, rows: Iterable[tuple], written: list[Path]) -> Path:
+    """Stream header and rows of Python numbers to path, each number as its shortest repr."""
+    with path.open("w") as f:
+        written.append(path)
+        f.write(header + "\n")
+        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    return path
+
+
+def _csv_name(stem: str, x: float) -> str:
+    """<stem><x>.csv, x as :g where that reads back as x, else as its shortest exact repr.
+
+    :g keeps six significant digits, which would give distinct values such
+    as 1000000 and 1000001 one name.
+    """
+    name = f"{x:g}"
+    return f"{stem}{name if float(name) == x else repr(float(x))}.csv"
 
 
 def _default_outdir(out: str | None) -> Path:
@@ -146,22 +173,11 @@ def cmd_gaussian(q: int, kappa: float, out: str | Path) -> Path:
                           "(memory of its d-vectors)")
     g = gamma_kappa(lattice, params).amplitudes.real
     u = upsilon_kappa(lattice, params).amplitudes.real
-    path = Path(out)
-    with path.open("w") as f:
-        f.write("n,gamma,upsilon,prob\n")
-        for i, n in enumerate(lattice.points()):
-            f.write(f"{n},{_fmt17(g[i])},{_fmt17(u[i])},{_fmt17(u[i] ** 2)}\n")
-    return path
-
-
-def _snapshot_filename(t: float) -> str:
-    """snapshot_t<t>.csv, t as :g where that reads back as t, else as its shortest exact repr.
-
-    :g keeps six significant digits, which would give distinct times such
-    as 1000000 and 1000001 one name.
-    """
-    name = f"{t:g}"
-    return f"snapshot_t{name if float(name) == t else repr(float(t))}.csv"
+    # row by row: Python floats of whole columns would take 32 bytes a value
+    rows = ((n, float(a), float(b), float(b) ** 2)
+            for n, a, b in zip(range(-lattice.q, lattice.q + 1), g, u))
+    with _outputs() as written:
+        return _write_csv(Path(out), "n,gamma,upsilon,prob", rows, written)
 
 
 def _figure_check(states: dict[float, np.ndarray], lattice) -> list[dict]:
@@ -212,7 +228,7 @@ def cmd_evolve(
     steps each loop step takes and the nodes of the run's table, and
     ``resolution`` the top kinetic phase q^2 h / (2 mu) of one integration
     step h against pi.
-    Partial outputs are removed if writing fails midway.
+    An OSError while writing removes every file written, the manifest's too.
     """
     started = datetime.now(timezone.utc).isoformat()
     traj = evolve(config)
@@ -226,7 +242,7 @@ def cmd_evolve(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     lattice = config.lattice
-    pts = lattice.points()
+    pts = lattice.points().tolist()
 
     adjustments = []
     if requested_snapshots is not None:
@@ -240,7 +256,6 @@ def cmd_evolve(
         "started": started,
         "finished": finished,
         "norm_drift": traj.norm_drift,
-        "outputs": [],
         "snapshot_adjustments": adjustments,
         "timings": timings,
         "steps_per_second": steps / timings["propagate"] if timings.get("propagate") else None,
@@ -252,36 +267,19 @@ def cmd_evolve(
         states = {t: psi.amplitudes for t, psi in traj.states}
         manifest["figure_check"] = _figure_check(states, lattice)
 
-    written: list[Path] = []
-    try:
+    with _outputs() as written:
         for t, psi in traj.states:
-            lines = ["t,n,re,im,prob"]
-            amps = psi.amplitudes
-            for i, n in enumerate(pts):
-                lines.append(
-                    f"{_fmt(t)},{n},{_fmt(amps[i].real)},{_fmt(amps[i].imag)},"
-                    f"{_fmt(abs(amps[i]) ** 2)}"
-                )
-            path = outdir / _snapshot_filename(t)
-            path.write_text("\n".join(lines) + "\n")
-            written.append(path)
-            manifest["outputs"].append(path.name)
-
-        lines = ["t,mean_R,mean_T,norm"]
-        for t, mean_r, mean_t, norm in series:
-            lines.append(f"{_fmt(t)},{_fmt(mean_r)},{_fmt(mean_t)},{_fmt(norm)}")
-        obs_path = outdir / "observables.csv"
-        obs_path.write_text("\n".join(lines) + "\n")
-        written.append(obs_path)
-        manifest["outputs"].append(obs_path.name)
+            # abs(z) ** 2 of each Python complex: np.abs(amps) ** 2 would move some last bits
+            rows = ((t, n, z.real, z.imag, abs(z) ** 2)
+                    for n, z in zip(pts, psi.amplitudes.tolist()))
+            _write_csv(outdir / _csv_name("snapshot_t", t), "t,n,re,im,prob", rows, written)
+        _write_csv(outdir / "observables.csv", "t,mean_R,mean_T,norm", series, written)
+        manifest["outputs"] = [path.name for path in written]
         timings["write"] = time.perf_counter() - observed
-
-        manifest_path = outdir / "manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+        path = outdir / "manifest.json"
+        with path.open("w") as f:
+            written.append(path)
+            f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
@@ -323,16 +321,12 @@ def cmd_operators(
         else:
             raise ConfigError(f"unknown operator {which!r}, expected one of {OPERATOR_NAMES}")
 
-    pts = lattice.points()
+    pts = lattice.points().tolist()
     header = "k," + ",".join(f"re[{n}],im[{n}]" for n in pts)
-    lines = [header]
-    # tolist gives Python floats, whose repr is _fmt's, without a NumPy scalar per cell
-    for k, re, im in zip(pts, op.matrix.real.tolist(), op.matrix.imag.tolist()):
-        cells = ",".join(f"{a!r},{b!r}" for a, b in zip(re, im))
-        lines.append(f"{k},{cells}")
-    path = Path(out)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    # a row of the matrix viewed as floats is its (re, im) pairs
+    rows = ((k, *row.tolist()) for k, row in zip(pts, np.ascontiguousarray(op.matrix).view(float)))
+    with _outputs() as written:
+        return _write_csv(Path(out), header, rows, written)
 
 
 def cmd_check(stream=None, as_json: bool = False) -> int:
@@ -414,14 +408,16 @@ def _run_gaussian(args) -> int:
             raise ConfigError(f"--preset fig1 fixes q and kappa; drop {' and '.join(given)}")
         outdir = _default_outdir(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        for kappa in FIG1_PRESET["kappas"]:
-            path = outdir / f"gaussian_kappa{kappa:g}.csv"
-            cmd_gaussian(FIG1_PRESET["q"], kappa, path)
-            print(path)
+        with _outputs() as written:  # a failed table removes the tables before it
+            for kappa in FIG1_PRESET["kappas"]:
+                written.append(cmd_gaussian(FIG1_PRESET["q"], kappa,
+                                            outdir / _csv_name("gaussian_kappa", kappa)))
+        print(*written, sep="\n")
         return 0
     if args.q is None or args.kappa is None:
         raise ConfigError("gaussian needs --q and --kappa (or --preset fig1)")
-    out = Path(args.out) if args.out else _default_outdir(None) / f"gaussian_kappa{args.kappa:g}.csv"
+    name = _csv_name("gaussian_kappa", args.kappa)
+    out = Path(args.out) if args.out else _default_outdir(None) / name
     print(cmd_gaussian(args.q, args.kappa, out))
     return 0
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +12,18 @@ from qlimit import (
     Trajectory,
     checks,
     cli,
+    hamiltonian_at,
     initial_state,
+    kinetic_operator,
     new_lattice,
+    price_operator,
+    rate_operator,
     trend_operator,
 )
 from qlimit.checks import ALL_CHECKS, CheckResult
 from qlimit.cli import (
     GAUSSIAN_MAX_Q,
+    OPERATOR_NAMES,
     cmd_evolve,
     cmd_gaussian,
     cmd_operators,
@@ -24,7 +31,7 @@ from qlimit.cli import (
     main,
     parse_config,
 )
-from qlimit.propagator import MAX_Q
+from qlimit.propagator import MAX_Q, evolve, observables_series
 
 from conftest import fresh_python
 
@@ -38,6 +45,30 @@ def _write_config(path, **overrides):
             del raw[key]
     path.write_text(json.dumps(raw))
     return path
+
+
+@pytest.fixture
+def failing_writes(monkeypatch):
+    """failing_writes(name, n): writes to files named name raise OSError from their n-th on."""
+    def arm(name, n):
+        real_open = Path.open
+
+        def open_(path, *args, **kwargs):
+            f = real_open(path, *args, **kwargs)
+            if path.name == name:
+                write, count = f.write, itertools.count(1)
+
+                def failing(text):
+                    if next(count) >= n:
+                        raise OSError("disk full")
+                    return write(text)
+
+                f.write = failing
+            return f
+
+        monkeypatch.setattr(Path, "open", open_)
+
+    return arm
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +201,32 @@ def test_gaussian_uses_env_default_outdir(tmp_path, monkeypatch):
     monkeypatch.setenv("QLIMIT_OUT", str(tmp_path))
     assert main(["gaussian", "--q", "4", "--kappa", "2.0"]) == 0
     assert (tmp_path / "gaussian_kappa2.csv").exists()
+
+
+def test_gaussian_kappas_alike_to_six_digits_write_distinct_files(tmp_path, monkeypatch):
+    # :g named both gaussian_kappa1.csv, and the second table overwrote the first
+    monkeypatch.setenv("QLIMIT_OUT", str(tmp_path))
+    for kappa in ("1.0000001", "1.0000002"):
+        assert main(["gaussian", "--q", "4", "--kappa", kappa]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gaussian_kappa1.0000001.csv",
+                                                          "gaussian_kappa1.0000002.csv"]
+
+
+def test_gaussian_write_failure_leaves_no_file(tmp_path, failing_writes):
+    # the table used to stay behind with the rows written before the failure
+    out = tmp_path / "g.csv"
+    failing_writes("g.csv", 6)
+    with pytest.raises(OSError, match="disk full"):
+        cmd_gaussian(10, 1.0, out)
+    assert not out.exists()
+
+
+def test_gaussian_preset_write_failure_leaves_no_file(tmp_path, capsys, failing_writes):
+    # a failure in the second table removes the first one too, and no path is printed
+    failing_writes("gaussian_kappa1.csv", 6)
+    assert main(["gaussian", "--preset", "fig1", "--out", str(tmp_path)]) == 4
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +441,22 @@ def test_evolve_state_off_unit_norm_exits_3(tmp_path, capsys, monkeypatch):
     assert "norm_drift is 1.000e-09" in capsys.readouterr().err
 
 
-def test_evolve_api_cleans_partial_outputs_on_write_failure(tmp_path, monkeypatch):
+def test_evolve_api_cleans_partial_outputs_on_write_failure(tmp_path, failing_writes):
     config = SimulationConfig(q=2, kappa=1.0, mu=1.0, beta=0.0, omega=0.0,
                               t_end=2.0, snapshots=(0.0, 2.0))
     outdir = tmp_path / "out"
-
-    from pathlib import Path
-
-    real_write_text = Path.write_text
-    state = {"writes": 0}
-
-    def failing_write(self, *args, **kwargs):
-        state["writes"] += 1
-        if state["writes"] >= 2:
-            raise OSError("disk full")
-        return real_write_text(self, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "write_text", failing_write)
+    failing_writes("snapshot_t2.csv", 3)
     with pytest.raises(OSError):
         cmd_evolve(config, outdir)
-    monkeypatch.undo()
+    assert list(outdir.iterdir()) == []
+
+
+def test_evolve_write_failure_in_the_manifest_leaves_no_file(tmp_path, failing_writes):
+    # the CSVs were removed, but not the manifest the failed write had begun
+    config_path = _write_config(tmp_path / "run.json")
+    outdir = tmp_path / "out"
+    failing_writes("manifest.json", 1)
+    assert main(["evolve", "--config", str(config_path), "--out", str(outdir)]) == 4
     assert list(outdir.iterdir()) == []
 
 
@@ -471,6 +524,44 @@ def test_operators_dump_matches_per_cell_repr(tmp_path):
         cells = ",".join(f"{repr(float(x.real))},{repr(float(x.imag))}" for x in row)
         lines.append(f"{k},{cells}")
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_operators_write_failure_leaves_no_file(tmp_path, failing_writes):
+    # the dump was one write_text call, whose failure could leave a partial file
+    out = tmp_path / "h.csv"
+    failing_writes("h.csv", 3)
+    with pytest.raises(OSError, match="disk full"):
+        cmd_operators(3, "hamiltonian", out)
+    assert not out.exists()
+
+
+def test_evolve_and_operators_csv_cells_read_back_as_the_library_values(tmp_path):
+    # every cell is the shortest repr of a Python number, so parsing gives
+    # back exactly what the library computed (the gaussian table:
+    # test_gaussian_csv_round_trips_at_full_precision)
+    config = SimulationConfig(q=4, kappa=0.5, mu=0.7, beta=0.3, omega=0.01, t_end=50.0,
+                              snapshots=(0.0, 25.0, 50.0), method="magnus2")
+    names = cmd_evolve(config, tmp_path)["outputs"]
+    traj = evolve(config)
+
+    def rows(name):
+        return [list(map(float, line.split(","))) for line in
+                (tmp_path / name).read_text().splitlines()[1:]]
+
+    for (t, psi), name in zip(traj.states, names):
+        assert rows(name) == [[t, n, z.real, z.imag, abs(z) ** 2]
+                              for n, z in zip(range(-4, 5), psi.amplitudes.tolist())], name
+    assert [tuple(row) for row in rows("observables.csv")] == observables_series(traj)
+    lattice = new_lattice(3)
+    matrices = {"rate": rate_operator(lattice), "trend": trend_operator(lattice),
+                "price": price_operator(lattice, 250.0, 0.01),
+                "kinetic": kinetic_operator(lattice, 0.7),
+                "hamiltonian": hamiltonian_at(lattice, 17.0, 0.7, 0.3, 0.01)}
+    assert set(matrices) == set(OPERATOR_NAMES)
+    for which, op in matrices.items():
+        out = tmp_path / f"{which}.csv"
+        cmd_operators(3, which, out, p0=250.0, scale=0.01, mu=0.7, beta=0.3, omega=0.01, t=17.0)
+        np.testing.assert_array_equal(_read_matrix_csv(out, 7), op.matrix, err_msg=which)
 
 
 @pytest.fixture(scope="module")

@@ -14,9 +14,6 @@ from qlimit import (
     tilde_delta,
     upsilon_kappa,
 )
-from qlimit.checks import check_dft_fourth_power
-
-from conftest import assert_passes
 
 
 def test_zero_row_is_constant_at_q1():
@@ -40,11 +37,6 @@ def test_explicit_entry_k1_nm1_at_q1():
 def test_adjoint_is_conjugate_transpose_exactly():
     mats = dft_matrices(new_lattice(7))
     np.testing.assert_array_equal(mats.adjoint, mats.forward.conj().T)
-
-
-@pytest.mark.parametrize("q", range(1, 11))
-def test_fourth_power_is_identity(q):
-    assert_passes(check_dft_fourth_power())
 
 
 def test_double_transform_is_parity():

@@ -461,6 +461,22 @@ def test_backward_strang_run_matches_single_steps():
     assert sorted(recorded) == [1, _STATES, 150]
 
 
+def test_strang_run_whose_coefficient_bound_decays_too_slowly_steps_its_grid():
+    # x = |beta dt| q / 4 = 12.5: no term of _strang_bound's series falls below
+    # 1e-20 within 2 _CHUNK terms, so no map's table would fit, though the
+    # snapshot steps share the factor 64
+    cfg = _config(beta=5.0, t_end=128.0, snapshots=(0.0, 64.0, 128.0))
+    assert tables._strang_bound(cfg.beta, cfg.dt, cfg.q) is None
+    traj = evolve(cfg)
+    assert traj.step_map == {"steps": 1, "nodes": 0}
+    recorded = dict(traj.states)
+    psi = initial_state(cfg)
+    for i in range(129):
+        if float(i) in recorded:
+            assert np.abs(recorded[float(i)].amplitudes - psi.amplitudes).max() < 1e-13, i
+        psi = _unmerged_strang_step(cfg, psi, float(i), 1.0)
+
+
 def _traced_peak(run):
     """run() and the peak of the memory that tracemalloc traces while it runs."""
     tracemalloc.start()
