@@ -60,12 +60,11 @@ _MAX_STEPS = 10**7
 
 #: Most memory a run's stepper (tables._step_plan) holds at once in
 #: (_CHUNK, d, d) complex stacks, besides vectors: magnus2's per-step eigh
-#: writes its stack while it holds the real eigenvectors (half a stack),
-#: their phase-scaled complex copy and the complex cast of their transpose
-#: that the product takes, 3.5 in all (3.55 traced at q = 40). A
-#: state-polished tabled run takes 2: its table of at most _CHUNK matrices
-#: and the stack of step unitaries (the polish conjugates one of them at a
-#: time). A factorized run takes under 3: the table, one stack, W table,
+#: writes its stack while it holds the real eigenvectors (half a stack) and
+#: the phase-scaled complex copy of their transpose, 2.5 in all (2.61
+#: traced at q = 40). A state-polished tabled run takes 2: its table of at
+#: most _CHUNK matrices and the stack of step unitaries (the polish
+#: conjugates one of them at a time). A factorized run takes under 3: the table, one stack, W table,
 #: whose p <= 15 rows are at most 15/32 of a stack, and S, no larger.
 #: A step map's table has at most 2 _CHUNK rows: stepping it takes 4 stacks
 #: at most, and building it under 4: magnus2's Chebyshev table or strang's

@@ -102,12 +102,20 @@ _NODE = 800
 
 def _magnus_unitaries(lattice: Lattice, mu: float, coupling: np.ndarray, dt: float,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """(m, d, d) exp(-1j*dt*(K + c*R)) for the couplings c, one batched eigh; into out if given."""
+    """(m, d, d) exp(-1j*dt*(K + c*R)) for the couplings c, one batched eigh; into out if given.
+
+    V diag(p) V^T, V real, as one real product: V times the (re, im) pairs
+    of diag(p) V^T, into the float view of out, as _table_steps does. A
+    complex product would cast V^T to a complex copy, a whole stack.
+    """
     try:
         w, vec = np.linalg.eigh(hamiltonians(lattice, mu, coupling))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hamiltonian eigendecomposition failed: {exc}") from exc
-    return np.matmul(vec * np.exp(w * (-1j * dt))[:, None, :], vec.transpose(0, 2, 1), out=out)
+    pairs = np.multiply(np.exp(w * (-1j * dt))[:, :, None], vec.transpose(0, 2, 1), order="C")
+    out = np.empty_like(pairs) if out is None else out
+    np.matmul(vec, pairs.view(float), out=out.view(float))
+    return out
 
 
 def _midpoint(omega: float, dt: float) -> Callable:

@@ -560,7 +560,7 @@ def test_second_fig2_day_in_fresh_interpreter_takes_few_page_faults():
     # the largest paired table, factorized: shorter runs take a narrow table
     ("magnus2", 0.1875, 192.0, _CHUNK, 4, 2e-4),
     ("magnus2", 0.1875, 64.0, _CHUNK, 3, 1.0),   # the largest table, state-polished
-    ("magnus2", 0.25, 64.0, None, 4.5, 1.0),     # one eigh per step
+    ("magnus2", 0.25, 64.0, None, 3, 1.0),       # one eigh per step
     ("magnus2", 0.25, 64.0, 5, 2, 2e-4),         # a narrow table, state-polished
     ("reference", 1.5, 8.0, _CHUNK, 3, 1.0),
     ("reference", 1.5, 80.0, _CHUNK, 4, 2e-4),
