@@ -116,7 +116,7 @@ def emit_config(config: SimulationConfig) -> dict:
 
 @contextmanager
 def _outputs() -> Iterator[list[Path]]:
-    """The files a command opens, as a list: an OSError in the block removes each, then goes on."""
+    """The files a command opens, as a list: an OSError in the block removes each and re-raises."""
     written: list[Path] = []
     try:
         yield written
@@ -416,8 +416,7 @@ def _run_gaussian(args) -> int:
         return 0
     if args.q is None or args.kappa is None:
         raise ConfigError("gaussian needs --q and --kappa (or --preset fig1)")
-    name = _csv_name("gaussian_kappa", args.kappa)
-    out = Path(args.out) if args.out else _default_outdir(None) / name
+    out = args.out or _default_outdir(None) / _csv_name("gaussian_kappa", args.kappa)
     print(cmd_gaussian(args.q, args.kappa, out))
     return 0
 
